@@ -51,7 +51,7 @@ from .sampling import (
     sample_amo,
     sample_cpdag,
 )
-from .subproblems import NotCliqueError, components_after_clique, components_after_permutation
+from .subproblems import NotCliqueError, components_after_clique
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "Uccg",
     "clique_tree",
     "components_after_clique",
-    "components_after_permutation",
     "count_amos",
     "count_cpdag",
     "count_root_picking",

@@ -33,7 +33,7 @@ def lbfs(
     """
     if rng is None and seed is not None:
         rng = random.Random(seed)
-    order, _ = refine_traversal(g.adj, [list(range(g.n))], rng=rng)
+    order, _ = refine_traversal(g.adj, [(1 << g.n) - 1], rng=rng, masks=g.adj_masks)
     return LbfsOrdering(tuple(order))
 
 
@@ -118,14 +118,43 @@ def clique_tree(
     lowest label; with ``seed``/``rng`` both the LBFS ties and the root are
     randomized.  Clique trees are not unique, but every quantity derived from
     them downstream is tree-invariant.
+
+    A complete graph gets its one-clique tree without building adjacency;
+    ``rng`` is advanced as the sweep would advance it (see
+    :func:`_skip_sweep_of_complete`).
     """
     if rng is None and seed is not None:
         rng = random.Random(seed)
-    order = lbfs(g, rng=rng).order
     n = g.n
-    adj = g.adj
     if n == 0:
         raise ValueError("empty graph has no clique tree")
+    if g._is_complete():
+        if rng is not None:
+            _skip_sweep_of_complete(rng, n)
+        return CliqueTree(g.labels, (tuple(range(n)),), (0,), 0, (None,))
+    return _clique_tree_of_sweep(g, lbfs(g, rng=rng).order, rng)
+
+
+def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:
+    """Draw from ``rng`` exactly what a randomized sweep of K_n and the root
+    choice among its single clique draw.
+
+    The LBFS front block of K_n always holds every unvisited vertex, so the
+    sweep's picks are ``choice`` calls on ``n``, ``n - 1``, ..., 1 vertices;
+    ``choice`` consumes randomness by sequence length only.
+    """
+    for left in range(n, 0, -1):
+        rng.choice(range(left))
+    rng.randrange(1)
+
+
+def _clique_tree_of_sweep(
+    g: "Uccg", order: Sequence[int], rng: random.Random | None
+) -> CliqueTree:
+    """Clique tree from the LBFS visit ``order`` of ``g``; ``rng`` picks the
+    root (default: the clique containing local vertex 0)."""
+    n = g.n
+    adj = g.adj
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i

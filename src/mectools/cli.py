@@ -45,6 +45,20 @@ def _read_graph(path: str):
         raise SystemExit(EXIT_INPUT)
 
 
+def _decimal(x: int) -> str:
+    """Exact decimal digits of ``x``, also beyond the interpreter's default
+    limit on int-to-str conversion (4300 digits)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return str(x)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _density(n: int, edges: int) -> float:
     return edges / (n * (n - 1) / 2) if n > 1 else 0.0
 
@@ -64,7 +78,7 @@ def cmd_count(args) -> int:
         total *= stats.count
         explored += stats.explored
         cliques += stats.max_cliques
-    print(total)
+    print(_decimal(total))
     if args.stats:
         print(f"explored={explored}", file=sys.stderr)
         print(f"cliques={cliques}", file=sys.stderr)
@@ -74,6 +88,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.samples < 0:
+        print("error: --samples must be nonnegative", file=sys.stderr)
+        return EXIT_INPUT
     g = _read_graph(args.file)
     try:
         comps = undirected_components(g)
@@ -101,6 +118,9 @@ _GEN = {
 def cmd_gen(args) -> int:
     if args.n < 1:
         print("error: --n must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    if args.k < 1:
+        print("error: --k must be positive", file=sys.stderr)
         return EXIT_INPUT
     g = _GEN[args.model](args.n, args.k, args.seed)
     text = g.as_partial_graph().serialize()
@@ -150,16 +170,22 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_sizes(text: str) -> list[int]:
+    """Sizes of a comma list or a doubling range ``a..b``; all must be positive."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
+        if lo < 1:
+            raise ValueError("sizes must be positive")
         out = []
         n = lo
         while n <= hi:
             out.append(n)
             n *= 2
         return out
-    return [int(part) for part in text.split(",") if part]
+    out = [int(part) for part in text.split(",") if part]
+    if any(n < 1 for n in out):
+        raise ValueError("sizes must be positive")
+    return out
 
 
 def _resolve_k(policy: str, n: int) -> int:
@@ -169,7 +195,10 @@ def _resolve_k(policy: str, n: int) -> int:
         return max(1, 2 * round(math.log2(n)))
     if policy == "sqrt":
         return max(1, round(math.sqrt(n)))
-    return int(policy)
+    k = int(policy)
+    if k < 1:
+        raise ValueError("k must be positive")
+    return k
 
 
 class _Timeout(Exception):
@@ -236,7 +265,7 @@ def cmd_bench(args) -> int:
                     g.m,
                     len(t.cliques),
                     f"{_density(g.n, g.m):.6f}",
-                    "" if value is None else len(str(value)),
+                    "" if value is None else len(_decimal(value)),
                     f"{elapsed * 1000:.3f}",
                     "ok" if value is not None else "timeout",
                 ]

@@ -189,7 +189,8 @@ def _explore(g: Uccg, memo: MemoTable, rng: random.Random | None) -> Exploration
 
     Uses an explicit work stack: path-like graphs produce recursion depths
     proportional to the clique count, which would overrun the interpreter
-    stack.
+    stack.  A complete subgraph gets its single plan node directly, without
+    building its adjacency.
     """
     plans: Dict[Key, tuple[NodePlan, ...]] = {}
     depth: Dict[Key, int] = {}
@@ -204,6 +205,10 @@ def _explore(g: Uccg, memo: MemoTable, rng: random.Random | None) -> Exploration
         cur = graphs.pop()
         cur_key = cur.key
         t = clique_tree(cur, rng=rng)
+        if len(t.cliques) == 1:
+            # a complete graph: no separators, nothing left once it is fixed
+            plans[cur_key] = (NodePlan(factorial(cur.n), cur_key, (), ()),)
+            continue
         chains = fp_chains(t)
         labels = cur.labels
         node_plans = []

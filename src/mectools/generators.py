@@ -179,7 +179,7 @@ def gen_peo(n: int, k: int, seed: int) -> Uccg:
 
 
 def _is_chordal_edges(n: int, adj: list[list[int]]) -> bool:
-    order, _ = refine_traversal(adj, [list(range(n))])
+    order, _ = refine_traversal(adj, [(1 << n) - 1])
     order.reverse()
     pos = [0] * n
     for i, v in enumerate(order):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._partition import adjacency_masks, mask_bits, vertex_mask
+
 
 class ParseError(ValueError):
     """Input text does not conform to the graph file format."""
@@ -190,9 +192,14 @@ class Uccg:
     Local vertices are ``0..n-1``; ``labels[i]`` is the global id of local
     vertex ``i``.  Labels are strictly increasing, making ``labels`` a
     canonical key for the induced subgraph.  Instances are immutable.
+
+    ``adj`` (sorted neighbor tuples) and ``adj_masks`` (neighborhood
+    bitmasks) are built at most once, on first use: an induced subgraph made
+    by :meth:`_induced` keeps only its key and a view of its parent until
+    then, so a subgraph that is only looked up by key never builds either.
     """
 
-    __slots__ = ("labels", "adj", "_local")
+    __slots__ = ("labels", "_adj", "_masks", "_local", "_source")
 
     def __init__(
         self,
@@ -201,13 +208,61 @@ class Uccg:
         validate: bool = True,
     ):
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "adj", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "_masks", None)
         object.__setattr__(self, "_local", None)
+        object.__setattr__(self, "_source", None)
         if validate:
             self._validate()
 
+    @classmethod
+    def _induced(cls, parent: "Uccg", sub: int) -> "Uccg":
+        """Subgraph of ``parent`` induced on the local vertex bitmask ``sub``,
+        which the caller guarantees to be connected (and hence chordal)."""
+        verts = mask_bits(sub)
+        self = object.__new__(cls)
+        setter = object.__setattr__
+        setter(self, "labels", tuple(map(parent.labels.__getitem__, verts)))
+        setter(self, "_adj", None)
+        setter(self, "_masks", None)
+        setter(self, "_local", None)
+        setter(self, "_source", (parent.adj_masks, verts, sub))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Uccg is immutable")
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        adj = self._adj
+        if adj is None:
+            parent_masks, verts, sub = self._source
+            local = {v: i for i, v in enumerate(verts)}
+            adj = tuple(
+                tuple(local[w] for w in mask_bits(parent_masks[v] & sub))
+                for v in verts
+            )
+            object.__setattr__(self, "_adj", adj)
+            object.__setattr__(self, "_source", None)
+        return adj
+
+    @property
+    def adj_masks(self) -> tuple[int, ...]:
+        """Neighborhood of every local vertex as a bitmask (bit ``w`` for
+        neighbor ``w``)."""
+        masks = self._masks
+        if masks is None:
+            masks = adjacency_masks(self.adj)
+            object.__setattr__(self, "_masks", masks)
+        return masks
+
+    def _is_complete(self) -> bool:
+        """True iff every two vertices are adjacent; builds no adjacency."""
+        k = len(self.labels) - 1
+        if self._source is not None:
+            parent_masks, verts, sub = self._source
+            return all((parent_masks[v] & sub).bit_count() == k for v in verts)
+        return all(len(row) == k for row in self._adj)
 
     @classmethod
     def from_edges(
@@ -346,12 +401,7 @@ def induced_subgraph(g: Uccg, vs: Iterable[int]) -> Uccg:
     The caller guarantees the result is connected; this is asserted in debug
     runs only.
     """
-    sub = sorted(set(vs))
-    locs = [g.local_of(lab) for lab in sub]
-    keep = set(locs)
-    local = {v: i for i, v in enumerate(locs)}
-    adj = [[local[w] for w in g.adj[v] if w in keep] for v in locs]
-    out = Uccg(sub, adj, validate=False)
+    out = Uccg._induced(g, vertex_mask({g.local_of(lab) for lab in vs}))
     assert _connected(out.adj, range(out.n)), "induced subgraph must be connected"
     return out
 

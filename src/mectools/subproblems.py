@@ -2,9 +2,11 @@
 
 Given a chordal graph and a clique K, every topological ordering that starts
 with K forces the same orientations outside K; what is left undirected splits
-into connected chordal subgraphs that can be handled independently.  Both
-entry points run one partition-refinement traversal seeded with the block
-sequence (K, V \\ K) and cost O(|V|+|E|).
+into connected chordal subgraphs that can be handled independently.  One
+partition-refinement traversal seeded with the block sequence (K, V \\ K)
+finds them.  The components are returned as induced subgraphs that build
+their adjacency only when it is first used, so a caller that only needs
+their keys pays for none.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ._partition import refine_traversal
+from ._partition import refine_traversal, vertex_mask
 from .graphs import Uccg
 
 
@@ -20,46 +22,39 @@ class NotCliqueError(ValueError):
     """The supplied vertex set is not a clique of the graph."""
 
 
-def _check_clique(g: Uccg, verts: Sequence[int]) -> None:
-    k = len(verts)
-    mark = set(verts)
-    if len(mark) != k:
+def _check_clique(g: Uccg, verts: Sequence[int]) -> int:
+    """Bitmask of ``verts`` after checking that they form a clique of ``g``."""
+    if len(set(verts)) != len(verts):
         raise NotCliqueError("clique vertices must be distinct")
     for u in verts:
         if not 0 <= u < g.n:
             raise NotCliqueError(f"vertex {u} out of range")
-        have = sum(1 for w in g.adj[u] if w in mark)
-        if have < k - 1:
+    kmask = vertex_mask(verts)
+    masks = g.adj_masks
+    for u in verts:
+        if (masks[u] | 1 << u) & kmask != kmask:
             raise NotCliqueError("vertex set is not a clique")
+    return kmask
 
 
-def _emit_components(g: Uccg, blocks: list[list[int]]) -> list[Uccg]:
-    in_block = bytearray(g.n)
+def _emit_components(g: Uccg, blocks: list[int]) -> list[Uccg]:
+    """Connected components of each recorded block, blocks in order and the
+    components of one block by increasing lowest vertex."""
+    masks = g.adj_masks
     out: list[Uccg] = []
-    for block in blocks:
-        for u in block:
-            in_block[u] = 1
-        seen = set()
-        for s in block:
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in g.adj[u]:
-                    if in_block[w] and w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            comp.sort()
-            local = {v: i for i, v in enumerate(comp)}
-            # in-block neighbors of a component vertex are in the same component
-            adj = [[local[w] for w in g.adj[v] if in_block[w]] for v in comp]
-            out.append(Uccg([g.labels[v] for v in comp], adj, validate=False))
-        for u in block:
-            in_block[u] = 0
+    for left in blocks:
+        while left:
+            comp = frontier = left & -left
+            left ^= comp
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = masks[low.bit_length() - 1] & left
+                if new:
+                    left ^= new
+                    comp |= new
+                    frontier |= new
+            out.append(Uccg._induced(g, comp))
     return out
 
 
@@ -77,29 +72,9 @@ def components_after_clique(
     recorded, which is consistent with the forced edge directions between
     them.
     """
-    if check:
-        _check_clique(g, clique)
-    kset = sorted(set(clique))
-    rest = sorted(set(range(g.n)) - set(kset))
+    kmask = _check_clique(g, clique) if check else vertex_mask(set(clique))
+    rest = ((1 << g.n) - 1) ^ kmask
     _, records = refine_traversal(
-        g.adj, [kset, rest], rng=rng, skip_record=kset
-    )
-    return _emit_components(g, records)
-
-
-def components_after_permutation(
-    g: Uccg,
-    ordered_clique: Sequence[int],
-    rng: random.Random | None = None,
-    check: bool = True,
-) -> list[Uccg]:
-    """Same as :func:`components_after_clique`, consuming the clique in the
-    given order; the outcome coincides with the unordered variant."""
-    if check:
-        _check_clique(g, ordered_clique)
-    kset = sorted(ordered_clique)
-    rest = sorted(set(range(g.n)) - set(kset))
-    _, records = refine_traversal(
-        g.adj, [kset, rest], forced=tuple(ordered_clique), rng=rng, skip_record=kset
+        g.adj, [kmask, rest], rng=rng, skip_record=kmask, masks=g.adj_masks
     )
     return _emit_components(g, records)

@@ -6,18 +6,25 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from mectools import (
     Uccg,
+    chordal,
     clique_tree,
     components_after_clique,
     count_amos,
     enumerate_amos,
+    fp_chains,
     orient_by_ordering,
+    phi_chain,
     phi_naive,
 )
+from mectools._partition import mask_bits
+from mectools.counting import NodePlan
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.sampling import SamplerModel, perm_step_weights
+from mectools.subproblems import _check_clique
 
 
 def path_graph(n: int) -> Uccg:
@@ -258,3 +265,244 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
         edges = orient_by_ordering(g, tau).edge_set()
         dist[edges] = dist.get(edges, Fraction(0)) + prob
     return dist
+
+
+# --- list-based oracles for the bitset traversal engine -------------------
+#
+# The traversal below is the library's former engine: vertex buckets in a
+# doubly-linked list, moved and visited entries skipped lazily.  It also
+# supports ``forced`` picks, which only the permutation variant of the
+# subproblem step uses.
+
+
+def list_refine_traversal(
+    adj: Sequence[Sequence[int]],
+    initial_blocks: Sequence[Sequence[int]],
+    forced: Sequence[int] = (),
+    rng: random.Random | None = None,
+    skip_record: Sequence[int] | None = None,
+) -> tuple[list[int], list[list[int]]]:
+    """List-based partition-refinement traversal, the oracle for the library's
+    bitset engine ``mectools._partition.refine_traversal``.
+
+    Visits all vertices, always picking from the lexicographically first block.
+
+    ``initial_blocks`` is the starting block sequence (each block sorted, the
+    blocks disjoint and covering all vertices).  The first ``len(forced)``
+    picks are forced to the given vertices, which must lie in the front block
+    at their turn.  With ``rng`` the pick among the front block is random
+    instead of lowest-index.
+
+    If ``skip_record`` is not None, recording is enabled: whenever the visited
+    vertex belongs to no previously recorded block and is not in
+    ``skip_record``, the current front block is recorded.  Returns the visit
+    order and the recorded blocks in recording order.
+    """
+    n = len(adj)
+    members: list[list[int]] = []
+    head: list[int] = []
+    nxt: list[int] = []
+    prv: list[int] = []
+    stamp: list[int] = []
+    twin: list[int] = []
+
+    vblock = [-1] * n
+    visited = bytearray(n)
+
+    recording = skip_record is not None
+    recorded = bytearray(n)
+    skip = bytearray(n)
+    if recording:
+        for u in skip_record:
+            skip[u] = 1
+
+    first = -1
+    prev_id = -1
+    for blk in initial_blocks:
+        if not blk:
+            continue
+        bid = len(members)
+        members.append(list(blk))
+        head.append(0)
+        stamp.append(-1)
+        twin.append(-1)
+        prv.append(prev_id)
+        nxt.append(-1)
+        if prev_id >= 0:
+            nxt[prev_id] = bid
+        else:
+            first = bid
+        for u in blk:
+            vblock[u] = bid
+        prev_id = bid
+
+    tau: list[int] = []
+    records: list[list[int]] = []
+    nforced = len(forced)
+
+    for step in range(n):
+        # advance to the first block that still has a live entry
+        b = first
+        v = -1
+        while b != -1:
+            mem = members[b]
+            h = head[b]
+            ln = len(mem)
+            while h < ln:
+                u = mem[h]
+                if vblock[u] == b and not visited[u]:
+                    break
+                h += 1
+            head[b] = h
+            if h < ln:
+                v = mem[h]
+                break
+            nb = nxt[b]
+            pb = prv[b]
+            if pb >= 0:
+                nxt[pb] = nb
+            else:
+                first = nb
+            if nb >= 0:
+                prv[nb] = pb
+            b = nb
+        if v < 0:
+            raise ValueError("traversal exhausted before all vertices were visited")
+
+        if step < nforced:
+            v = forced[step]
+            assert vblock[v] == b and not visited[v], "forced vertex not in front block"
+        elif rng is not None:
+            live = [u for u in members[b][head[b]:] if vblock[u] == b and not visited[u]]
+            v = rng.choice(live)
+
+        if recording and not recorded[v] and not skip[v]:
+            block_now = [
+                u for u in members[b][head[b]:] if vblock[u] == b and not visited[u]
+            ]
+            for u in block_now:
+                recorded[u] = 1
+            records.append(block_now)
+
+        visited[v] = 1
+        tau.append(v)
+
+        for w in adj[v]:
+            if visited[w]:
+                continue
+            bw = vblock[w]
+            if stamp[bw] != step:
+                stamp[bw] = step
+                t = len(members)
+                members.append([])
+                head.append(0)
+                stamp.append(-1)
+                twin.append(-1)
+                pb = prv[bw]
+                prv.append(pb)
+                nxt.append(bw)
+                if pb >= 0:
+                    nxt[pb] = t
+                else:
+                    first = t
+                prv[bw] = t
+                twin[bw] = t
+            tw = twin[bw]
+            members[tw].append(w)
+            vblock[w] = tw
+
+    return tau, records
+
+
+def _list_emit_components(g: Uccg, blocks: list[list[int]]) -> list[Uccg]:
+    in_block = bytearray(g.n)
+    out: list[Uccg] = []
+    for block in blocks:
+        for u in block:
+            in_block[u] = 1
+        seen = set()
+        for s in block:
+            if s in seen:
+                continue
+            comp = [s]
+            seen.add(s)
+            stack = [s]
+            while stack:
+                u = stack.pop()
+                for w in g.adj[u]:
+                    if in_block[w] and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            comp.sort()
+            local = {v: i for i, v in enumerate(comp)}
+            adj = [[local[w] for w in g.adj[v] if in_block[w]] for v in comp]
+            out.append(Uccg([g.labels[v] for v in comp], adj, validate=False))
+        for u in block:
+            in_block[u] = 0
+    return out
+
+
+def list_k_first_records(g: Uccg, clique: Sequence[int], rng=None, forced=()):
+    """Visit order and recorded blocks of the K-first traversal; ``forced``
+    fixes the order the clique is consumed in."""
+    kset = sorted(clique)
+    rest = sorted(set(range(g.n)) - set(kset))
+    return list_refine_traversal(
+        g.adj, [kset, rest], forced=tuple(forced), rng=rng, skip_record=kset
+    )
+
+
+def list_components_after_clique(g: Uccg, clique: Sequence[int], rng=None) -> list[Uccg]:
+    _check_clique(g, list(clique))
+    _, records = list_k_first_records(g, clique, rng=rng)
+    return _list_emit_components(g, records)
+
+
+def components_after_permutation(
+    g: Uccg,
+    ordered_clique: Sequence[int],
+    rng: random.Random | None = None,
+) -> list[Uccg]:
+    """Components left undirected after a clique prefix consumed in the given
+    order; the outcome coincides with ``components_after_clique``."""
+    _check_clique(g, ordered_clique)
+    _, records = list_k_first_records(g, ordered_clique, rng=rng, forced=ordered_clique)
+    return _list_emit_components(g, records)
+
+
+def list_lbfs_order(g: Uccg, rng: random.Random | None = None) -> list[int]:
+    return list_refine_traversal(g.adj, [list(range(g.n))], rng=rng)[0]
+
+
+def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
+    """The counter's exploration plans as computed before the bitset engine:
+    list traversals throughout, and a clique tree from a full sweep for
+    every explored graph, complete ones included."""
+    rng = random.Random(seed) if seed is not None else None
+    plans: dict = {}
+    graphs = [g]
+    seen = {g.key}
+    while graphs:
+        cur = graphs.pop()
+        t = chordal._clique_tree_of_sweep(cur, list_lbfs_order(cur, rng), rng)
+        chains = fp_chains(t)
+        nodes = []
+        for idx in t.bfs_order():
+            clique = t.cliques[idx]
+            children = []
+            for h in list_components_after_clique(cur, clique):
+                children.append(h.key)
+                if h.key not in seen:
+                    seen.add(h.key)
+                    graphs.append(h)
+            nodes.append(
+                NodePlan(
+                    phi_chain(clique, chains[idx]),
+                    tuple(cur.labels[v] for v in clique),
+                    tuple(tuple(cur.labels[v] for v in x) for x in chains[idx].sets),
+                    tuple(children),
+                )
+            )
+        plans[cur.key] = tuple(nodes)
+    return plans

@@ -13,7 +13,6 @@ from mectools import (
     Uccg,
     clique_tree,
     components_after_clique,
-    components_after_permutation,
     count_amos,
     count_cpdag,
     count_root_picking,
@@ -132,7 +131,7 @@ def test_criterion_06_permutation_independence():
         for clique in cliques:
             base = {c.labels for c in components_after_clique(g, sorted(clique))}
             for perm in itertools.permutations(sorted(clique)):
-                got = {c.labels for c in components_after_permutation(g, perm)}
+                got = {c.labels for c in helpers.components_after_permutation(g, perm)}
                 checked += 1
                 if got != base:
                     ok = False

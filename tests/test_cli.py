@@ -12,6 +12,7 @@ Core claims:
 
 import csv
 import io
+import math
 
 import pytest
 
@@ -77,6 +78,25 @@ class TestCount:
         code, _, err = run(capsys, "count", "/nonexistent/x.graph")
         assert code == 1
 
+    def test_count_beyond_the_int_to_str_digit_limit(self, capsys, tmp_path):
+        # 260 disjoint K_20: (20!)^260 has 4785 digits
+        k, copies = 20, 260
+        lines = [f"{k * copies} {copies * k * (k - 1) // 2} 0"]
+        for c in range(copies):
+            base = c * k + 1
+            lines += [f"{base + i} {base + j}" for i in range(k) for j in range(i + 1, k)]
+        f = tmp_path / "k20s.graph"
+        f.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "count", str(f))
+        assert code == 0 and err == ""
+        digits = out.strip()
+        assert digits.isdigit() and len(digits) > 4300
+        value = 0
+        for i in range(0, len(digits), 1000):  # int() of the whole string is limited too
+            chunk = digits[i : i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == math.factorial(k) ** copies
+
     def test_stats_on_stderr(self, capsys, chain54):
         code, out, err = run(capsys, "count", chain54, "--stats")
         assert code == 0
@@ -107,6 +127,11 @@ class TestSample:
         _, first, _ = run(capsys, "sample", chain54, "--samples", "5", "--seed", "7")
         _, second, _ = run(capsys, "sample", chain54, "--samples", "5", "--seed", "8")
         assert first != second
+
+    def test_negative_samples_exit_1(self, capsys, chain54):
+        code, out, err = run(capsys, "sample", chain54, "--samples", "-2")
+        assert code == 1 and out == ""
+        assert err == "error: --samples must be nonnegative\n"
 
     def test_not_chordal_exit_2(self, capsys, square):
         code, _, _ = run(capsys, "sample", square)
@@ -158,6 +183,11 @@ class TestGen:
         assert code == 0
         pg = parse_graph(out)
         assert pg.num_undirected == 16  # tree plus one chord
+
+    def test_nonpositive_k_exit_1(self, capsys):
+        code, out, err = run(capsys, "gen", "--model", "subtree", "--n", "5", "--k", "0")
+        assert code == 1 and out == ""
+        assert err == "error: --k must be positive\n"
 
     def test_unknown_model_exit_1(self, capsys):
         code, _, _ = run(capsys, "gen", "--model", "nosuch", "--n", "8")
@@ -246,6 +276,19 @@ class TestBench:
     def test_bad_sizes_exit_1(self, capsys):
         code, _, _ = run(capsys, "bench", "--model", "peo", "--sizes", "abc")
         assert code == 1
+
+    def test_nonpositive_k_policy_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--model", "subtree", "--sizes", "8", "--k-policy", "0"
+        )
+        assert code == 1
+        assert err == "error: bad --k-policy '0'\n"
+
+    @pytest.mark.parametrize("sizes", ["0..4", "-2..8", "8,0"])
+    def test_nonpositive_sizes_exit_1(self, capsys, sizes):
+        code, out, err = run(capsys, "bench", "--model", "peo", f"--sizes={sizes}")
+        assert code == 1 and out == ""
+        assert err == f"error: bad --sizes '{sizes}'\n"
 
 
 class TestUsage:

