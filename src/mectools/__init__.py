@@ -6,13 +6,12 @@ clique-tree based algorithm in polynomial time and sampled uniformly after a
 precomputation pass.
 """
 
-from .chordal import CliqueTree, LbfsOrdering, clique_tree, is_chordal, is_peo, lbfs, minimal_separators
+from .chordal import CliqueTree, clique_tree, is_chordal, is_peo, lbfs, minimal_separators
 from .counting import (
     ChainElementNotProperSubsetError,
     ChainNotNestedError,
     CountStats,
     FpChain,
-    MemoTable,
     SetTooLargeError,
     count_amos,
     count_cpdag,
@@ -28,7 +27,6 @@ from .graphs import (
     ParseError,
     PartialGraph,
     Uccg,
-    induced_subgraph,
     orient_by_ordering,
     parse_graph,
     undirected_components,
@@ -63,8 +61,6 @@ __all__ = [
     "Dag",
     "FpChain",
     "GenerationError",
-    "LbfsOrdering",
-    "MemoTable",
     "ModelMismatchError",
     "NotChordalError",
     "NotCliqueError",
@@ -89,7 +85,6 @@ __all__ = [
     "gen_peo",
     "gen_subtree",
     "gen_thicken",
-    "induced_subgraph",
     "is_chordal",
     "is_peo",
     "lbfs",

@@ -12,29 +12,19 @@ if TYPE_CHECKING:
     from .graphs import Uccg
 
 
-@dataclass(frozen=True)
-class LbfsOrdering:
-    """A lexicographic BFS visit order; its reverse is a perfect elimination
-    ordering whenever the traversed graph is chordal."""
-
-    order: tuple[int, ...]
-
-    def reversed(self) -> tuple[int, ...]:
-        return tuple(reversed(self.order))
-
-
 def lbfs(
     g: "Uccg", seed: int | None = None, rng: random.Random | None = None
-) -> LbfsOrdering:
-    """Lexicographic BFS over ``g`` in O(|V|+|E|).
+) -> tuple[int, ...]:
+    """Lexicographic BFS visit order of ``g``, in O(|V|+|E|).
 
+    Its reverse is a perfect elimination ordering whenever ``g`` is chordal.
     Ties are broken toward the lowest local index by default; pass ``seed``
     (or an existing ``rng``) for randomized tie-breaking.
     """
     if rng is None and seed is not None:
         rng = random.Random(seed)
     order, _ = refine_traversal(g.adj, [(1 << g.n) - 1], rng=rng, masks=g.adj_masks)
-    return LbfsOrdering(tuple(order))
+    return tuple(order)
 
 
 def is_peo(g: "Uccg", rho: Sequence[int]) -> bool:
@@ -64,7 +54,7 @@ def is_peo(g: "Uccg", rho: Sequence[int]) -> bool:
 
 
 def is_chordal(g: "Uccg") -> bool:
-    return is_peo(g, lbfs(g).reversed())
+    return is_peo(g, lbfs(g)[::-1])
 
 
 @dataclass(frozen=True)
@@ -102,9 +92,6 @@ class CliqueTree:
             i += 1
         return order
 
-    def clique_labels(self, i: int) -> tuple[int, ...]:
-        return tuple(self.labels[v] for v in self.cliques[i])
-
 
 def clique_tree(
     g: "Uccg", seed: int | None = None, rng: random.Random | None = None
@@ -132,7 +119,7 @@ def clique_tree(
         if rng is not None:
             _skip_sweep_of_complete(rng, n)
         return CliqueTree(g.labels, (tuple(range(n)),), (0,), 0, (None,))
-    return _clique_tree_of_sweep(g, lbfs(g, rng=rng).order, rng)
+    return _clique_tree_of_sweep(g, lbfs(g, rng=rng), rng)
 
 
 def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:

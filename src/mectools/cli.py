@@ -234,6 +234,13 @@ def cmd_bench(args) -> int:
     except ValueError:
         print(f"error: bad --sizes '{args.sizes}'", file=sys.stderr)
         return EXIT_INPUT
+    if args.reps < 1:
+        print("error: --reps must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    # setitimer reads 0 as "no alarm" and fails on negative values
+    if not args.timeout > 0:
+        print("error: --timeout must be positive", file=sys.stderr)
+        return EXIT_INPUT
     writer = csv.writer(sys.stdout)
     writer.writerow(
         [

@@ -5,12 +5,17 @@ of permutations of its clique that avoid the separator chain inherited along
 the root path, times the counts of the subgraphs left undirected once the
 clique is fixed.  Explored subgraphs are memoized by their sorted global
 label tuple; counts are exact big integers (they reach n!).
+
+:func:`explore` runs this once and keeps every node's weight in a
+:class:`SamplerModel`: the counters read its totals, and the sampler draws
+from its records.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -18,9 +23,8 @@ from .chordal import CliqueTree, clique_tree
 from .graphs import PartialGraph, Uccg, undirected_components
 from .subproblems import components_after_clique
 
-# memo key: sorted global labels of an explored induced subgraph
+# key of an explored induced subgraph: its sorted global labels
 Key = Tuple[int, ...]
-MemoTable = Dict[Key, int]
 
 
 class ChainNotNestedError(ValueError):
@@ -166,106 +170,160 @@ def fp_chains(t: CliqueTree) -> tuple[FpChain, ...]:
 
 
 @dataclass(frozen=True)
-class NodePlan:
-    """One clique-tree node of an explored subgraph: its permutation count,
-    the clique and chain in global labels, and the component keys in
-    recording order."""
+class CliqueRecord:
+    """One clique-tree node of an explored subgraph.
 
-    phi: int
+    ``clique`` and ``chain`` are in global labels; ``child_keys`` are the
+    components left undirected once the clique is fixed, in recording order;
+    ``weight`` is ``phi`` times the counts of those components.  ``index`` is
+    the node's position among its subgraph's records.
+    """
+
+    index: int
     clique: tuple[int, ...]
     chain: tuple[tuple[int, ...], ...]
-    children: tuple[Key, ...]
+    child_keys: tuple[Key, ...]
+    phi: int
+    weight: int
 
 
 @dataclass(frozen=True)
-class Exploration:
-    root_key: Key
-    plans: Dict[Key, tuple[NodePlan, ...]]
-    depth: Dict[Key, int]
+class _KeyEntry:
+    records: tuple[CliqueRecord, ...]
+    cumulative: tuple[int, ...]
+    total: int
 
 
-def _explore(g: Uccg, memo: MemoTable, rng: random.Random | None) -> Exploration:
-    """Expand every not-yet-memoized subgraph reachable from ``g``.
+class _PermTable:
+    """Permutation counts indexed by (chain suffix start, vertices drawn).
 
-    Uses an explicit work stack: path-like graphs produce recursion depths
-    proportional to the clique count, which would overrun the interpreter
-    stack.  A complete subgraph gets its single plan node directly, without
-    building its adjacency.
+    ``rows[i][d]`` is the number of permutations of the remaining k-d clique
+    vertices avoiding the chain suffix starting at ``i`` with ``d`` drawn
+    vertices removed from every suffix element; by nesting, only these two
+    parameters matter.  ``first_idx`` maps each chain vertex to the smallest
+    chain set containing it.
     """
-    plans: Dict[Key, tuple[NodePlan, ...]] = {}
-    depth: Dict[Key, int] = {}
-    graphs: list[Uccg] = []
-    if g.key not in memo:
-        depth[g.key] = 0
-        graphs.append(g)
-        seen = {g.key}
-    else:
-        seen = set()
+
+    __slots__ = ("rows", "ell", "first_idx")
+
+    def __init__(self, clique_size: int, chain_sets: Sequence[Iterable[int]]):
+        chain_sizes = [len(s) for s in chain_sets]
+        ell = len(chain_sizes)
+        self.ell = ell
+        self.rows = [
+            [
+                _phi_sizes(clique_size - d, [s - d for s in chain_sizes[i:]])
+                for d in range(clique_size + 1)
+            ]
+            for i in range(ell + 1)
+        ]
+        self.first_idx: Dict[int, int] = {}
+        for i, s in enumerate(chain_sets):
+            for v in s:
+                self.first_idx.setdefault(v, i)
+
+
+class SamplerModel:
+    """The explored model of one graph: per explored subgraph, its clique
+    records with their weights, cumulative weights and total count.
+
+    Counting reads the root's total; sampling draws from the records.
+    Immutable after construction except for the lazily filled permutation
+    table cache, which is lock-protected for concurrent samplers.
+    """
+
+    def __init__(self, root: Uccg, entries: Dict[Key, _KeyEntry]):
+        self.root = root
+        self.entries = entries
+        self._tables: Dict[tuple[Key, int], _PermTable] = {}
+        self._lock = threading.Lock()
+
+    @property
+    def root_key(self) -> Key:
+        return self.root.key
+
+    @property
+    def total(self) -> int:
+        return self.entries[self.root_key].total
+
+    def table_for(self, key: Key, record: CliqueRecord) -> _PermTable:
+        tk = (key, record.index)
+        table = self._tables.get(tk)
+        if table is None:
+            with self._lock:
+                table = self._tables.get(tk)
+                if table is None:
+                    table = _PermTable(len(record.clique), record.chain)
+                    self._tables[tk] = table
+        return table
+
+
+def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
+    """Explore every subgraph reachable from ``g`` and evaluate its records.
+
+    Each distinct subgraph (by key) is explored once.  Uses an explicit work
+    stack: path-like graphs produce recursion depths proportional to the
+    clique count, which would overrun the interpreter stack.  A complete
+    subgraph gets its single record directly, without building its
+    adjacency.  ``seed`` randomizes clique-tree construction; the counts are
+    tree-invariant.
+    """
+    rng = random.Random(seed) if seed is not None else None
+    # key -> (clique, chain, child keys, phi) per clique-tree node, BFS order
+    nodes: Dict[Key, list[tuple]] = {}
+    graphs = [g]
+    seen = {g.key}
     while graphs:
         cur = graphs.pop()
-        cur_key = cur.key
         t = clique_tree(cur, rng=rng)
         if len(t.cliques) == 1:
             # a complete graph: no separators, nothing left once it is fixed
-            plans[cur_key] = (NodePlan(factorial(cur.n), cur_key, (), ()),)
+            nodes[cur.key] = [(cur.key, (), (), factorial(cur.n))]
             continue
         chains = fp_chains(t)
         labels = cur.labels
-        node_plans = []
+        cur_nodes = []
         for idx in t.bfs_order():
             clique = t.cliques[idx]
-            comps = components_after_clique(cur, clique, check=False)
             child_keys = []
-            for h in comps:
+            for h in components_after_clique(cur, clique, check=False):
                 hk = h.key
                 child_keys.append(hk)
-                if hk not in memo and hk not in seen:
+                if hk not in seen:
                     seen.add(hk)
-                    depth[hk] = depth[cur_key] + 1
                     graphs.append(h)
-            phi = _phi_sizes(len(clique), chains[idx].sizes())
-            node_plans.append(
-                NodePlan(
-                    phi,
-                    tuple(labels[v] for v in clique),
-                    tuple(tuple(labels[v] for v in s) for s in chains[idx].sets),
-                    tuple(child_keys),
-                )
-            )
-        plans[cur_key] = tuple(node_plans)
-    return Exploration(g.key, plans, depth)
+            cur_nodes.append((
+                tuple(labels[v] for v in clique),
+                tuple(tuple(labels[v] for v in s) for s in chains[idx].sets),
+                tuple(child_keys),
+                _phi_sizes(len(clique), chains[idx].sizes()),
+            ))
+        nodes[cur.key] = cur_nodes
 
-
-def _evaluate(plans: Dict[Key, tuple[NodePlan, ...]], memo: MemoTable) -> None:
+    entries: Dict[Key, _KeyEntry] = {}
     # children have strictly fewer vertices, so size order is dependency order
-    for key in sorted(plans, key=len):
-        total = 0
-        for plan in plans[key]:
-            prod = plan.phi
-            for child in plan.children:
-                prod *= memo[child]
-            total += prod
-        memo[key] = total
+    for key in sorted(nodes, key=len):
+        records = []
+        cumulative = []
+        running = 0
+        for i, (clique, chain, child_keys, phi) in enumerate(nodes[key]):
+            weight = phi
+            for child in child_keys:
+                weight *= entries[child].total
+            running += weight
+            records.append(CliqueRecord(i, clique, chain, child_keys, phi, weight))
+            cumulative.append(running)
+        entries[key] = _KeyEntry(tuple(records), tuple(cumulative), running)
+    return SamplerModel(g, entries)
 
 
-def count_amos(
-    g: Uccg,
-    memo: MemoTable | None = None,
-    seed: int | None = None,
-) -> int:
+def count_amos(g: Uccg, seed: int | None = None) -> int:
     """Number of acyclic moral orientations of a connected chordal graph.
 
-    ``memo`` may be shared across calls of one counting run; ``seed``
-    randomizes clique-tree construction (the result is tree-invariant).
+    ``seed`` randomizes clique-tree construction (the result is
+    tree-invariant).
     """
-    if memo is None:
-        memo = {}
-    if g.key in memo:
-        return memo[g.key]
-    rng = random.Random(seed) if seed is not None else None
-    ex = _explore(g, memo, rng)
-    _evaluate(ex.plans, memo)
-    return memo[g.key]
+    return explore(g, seed).total
 
 
 def count_cpdag(g: PartialGraph) -> int:
@@ -275,10 +333,9 @@ def count_cpdag(g: PartialGraph) -> int:
     Raises :class:`~mectools.graphs.NotChordalError` if a component is not
     chordal.
     """
-    memo: MemoTable = {}
     total = 1
     for comp in undirected_components(g):
-        total *= count_amos(comp, memo)
+        total *= explore(comp).total
     return total
 
 
@@ -289,22 +346,15 @@ class CountStats:
     count: int
     explored: int
     max_cliques: int
-    by_depth: tuple[tuple[int, int], ...]
 
 
 def count_with_stats(g: Uccg, seed: int | None = None) -> CountStats:
     """Like :func:`count_amos`, also reporting how many distinct subgraphs the
-    run explored (the input included) and how many per recursion level."""
-    memo: MemoTable = {}
-    rng = random.Random(seed) if seed is not None else None
-    ex = _explore(g, memo, rng)
-    _evaluate(ex.plans, memo)
-    levels: dict[int, int] = {}
-    for key, d in ex.depth.items():
-        levels[d] = levels.get(d, 0) + 1
+    run explored (the input included) and how many clique-tree nodes the
+    input has."""
+    model = explore(g, seed)
     return CountStats(
-        count=memo[g.key],
-        explored=len(ex.plans),
-        max_cliques=len(ex.plans[g.key]),
-        by_depth=tuple(sorted(levels.items())),
+        count=model.total,
+        explored=len(model.entries),
+        max_cliques=len(model.entries[g.key].records),
     )

@@ -14,7 +14,7 @@ import random
 from bisect import insort
 from typing import Sequence
 
-from ._partition import refine_traversal
+from .chordal import is_chordal
 from .graphs import Uccg
 
 _MAX_ATTEMPTS = 1000
@@ -178,30 +178,6 @@ def gen_peo(n: int, k: int, seed: int) -> Uccg:
     return Uccg.from_edges(range(n), sorted(edges))
 
 
-def _is_chordal_edges(n: int, adj: list[list[int]]) -> bool:
-    order, _ = refine_traversal(adj, [(1 << n) - 1])
-    order.reverse()
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    required: list[list[int]] = [[] for _ in range(n)]
-    for v in order:
-        if required[v]:
-            nbr = set(adj[v])
-            for w in required[v]:
-                if w not in nbr:
-                    return False
-        lat = [w for w in adj[v] if pos[w] > pos[v]]
-        if not lat:
-            continue
-        m = min(lat, key=pos.__getitem__)
-        req = required[m]
-        for w in lat:
-            if w != m:
-                req.append(w)
-    return True
-
-
 def gen_thicken(n: int, k: int, seed: int) -> Uccg:
     """Random tree plus random chordality-preserving edges, up to k*n edges.
 
@@ -222,7 +198,7 @@ def gen_thicken(n: int, k: int, seed: int) -> Uccg:
         nonlocal m
         insort(adj[u], v)
         insort(adj[v], u)
-        if _is_chordal_edges(n, adj):
+        if is_chordal(Uccg(range(n), adj, validate=False)):
             m += 1
             return True
         adj[u].remove(v)

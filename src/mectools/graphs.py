@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ._partition import adjacency_masks, mask_bits, vertex_mask
+from ._partition import adjacency_masks, mask_bits
 
 
 class ParseError(ValueError):
@@ -392,17 +392,6 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
         local = {v: i for i, v in enumerate(comp)}
         adj = [[local[w] for w in g.undirected[v]] for v in comp]
         out.append(Uccg(comp, adj, validate=True))
-    return out
-
-
-def induced_subgraph(g: Uccg, vs: Iterable[int]) -> Uccg:
-    """Induced subgraph of ``g`` on the global labels ``vs``.
-
-    The caller guarantees the result is connected; this is asserted in debug
-    runs only.
-    """
-    out = Uccg._induced(g, vertex_mask({g.local_of(lab) for lab in vs}))
-    assert _connected(out.adj, range(out.n)), "induced subgraph must be connected"
     return out
 
 

@@ -1,127 +1,40 @@
 """Uniform sampling of acyclic moral orientations.
 
-A precount pass runs the counter while recording, per explored subgraph, each
-clique-tree node's weight (its permutation count times the counts of its
-components).  A sample then walks these records: draw a clique proportional
-to its weight, draw an admissible permutation of it, recurse on the
-components.  All weights are exact big integers; clique draws use cumulative
+The sampler reads the model that the counter builds
+(:func:`~mectools.counting.explore`, exported here as ``precount``): per
+explored subgraph, each clique-tree node's weight (its permutation count
+times the counts of its components).  A sample walks these records: draw a
+clique proportional to its weight, draw an admissible permutation of it,
+recurse on the components.  All weights are exact big integers; clique draws use cumulative
 sums with binary search rather than a real-valued alias table, which would
 lose exactness to rounding.  Random numbers come from a caller-supplied
 ``random.Random`` (Mersenne Twister), so fixed seeds reproduce exact sample
-sequences.
+sequences.  A CPDAG draw orients every component straight from its drawn
+ordering and builds one DAG.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .counting import (
+    CliqueRecord,
     FpChain,
     Key,
-    MemoTable,
-    _evaluate,
-    _explore,
-    _phi_sizes,
+    SamplerModel,
+    _PermTable,
+    explore as precount,
     factorial,
     validate_chain,
 )
-from .graphs import (
-    Dag,
-    PartialGraph,
-    Uccg,
-    orient_by_ordering,
-    undirected_components,
-)
+from .graphs import Dag, PartialGraph, Uccg, orient_by_ordering, undirected_components
 
 
 class ModelMismatchError(ValueError):
     """The sampler model was not built for the graph it is used with."""
-
-
-@dataclass(frozen=True)
-class CliqueRecord:
-    """One clique-tree node of an explored subgraph, ready for sampling."""
-
-    index: int
-    clique: tuple[int, ...]
-    chain: tuple[tuple[int, ...], ...]
-    child_keys: tuple[Key, ...]
-    phi: int
-    weight: int
-
-
-@dataclass(frozen=True)
-class _KeyEntry:
-    records: tuple[CliqueRecord, ...]
-    cumulative: tuple[int, ...]
-    total: int
-
-
-class _PermTable:
-    """Permutation counts indexed by (chain suffix start, vertices drawn).
-
-    ``rows[i][d]`` is the number of permutations of the remaining k-d clique
-    vertices avoiding the chain suffix starting at ``i`` with ``d`` drawn
-    vertices removed from every suffix element; by nesting, only these two
-    parameters matter.  ``first_idx`` maps each chain vertex to the smallest
-    chain set containing it.
-    """
-
-    __slots__ = ("rows", "ell", "first_idx")
-
-    def __init__(self, clique_size: int, chain_sets: Sequence[Iterable[int]]):
-        chain_sizes = [len(s) for s in chain_sets]
-        ell = len(chain_sizes)
-        self.ell = ell
-        self.rows = [
-            [
-                _phi_sizes(clique_size - d, [s - d for s in chain_sizes[i:]])
-                for d in range(clique_size + 1)
-            ]
-            for i in range(ell + 1)
-        ]
-        self.first_idx: Dict[int, int] = {}
-        for i, s in enumerate(chain_sets):
-            for v in s:
-                self.first_idx.setdefault(v, i)
-
-
-class SamplerModel:
-    """Precomputed clique weights and permutation tables for one graph.
-
-    Immutable after construction except for the lazily filled permutation
-    table cache, which is lock-protected for concurrent samplers.
-    """
-
-    def __init__(self, root: Uccg, entries: Dict[Key, _KeyEntry], counts: MemoTable):
-        self.root = root
-        self.entries = entries
-        self.counts = counts
-        self._tables: Dict[tuple[Key, int], _PermTable] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def root_key(self) -> Key:
-        return self.root.key
-
-    @property
-    def total(self) -> int:
-        return self.entries[self.root_key].total
-
-    def table_for(self, key: Key, record: CliqueRecord) -> _PermTable:
-        tk = (key, record.index)
-        table = self._tables.get(tk)
-        if table is None:
-            with self._lock:
-                table = self._tables.get(tk)
-                if table is None:
-                    table = _PermTable(len(record.clique), record.chain)
-                    self._tables[tk] = table
-        return table
 
 
 @dataclass(frozen=True)
@@ -131,31 +44,6 @@ class SampleResult:
 
     tau: tuple[int, ...]
     dag: Dag
-
-
-def precount(g: Uccg, seed: int | None = None) -> SamplerModel:
-    """Run the counter on ``g`` and keep everything a sampler needs."""
-    memo: MemoTable = {}
-    rng = random.Random(seed) if seed is not None else None
-    ex = _explore(g, memo, rng)
-    _evaluate(ex.plans, memo)
-    entries: Dict[Key, _KeyEntry] = {}
-    for key, plans in ex.plans.items():
-        records = []
-        cumulative = []
-        running = 0
-        for i, plan in enumerate(plans):
-            weight = plan.phi
-            for child in plan.children:
-                weight *= memo[child]
-            running += weight
-            records.append(
-                CliqueRecord(i, plan.clique, plan.chain, plan.children, plan.phi, weight)
-            )
-            cumulative.append(running)
-        assert running == memo[key], "clique weights must sum to the count"
-        entries[key] = _KeyEntry(tuple(records), tuple(cumulative), running)
-    return SamplerModel(g, entries, memo)
 
 
 def draw_clique(model: SamplerModel, key: Key, rng: random.Random) -> CliqueRecord:
@@ -238,24 +126,29 @@ def draw_perm(
     return tuple(out)
 
 
-def sample_amo(g: Uccg, model: SamplerModel, rng: random.Random) -> SampleResult:
-    """Draw one orientation of ``g`` uniformly among its AMOs.
+def _draw_labels(model: SamplerModel, rng: random.Random) -> list[int]:
+    """A uniformly drawn topological ordering of the model's graph, in
+    global labels.
 
-    Assembles a topological ordering clique by clique; components are
-    appended in their recorded order, which respects the edge directions
-    forced between them.
+    Assembles it clique by clique; components are appended in their
+    recorded order, which respects the edge directions forced between them.
     """
-    if model.root is not g and model.root != g:
-        raise ModelMismatchError("model was precomputed for a different graph")
-    tau_labels: list[int] = []
-    stack: list[Key] = [g.key]
+    tau: list[int] = []
+    stack: list[Key] = [model.root_key]
     while stack:
         key = stack.pop()
         record = draw_clique(model, key, rng)
         table = model.table_for(key, record)
-        tau_labels.extend(draw_perm(record.clique, record.chain, rng, table))
+        tau.extend(draw_perm(record.clique, record.chain, rng, table))
         stack.extend(reversed(record.child_keys))
-    tau = tuple(g.local_of(lab) for lab in tau_labels)
+    return tau
+
+
+def sample_amo(g: Uccg, model: SamplerModel, rng: random.Random) -> SampleResult:
+    """Draw one orientation of ``g`` uniformly among its AMOs."""
+    if model.root is not g and model.root != g:
+        raise ModelMismatchError("model was precomputed for a different graph")
+    tau = tuple(g.local_of(lab) for lab in _draw_labels(model, rng))
     return SampleResult(tau, orient_by_ordering(g, tau))
 
 
@@ -273,17 +166,23 @@ def sample_cpdag(
     """Uniform member of the Markov equivalence class represented by ``g``.
 
     Keeps the directed edges and orients every undirected component with an
-    independently drawn AMO.
+    independently drawn AMO: each undirected edge points from the earlier
+    to the later end of its component's drawn ordering.
     """
     comps = list(_components) if _components is not None else undirected_components(g)
     if len(models) != len(comps) or any(
-        m.root != c for m, c in zip(models, comps)
+        m.root is not c and m.root != c for m, c in zip(models, comps)
     ):
         raise ModelMismatchError("models do not match the undirected components")
-    out: list[set[int]] = [set(a) for a in g.directed_out]
+    heads = list(g.directed_out)
+    pos = [0] * g.n
     for comp, model in zip(comps, models):
-        res = sample_amo(comp, model, rng)
+        for i, v in enumerate(_draw_labels(model, rng)):
+            pos[v] = i
         labels = comp.labels
-        for u, v in res.dag.edges():
-            out[labels[u]].add(labels[v])
-    return Dag(g.n, tuple(tuple(sorted(s)) for s in out))
+        for u, nbrs in zip(labels, comp.adj):
+            pu = pos[u]
+            later = tuple(labels[w] for w in nbrs if pos[labels[w]] > pu)
+            if later:
+                heads[u] = tuple(sorted(heads[u] + later))
+    return Dag(g.n, tuple(heads))

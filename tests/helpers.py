@@ -9,6 +9,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from mectools import (
+    Dag,
+    PartialGraph,
     Uccg,
     chordal,
     clique_tree,
@@ -20,10 +22,10 @@ from mectools import (
     phi_chain,
     phi_naive,
 )
-from mectools._partition import mask_bits
-from mectools.counting import NodePlan
+from mectools._partition import vertex_mask
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
-from mectools.sampling import SamplerModel, perm_step_weights
+from mectools.graphs import _connected
+from mectools.sampling import SamplerModel, perm_step_weights, sample_amo
 from mectools.subproblems import _check_clique
 
 
@@ -476,9 +478,10 @@ def list_lbfs_order(g: Uccg, rng: random.Random | None = None) -> list[int]:
 
 
 def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
-    """The counter's exploration plans as computed before the bitset engine:
-    list traversals throughout, and a clique tree from a full sweep for
-    every explored graph, complete ones included."""
+    """The counter's clique nodes as computed before the bitset engine, as
+    ``(phi, clique, chain, child keys)`` per node: list traversals
+    throughout, and a clique tree from a full sweep for every explored graph,
+    complete ones included."""
     rng = random.Random(seed) if seed is not None else None
     plans: dict = {}
     graphs = [g]
@@ -496,13 +499,32 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
                 if h.key not in seen:
                     seen.add(h.key)
                     graphs.append(h)
-            nodes.append(
-                NodePlan(
-                    phi_chain(clique, chains[idx]),
-                    tuple(cur.labels[v] for v in clique),
-                    tuple(tuple(cur.labels[v] for v in x) for x in chains[idx].sets),
-                    tuple(children),
-                )
-            )
+            nodes.append((
+                phi_chain(clique, chains[idx]),
+                tuple(cur.labels[v] for v in clique),
+                tuple(tuple(cur.labels[v] for v in x) for x in chains[idx].sets),
+                tuple(children),
+            ))
         plans[cur.key] = tuple(nodes)
     return plans
+
+
+def induced_subgraph(g: Uccg, vs) -> Uccg:
+    """Induced subgraph of ``g`` on the global labels ``vs``, which the caller
+    guarantees to be connected."""
+    out = Uccg._induced(g, vertex_mask({g.local_of(lab) for lab in vs}))
+    assert _connected(out.adj, range(out.n)), "induced subgraph must be connected"
+    return out
+
+
+def sample_cpdag_by_components(
+    g: PartialGraph, models: Sequence[SamplerModel], comps: Sequence[Uccg], rng
+) -> Dag:
+    """A CPDAG draw assembled from one :func:`sample_amo` DAG per component,
+    re-labelled and merged edge by edge."""
+    out: list[set[int]] = [set(a) for a in g.directed_out]
+    for comp, model in zip(comps, models):
+        labels = comp.labels
+        for u, v in sample_amo(comp, model, rng).dag.edges():
+            out[labels[u]].add(labels[v])
+    return Dag(g.n, tuple(tuple(sorted(s)) for s in out))

@@ -290,6 +290,15 @@ class TestBench:
         assert code == 1 and out == ""
         assert err == f"error: bad --sizes '{sizes}'\n"
 
+    @pytest.mark.parametrize(
+        "option", ["--timeout=0", "--timeout=-1", "--reps=0"],
+        ids=["timeout-zero", "timeout-negative", "reps-zero"],
+    )
+    def test_nonpositive_timeout_or_reps_exit_1(self, capsys, option):
+        code, out, err = run(capsys, "bench", "--model", "peo", "--sizes", "8", option)
+        assert code == 1 and out == ""
+        assert err == f"error: {option.split('=')[0]} must be positive\n"
+
 
 class TestUsage:
     def test_no_command_exit_1(self, capsys):

@@ -21,7 +21,6 @@ from mectools import (
     ParseError,
     PartialGraph,
     Uccg,
-    induced_subgraph,
     orient_by_ordering,
     parse_graph,
     undirected_components,
@@ -172,24 +171,24 @@ class TestUccg:
 class TestInducedSubgraph:
     def test_triangle_to_edge(self):
         g = helpers.complete_graph(3)
-        sub = induced_subgraph(g, [0, 1])
+        sub = helpers.induced_subgraph(g, [0, 1])
         assert sub.labels == (0, 1)
         assert list(sub.edges()) == [(0, 1)]
 
     def test_tail_of_three_clique_chain(self):
         # the vertices outside the first clique induce a path
-        sub = induced_subgraph(helpers.three_clique_chain(), [3, 4, 5])
+        sub = helpers.induced_subgraph(helpers.three_clique_chain(), [3, 4, 5])
         assert sub.labels == (3, 4, 5)
         assert sorted(sub.edges()) == [(0, 1), (1, 2)]
 
     def test_identity(self):
         g = helpers.three_clique_chain()
-        assert induced_subgraph(g, g.labels) == g
+        assert helpers.induced_subgraph(g, g.labels) == g
 
     def test_labels_follow_through_nesting(self):
         g = helpers.clique_chain_7()
-        sub = induced_subgraph(g, [2, 3, 4, 5, 6])
-        subsub = induced_subgraph(sub, [4, 5, 6])
+        sub = helpers.induced_subgraph(g, [2, 3, 4, 5, 6])
+        subsub = helpers.induced_subgraph(sub, [4, 5, 6])
         assert subsub.labels == (4, 5, 6)
 
 

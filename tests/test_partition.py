@@ -48,9 +48,9 @@ CORPUS = corpus()
 
 def test_lbfs_orders_match_the_oracle():
     for g in CORPUS:
-        assert list(lbfs(g).order) == helpers.list_lbfs_order(g)
+        assert list(lbfs(g)) == helpers.list_lbfs_order(g)
         for seed in range(3):
-            got = lbfs(g, seed=seed).order
+            got = lbfs(g, seed=seed)
             assert list(got) == helpers.list_lbfs_order(g, random.Random(seed))
 
 
@@ -86,28 +86,29 @@ def test_components_match_the_oracle_in_order():
             assert [h.adj_masks for h in got] == [adjacency_masks(h.adj) for h in want]
 
 
+def records_of(model) -> dict:
+    return {
+        key: tuple((r.phi, r.clique, r.chain, r.child_keys) for r in entry.records)
+        for key, entry in model.entries.items()
+    }
+
+
 def test_exploration_plans_match_the_oracle():
     for g in CORPUS:
         for seed in (None, 4, 5):
-            rng = random.Random(seed) if seed is not None else None
-            plans = counting._explore(g, {}, rng).plans
-            assert plans == helpers.list_engine_plans(g, seed)
+            assert records_of(counting.explore(g, seed)) == helpers.list_engine_plans(g, seed)
 
 
 def test_seeded_models_of_a_graph_with_complete_subgraphs():
     # interval graphs explore many single-clique subgraphs between others
     g = gen_interval(30, 11)
     for seed in (None, 0, 1, 2):
-        model = precount(g, seed=seed)
-        want = helpers.list_engine_plans(g, seed)
-        got = {key: tuple(r.clique for r in e.records) for key, e in model.entries.items()}
-        assert got == {key: tuple(p.clique for p in nodes) for key, nodes in want.items()}
+        assert records_of(precount(g, seed=seed)) == helpers.list_engine_plans(g, seed)
 
 
 def test_complete_graph_is_one_plan_node():
     g = helpers.complete_graph(7)
-    (plan,) = counting._explore(g, {}, None).plans[g.key]
-    assert (plan.phi, plan.clique, plan.chain, plan.children) == (5040, g.labels, (), ())
+    assert records_of(counting.explore(g))[g.key] == ((5040, g.labels, (), ()),)
     assert count_amos(g) == 5040
 
 
@@ -134,11 +135,11 @@ def test_memo_hits_never_build_adjacency(monkeypatch):
 
     monkeypatch.setattr(counting, "components_after_clique", spy)
     g = gen_interval(60, 3)
-    plans = counting._explore(g, {}, None).plans
+    entries = counting.explore(g).entries
     built = [h for h in emitted if h._adj is not None or h._masks is not None]
-    assert len(emitted) > 2 * len(plans)
-    assert len(built) < len(plans)
-    assert {h.key for h in built} <= set(plans)
+    assert len(emitted) > 2 * len(entries)
+    assert len(built) < len(entries)
+    assert {h.key for h in built} <= set(entries)
 
 
 def test_lazy_component_equals_an_eager_one():

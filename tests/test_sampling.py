@@ -8,6 +8,8 @@ Core claims:
       v-structures) with exactly uniform probabilities, verified symbolically
       on small graphs and statistically on the 54-orientation graph
     - identical seeds reproduce identical sample sequences
+    - a CPDAG draw built as one DAG equals the per-component assembly, draw
+      for draw, with the same seed
 """
 
 import itertools
@@ -32,6 +34,7 @@ from mectools import (
     v_structures,
 )
 from mectools.counting import ChainNotNestedError
+from mectools.generators import gen_interval, gen_peo, gen_subtree
 from mectools.sampling import ModelMismatchError
 
 # frozen 0.999 chi-square quantiles (53 and 35 degrees of freedom)
@@ -263,3 +266,47 @@ class TestSampleCpdag:
         other = PartialGraph.from_edges(3, [(0, 1)])
         with pytest.raises(ModelMismatchError):
             sample_cpdag(pg, precount_cpdag(other), random.Random(0))
+
+
+def many_component_cpdag(seed: int, comps: int = 12, colliders: int = 6) -> PartialGraph:
+    """Chordal components of three generator families, isolated vertices and
+    colliders whose parents lie in distinct components, with shuffled ids."""
+    rng = random.Random(seed)
+    families = [
+        lambda size, s: gen_subtree(size, 3, s),
+        lambda size, s: gen_peo(size, 2, s),
+        lambda size, s: gen_interval(size, s),
+    ]
+    parts = [families[i % 3](rng.randint(1, 12), rng.randrange(2**31)) for i in range(comps)]
+    starts = []
+    base = 0
+    for part in parts:
+        starts.append(base)
+        base += part.n
+    undirected = [(starts[i] + u, starts[i] + v) for i, p in enumerate(parts) for u, v in p.edges()]
+    directed = []
+    for c in range(colliders):
+        for p in rng.sample(range(comps), rng.randint(2, 4)):
+            directed.append((starts[p] + rng.randrange(parts[p].n), base + c))
+    n = base + colliders + 3  # three isolated vertices
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return PartialGraph.from_edges(
+        n, [(perm[u], perm[v]) for u, v in undirected], [(perm[u], perm[v]) for u, v in directed]
+    )
+
+
+def test_one_dag_draw_equals_the_per_component_assembly():
+    for seed in range(4):
+        pg = many_component_cpdag(seed)
+        comps = undirected_components(pg)
+        assert sum(c.n == 1 for c in comps) > 6
+        models = [precount(c) for c in comps]
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(25):
+            want = helpers.sample_cpdag_by_components(pg, models, comps, slow)
+            assert sample_cpdag(pg, models, fast, _components=comps) == want
+            assert sample_cpdag(pg, models, fast) == helpers.sample_cpdag_by_components(
+                pg, models, comps, slow
+            )
+        assert fast.random() == slow.random()
