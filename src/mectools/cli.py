@@ -24,6 +24,8 @@ EXIT_INPUT = 1
 EXIT_NOT_CHORDAL = 2
 EXIT_ORACLE_GUARD = 3
 
+MAX_TIMEOUT_S = 1e9  # largest bench --timeout, in seconds
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the interface reserves 2 for
@@ -99,11 +101,12 @@ def cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CHORDAL
     rng = random.Random(args.seed)
-    chunks = []
-    for _ in range(args.samples):
+    # each draw is written as it is made, a blank line between two draws
+    for i in range(args.samples):
         dag = sampling.sample_cpdag(g, models, rng, _components=comps)
-        chunks.append(dag.serialize())
-    sys.stdout.write("\n".join(chunks))
+        if i:
+            sys.stdout.write("\n")
+        sys.stdout.write(dag.serialize())
     return EXIT_OK
 
 
@@ -237,9 +240,13 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         print("error: --reps must be positive", file=sys.stderr)
         return EXIT_INPUT
-    # setitimer reads 0 as "no alarm" and fails on negative values
+    # setitimer reads 0 as "no alarm", fails on negative values and NaN, and
+    # overflows past about 9.2e9 seconds (int64 nanoseconds)
     if not args.timeout > 0:
         print("error: --timeout must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    if not args.timeout <= MAX_TIMEOUT_S:
+        print("error: --timeout must be at most 1e9 seconds", file=sys.stderr)
         return EXIT_INPUT
     writer = csv.writer(sys.stdout)
     writer.writerow(

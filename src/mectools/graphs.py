@@ -9,6 +9,8 @@ of any induced subgraph is a stable identity usable as a memoization key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from ._partition import adjacency_masks, mask_bits
@@ -47,29 +49,29 @@ class PartialGraph:
     directed_out: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.undirected) != self.n or len(self.directed_out) != self.n:
+        n = self.n
+        if len(self.undirected) != n or len(self.directed_out) != n:
             raise ValueError("adjacency length does not match vertex count")
-        seen: set[tuple[int, int]] = set()
-        for u in range(self.n):
-            for v in self.undirected[u]:
+        nbrs = list(map(frozenset, self.undirected))
+        for u, row in enumerate(self.undirected):
+            for v in row:
                 if v == u:
                     raise ValueError("self-loop")
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise ValueError("vertex out of range")
-                if u not in self.undirected[v]:
+                if u not in nbrs[v]:
                     raise ValueError("undirected adjacency not symmetric")
-                if u < v:
-                    seen.add((u, v))
-        for u in range(self.n):
-            for v in self.directed_out[u]:
+        pairs: set[int] = set()  # directed pairs as the int key lo*n+hi
+        for u, row in enumerate(self.directed_out):
+            for v in row:
                 if v == u:
                     raise ValueError("self-loop")
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise ValueError("vertex out of range")
-                pair = (u, v) if u < v else (v, u)
-                if pair in seen:
+                key = u * n + v if u < v else v * n + u
+                if v in nbrs[u] or key in pairs:
                     raise ValueError("vertex pair carries more than one edge")
-                seen.add(pair)
+                pairs.add(key)
 
     @classmethod
     def from_edges(
@@ -125,65 +127,101 @@ def parse_graph(text: str | bytes) -> PartialGraph:
 
     Format: a header line ``n m_u m_d``, then ``m_u`` undirected edge lines
     ``u v`` and ``m_d`` directed edge lines ``u v``, all 1-indexed.  Lines
-    starting with ``#`` and blank lines are ignored.
+    whose first non-blank character is ``#`` and blank lines are ignored.
+
+    The first fault raises a :class:`ParseError` with its line: a missing or
+    malformed header, then a number of edge lines other than ``m_u + m_d``,
+    then the first faulty edge line.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    rows: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((no, line))
-    if not rows:
+    lines = text.splitlines()
+    for head_no, raw in enumerate(lines, 1):
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            break
+    else:
         raise ParseError("missing header")
-    no, header = rows[0]
-    parts = header.split()
     if len(parts) != 3:
-        raise ParseError("malformed header, expected 'n m_u m_d'", no)
+        raise ParseError("malformed header, expected 'n m_u m_d'", head_no)
     try:
-        n, mu, md = (int(p) for p in parts)
+        n, mu, md = map(int, parts)
     except ValueError:
-        raise ParseError("malformed header, expected 'n m_u m_d'", no) from None
+        raise ParseError("malformed header, expected 'n m_u m_d'", head_no) from None
     if n < 0 or mu < 0 or md < 0:
-        raise ParseError("malformed header, counts must be nonnegative", no)
-    if len(rows) - 1 != mu + md:
-        if len(rows) - 1 < mu + md:
-            raise ParseError(f"expected {mu + md} edge lines, found {len(rows) - 1}", no)
-        raise ParseError("unexpected extra line", rows[1 + mu + md][0])
+        raise ParseError("malformed header, counts must be nonnegative", head_no)
 
-    und: list[tuple[int, int]] = []
-    dire: list[tuple[int, int]] = []
-    seen_und: set[tuple[int, int]] = set()
-    seen_dir: set[tuple[int, int]] = set()
-    for idx, (no, line) in enumerate(rows[1:]):
-        parts = line.split()
+    # one pass over the edge lines; the line count is checked before any
+    # edge line, so the first faulty edge line is kept and raised at the end.
+    # The pairs read are int keys (0-based): undirected as lo*n+hi, directed
+    # as tail*n+head.  Nothing of size n is built before the input passed.
+    total = mu + md
+    und_keys: set[int] = set()
+    dir_keys: set[int] = set()
+    found = 0
+    fault: tuple[str, int] | None = None
+    for no, raw in enumerate(islice(lines, head_no, None), head_no + 1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if found == total:
+            raise ParseError("unexpected extra line", no)
+        found += 1
+        if fault is not None:
+            continue
         try:
-            u, v = (int(p) for p in parts)
+            a, b = parts
+            u = int(a) - 1
+            v = int(b) - 1
         except ValueError:
-            raise ParseError("malformed edge line, expected 'u v'", no) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex index out of range 1..{n}", no)
+            fault = ("malformed edge line, expected 'u v'", no)
+            continue
+        if not (0 <= u < n and 0 <= v < n):
+            fault = (f"vertex index out of range 1..{n}", no)
+            continue
         if u == v:
-            raise ParseError("self-loop", no)
-        u -= 1
-        v -= 1
-        pair = (u, v) if u < v else (v, u)
-        if idx < mu:
-            if pair in seen_und:
-                raise ParseError("duplicate undirected edge", no)
-            if pair in seen_dir:
-                raise ParseError("edge listed as both directed and undirected", no)
-            seen_und.add(pair)
-            und.append(pair)
+            fault = ("self-loop", no)
+            continue
+        if found <= mu:
+            key = u * n + v if u < v else v * n + u
+            if key in und_keys:
+                fault = ("duplicate undirected edge", no)
+                continue
+            und_keys.add(key)
         else:
-            if pair in seen_dir:
-                raise ParseError("duplicate directed edge", no)
-            if pair in seen_und:
-                raise ParseError("edge listed as both directed and undirected", no)
-            seen_dir.add(pair)
-            dire.append((u, v))
-    return PartialGraph.from_edges(n, und, dire)
+            key = u * n + v
+            if key in dir_keys or v * n + u in dir_keys:
+                fault = ("duplicate directed edge", no)
+            elif (key if u < v else v * n + u) in und_keys:
+                fault = ("edge listed as both directed and undirected", no)
+            else:
+                dir_keys.add(key)
+    if found < total:
+        raise ParseError(f"expected {total} edge lines, found {found}", head_no)
+    if fault is not None:
+        raise ParseError(*fault)
+
+    del lines
+    vertex = list(range(n))  # one int object per vertex, shared by all rows
+    und: list[list[int]] = [[] for _ in vertex]
+    out: list[list[int]] = [[] for _ in vertex]
+    for key in und_keys:
+        u, v = divmod(key, n)
+        und[u].append(vertex[v])
+        und[v].append(vertex[u])
+    for key in dir_keys:
+        u, v = divmod(key, n)
+        out[u].append(vertex[v])
+    # free the keys and the lists before the graph's own check runs
+    del und_keys, dir_keys
+    for row in und:
+        row.sort()
+    for row in out:
+        row.sort()
+    undirected = tuple(map(tuple, und))
+    directed_out = tuple(map(tuple, out))
+    del und, out
+    return PartialGraph(n, undirected, directed_out)
 
 
 class Uccg:
@@ -332,6 +370,9 @@ class Uccg:
                     raise ValueError("adjacency not symmetric")
         if n and not _connected(self.adj, range(n)):
             raise ValueError("graph not connected")
+        self._check_chordal()
+
+    def _check_chordal(self):
         from .chordal import is_chordal
 
         if not is_chordal(self):
@@ -372,27 +413,44 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
     Each component is validated to be chordal; isolated vertices (in the
     undirected subgraph) yield singleton components.  Components are returned
     in order of their smallest vertex.
+
+    ``g``'s own invariant makes every component's adjacency symmetric, in
+    range and loop-free, and the search makes it connected; what is left to
+    check, per component in order, is that its rows are sorted and
+    duplicate-free and that it is chordal.
     """
-    seen = bytearray(g.n)
+    n = g.n
+    und = g.undirected
+    seen = bytearray(n)
+    local = [0] * n  # global -> local index within the current component
     out: list[Uccg] = []
-    for s in range(g.n):
+    for s in range(n):
         if seen[s]:
             continue
         comp = [s]
         seen[s] = 1
         stack = [s]
         while stack:
-            u = stack.pop()
-            for v in g.undirected[u]:
+            for v in und[stack.pop()]:
                 if not seen[v]:
                     seen[v] = 1
                     comp.append(v)
                     stack.append(v)
         comp.sort()
-        local = {v: i for i, v in enumerate(comp)}
-        adj = [[local[w] for w in g.undirected[v]] for v in comp]
-        out.append(Uccg(comp, adj, validate=True))
+        for i, v in enumerate(comp):
+            local[v] = i
+        to_local = local.__getitem__
+        rows = tuple(tuple(map(to_local, und[v])) for v in comp)
+        if not all(map(_strictly_increasing, rows)):
+            raise ValueError("neighbor lists must be sorted and duplicate-free")
+        c = Uccg(comp, rows, validate=False)
+        c._check_chordal()
+        out.append(c)
     return out
+
+
+def _strictly_increasing(row: Sequence[int]) -> bool:
+    return all(map(lt, row, row[1:]))
 
 
 @dataclass(frozen=True)
@@ -453,7 +511,7 @@ class Dag:
 
     def serialize(self) -> str:
         lines = [f"{self.n} 0 {sum(len(a) for a in self.out_edges)}"]
-        for u, v in sorted(self.edges()):
+        for u, v in self.edges():  # in order: head lists are sorted
             lines.append(f"{u + 1} {v + 1}")
         return "\n".join(lines) + "\n"
 

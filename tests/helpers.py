@@ -10,6 +10,7 @@ from typing import Sequence
 
 from mectools import (
     Dag,
+    ParseError,
     PartialGraph,
     Uccg,
     chordal,
@@ -528,3 +529,121 @@ def sample_cpdag_by_components(
         for u, v in sample_amo(comp, model, rng).dag.edges():
             out[labels[u]].add(labels[v])
     return Dag(g.n, tuple(tuple(sorted(s)) for s in out))
+
+
+def check_partial_graph(n: int, undirected, directed_out) -> None:
+    """The invariant check of :class:`PartialGraph`, written pair by pair:
+    raises the ``ValueError`` the constructor must raise on these fields."""
+    if len(undirected) != n or len(directed_out) != n:
+        raise ValueError("adjacency length does not match vertex count")
+    seen: set[tuple[int, int]] = set()
+    for u in range(n):
+        for v in undirected[u]:
+            if v == u:
+                raise ValueError("self-loop")
+            if not 0 <= v < n:
+                raise ValueError("vertex out of range")
+            if u not in undirected[v]:
+                raise ValueError("undirected adjacency not symmetric")
+            if u < v:
+                seen.add((u, v))
+    for u in range(n):
+        for v in directed_out[u]:
+            if v == u:
+                raise ValueError("self-loop")
+            if not 0 <= v < n:
+                raise ValueError("vertex out of range")
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                raise ValueError("vertex pair carries more than one edge")
+            seen.add(pair)
+
+
+def reference_parse_graph(text: str | bytes) -> PartialGraph:
+    """The graph file parser written line list first, then counts, then
+    edges: the reference for :func:`mectools.parse_graph`'s graphs, errors,
+    messages and line numbers."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    rows: list[tuple[int, str]] = []
+    for no, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        rows.append((no, line))
+    if not rows:
+        raise ParseError("missing header")
+    no, header = rows[0]
+    parts = header.split()
+    if len(parts) != 3:
+        raise ParseError("malformed header, expected 'n m_u m_d'", no)
+    try:
+        n, mu, md = (int(p) for p in parts)
+    except ValueError:
+        raise ParseError("malformed header, expected 'n m_u m_d'", no) from None
+    if n < 0 or mu < 0 or md < 0:
+        raise ParseError("malformed header, counts must be nonnegative", no)
+    if len(rows) - 1 != mu + md:
+        if len(rows) - 1 < mu + md:
+            raise ParseError(f"expected {mu + md} edge lines, found {len(rows) - 1}", no)
+        raise ParseError("unexpected extra line", rows[1 + mu + md][0])
+
+    und: list[tuple[int, int]] = []
+    dire: list[tuple[int, int]] = []
+    seen_und: set[tuple[int, int]] = set()
+    seen_dir: set[tuple[int, int]] = set()
+    for idx, (no, line) in enumerate(rows[1:]):
+        parts = line.split()
+        try:
+            u, v = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError("malformed edge line, expected 'u v'", no) from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex index out of range 1..{n}", no)
+        if u == v:
+            raise ParseError("self-loop", no)
+        u -= 1
+        v -= 1
+        pair = (u, v) if u < v else (v, u)
+        if idx < mu:
+            if pair in seen_und:
+                raise ParseError("duplicate undirected edge", no)
+            if pair in seen_dir:
+                raise ParseError("edge listed as both directed and undirected", no)
+            seen_und.add(pair)
+            und.append(pair)
+        else:
+            if pair in seen_dir:
+                raise ParseError("duplicate directed edge", no)
+            if pair in seen_und:
+                raise ParseError("edge listed as both directed and undirected", no)
+            seen_dir.add(pair)
+            dire.append((u, v))
+    g = PartialGraph.from_edges(n, und, dire)
+    check_partial_graph(g.n, g.undirected, g.directed_out)
+    return g
+
+
+def reference_undirected_components(g: PartialGraph) -> list[Uccg]:
+    """Components by a dict relabelling, each run through the full
+    :class:`Uccg` validation."""
+    seen = bytearray(g.n)
+    out: list[Uccg] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in g.undirected[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    comp.append(v)
+                    stack.append(v)
+        comp.sort()
+        local = {v: i for i, v in enumerate(comp)}
+        adj = [[local[w] for w in g.undirected[v]] for v in comp]
+        out.append(Uccg(comp, adj, validate=True))
+    return out

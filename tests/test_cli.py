@@ -13,11 +13,12 @@ Core claims:
 import csv
 import io
 import math
+import random
 
 import pytest
 
 import helpers
-from mectools import parse_graph
+from mectools import PartialGraph, parse_graph, precount, sample_cpdag, undirected_components
 from mectools.cli import main
 
 
@@ -127,6 +128,21 @@ class TestSample:
         _, first, _ = run(capsys, "sample", chain54, "--samples", "5", "--seed", "7")
         _, second, _ = run(capsys, "sample", chain54, "--samples", "5", "--seed", "8")
         assert first != second
+
+    def test_streamed_draws_equal_the_joined_draws(self, capsys, tmp_path):
+        chain = list(helpers.three_clique_chain().edges())
+        g = PartialGraph.from_edges(10, chain + [(6, 7), (7, 8)], [(6, 9), (8, 9)])
+        path = tmp_path / "cpdag.graph"
+        path.write_text(g.serialize())
+        comps = undirected_components(g)
+        models = [precount(c) for c in comps]
+        rng = random.Random(9)
+        joined = "\n".join(
+            sample_cpdag(g, models, rng, _components=comps).serialize() for _ in range(20)
+        )
+        code, out, _ = run(capsys, "sample", str(path), "--samples", "20", "--seed", "9")
+        assert code == 0
+        assert out == joined
 
     def test_negative_samples_exit_1(self, capsys, chain54):
         code, out, err = run(capsys, "sample", chain54, "--samples", "-2")
@@ -291,13 +307,22 @@ class TestBench:
         assert err == f"error: bad --sizes '{sizes}'\n"
 
     @pytest.mark.parametrize(
-        "option", ["--timeout=0", "--timeout=-1", "--reps=0"],
-        ids=["timeout-zero", "timeout-negative", "reps-zero"],
+        "option, error",
+        [
+            ("--timeout=0", "--timeout must be positive"),
+            ("--timeout=-1", "--timeout must be positive"),
+            ("--timeout=nan", "--timeout must be positive"),
+            ("--timeout=inf", "--timeout must be at most 1e9 seconds"),
+            ("--timeout=1e300", "--timeout must be at most 1e9 seconds"),
+            ("--reps=0", "--reps must be positive"),
+        ],
+        ids=["timeout-zero", "timeout-negative", "timeout-nan", "timeout-inf",
+             "timeout-1e300", "reps-zero"],
     )
-    def test_nonpositive_timeout_or_reps_exit_1(self, capsys, option):
+    def test_nonpositive_timeout_or_reps_exit_1(self, capsys, option, error):
         code, out, err = run(capsys, "bench", "--model", "peo", "--sizes", "8", option)
         assert code == 1 and out == ""
-        assert err == f"error: {option.split('=')[0]} must be positive\n"
+        assert err == f"error: {error}\n"
 
 
 class TestUsage:
