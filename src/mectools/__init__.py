@@ -11,7 +11,6 @@ from .counting import (
     ChainElementNotProperSubsetError,
     ChainNotNestedError,
     CountStats,
-    FpChain,
     SetTooLargeError,
     count_amos,
     count_cpdag,
@@ -59,7 +58,6 @@ __all__ = [
     "CliqueTree",
     "CountStats",
     "Dag",
-    "FpChain",
     "GenerationError",
     "ModelMismatchError",
     "NotChordalError",

@@ -12,17 +12,13 @@ if TYPE_CHECKING:
     from .graphs import Uccg
 
 
-def lbfs(
-    g: "Uccg", seed: int | None = None, rng: random.Random | None = None
-) -> tuple[int, ...]:
+def lbfs(g: "Uccg", rng: random.Random | None = None) -> tuple[int, ...]:
     """Lexicographic BFS visit order of ``g``, in O(|V|+|E|).
 
     Its reverse is a perfect elimination ordering whenever ``g`` is chordal.
-    Ties are broken toward the lowest local index by default; pass ``seed``
-    (or an existing ``rng``) for randomized tie-breaking.
+    Ties are broken toward the lowest local index by default; pass ``rng``
+    for randomized tie-breaking.
     """
-    if rng is None and seed is not None:
-        rng = random.Random(seed)
     order, _ = refine_traversal(g.adj, [(1 << g.n) - 1], rng=rng, masks=g.adj_masks)
     return tuple(order)
 
@@ -93,16 +89,14 @@ class CliqueTree:
         return order
 
 
-def clique_tree(
-    g: "Uccg", seed: int | None = None, rng: random.Random | None = None
-) -> CliqueTree:
+def clique_tree(g: "Uccg", rng: random.Random | None = None) -> CliqueTree:
     """Build a rooted clique tree from a single LBFS sweep.
 
     Maximal cliques are collected as runs of the sweep: a visited vertex whose
     earlier-neighbor set no longer contains the running clique closes it and
     starts a new one, which is attached to the clique of its most recently
     visited earlier neighbor.  The default root is the clique containing the
-    lowest label; with ``seed``/``rng`` both the LBFS ties and the root are
+    lowest label; with ``rng`` both the LBFS ties and the root are
     randomized.  Clique trees are not unique, but every quantity derived from
     them downstream is tree-invariant.
 
@@ -110,8 +104,6 @@ def clique_tree(
     ``rng`` is advanced as the sweep would advance it (see
     :func:`_skip_sweep_of_complete`).
     """
-    if rng is None and seed is not None:
-        rng = random.Random(seed)
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no clique tree")

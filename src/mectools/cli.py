@@ -36,15 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_graph(fh.read())
 
 
 def _decimal(x: int) -> str:
@@ -67,15 +60,10 @@ def _density(n: int, edges: int) -> float:
 
 def cmd_count(args) -> int:
     g = _read_graph(args.file)
-    try:
-        comps = undirected_components(g)
-    except NotChordalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CHORDAL
     total = 1
     explored = 0
     cliques = 0
-    for comp in comps:
+    for comp in undirected_components(g):
         stats = counting.count_with_stats(comp)
         total *= stats.count
         explored += stats.explored
@@ -94,12 +82,8 @@ def cmd_sample(args) -> int:
         print("error: --samples must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
     g = _read_graph(args.file)
-    try:
-        comps = undirected_components(g)
-        models = [sampling.precount(c) for c in comps]
-    except NotChordalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CHORDAL
+    comps = undirected_components(g)
+    models = [sampling.precount(c) for c in comps]
     rng = random.Random(args.seed)
     # each draw is written as it is made, a blank line between two draws
     for i in range(args.samples):
@@ -143,13 +127,8 @@ def cmd_gen(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _read_graph(args.file)
-    try:
-        comps = undirected_components(g)
-    except NotChordalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CHORDAL
     total = 1
-    for comp in comps:
+    for comp in undirected_components(g):
         if args.method == "enumerate":
             if comp.m > 24:
                 print(
@@ -333,10 +312,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    # the commands raise their input faults; each maps to its exit code here
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except (OSError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except NotChordalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CHORDAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -70,20 +69,11 @@ def _phi_sizes(total: int, sizes: Sequence[int]) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class FpChain:
-    """A strictly nested chain of forbidden prefix sets X_1 < X_2 < ... < X_l."""
-
-    sets: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def sizes(self) -> list[int]:
-        return [len(s) for s in self.sets]
+# a strictly nested chain of forbidden prefix sets X_1 < X_2 < ... < X_l
+Chain = Tuple[Tuple[int, ...], ...]
 
 
-def validate_chain(ground: frozenset, sets: Sequence[Iterable[int]]) -> list[frozenset]:
+def validate_chain(ground: frozenset, sets: Iterable[Iterable[int]]) -> list[frozenset]:
     chain = [frozenset(s) for s in sets]
     prev: frozenset | None = None
     for x in chain:
@@ -97,15 +87,14 @@ def validate_chain(ground: frozenset, sets: Sequence[Iterable[int]]) -> list[fro
     return chain
 
 
-def phi_chain(s: Iterable[int], chain: FpChain | Sequence[Iterable[int]]) -> int:
+def phi_chain(s: Iterable[int], chain: Iterable[Iterable[int]]) -> int:
     """Number of permutations of ``s`` with no chain element as a prefix.
 
     Requires the chain to be strictly nested; evaluated with quadratically
     many big-integer operations via the peel-off recurrence on the chain.
     """
     ground = frozenset(s)
-    sets = chain.sets if isinstance(chain, FpChain) else tuple(chain)
-    validated = validate_chain(ground, sets)
+    validated = validate_chain(ground, chain)
     return _phi_sizes(len(ground), [len(x) for x in validated])
 
 
@@ -143,7 +132,7 @@ def phi_naive(s: Iterable[int], collection: Iterable[Iterable[int]]) -> int:
     return count
 
 
-def fp_chains(t: CliqueTree) -> tuple[FpChain, ...]:
+def fp_chains(t: CliqueTree) -> tuple[Chain, ...]:
     """Per-node forbidden-prefix chains of a rooted clique tree.
 
     Node ``v`` collects the separators along the root-to-``v`` path that are
@@ -151,22 +140,19 @@ def fp_chains(t: CliqueTree) -> tuple[FpChain, ...]:
     Sets are in local vertex ids, the root gets the empty chain.
     """
     k = len(t.cliques)
-    chains: list[FpChain | None] = [None] * k
-    chains[t.root] = FpChain(())
+    chains: list[Chain] = [()] * k
     clique_sets = [frozenset(c) for c in t.cliques]
     for x in t.bfs_order():
         if x == t.root:
             continue
-        parent_chain = chains[t.parent[x]]
-        assert parent_chain is not None
         cs = clique_sets[x]
-        kept = [s for s in parent_chain.sets if cs.issuperset(s)]
+        kept = [s for s in chains[t.parent[x]] if cs.issuperset(s)]
         sep = t.separators[x]
         assert sep is not None
         if not (kept and len(kept[-1]) == len(sep)):
             kept.append(sep)
-        chains[x] = FpChain(tuple(kept))
-    return tuple(chains)  # type: ignore[arg-type]
+        chains[x] = tuple(kept)
+    return tuple(chains)
 
 
 @dataclass(frozen=True)
@@ -175,13 +161,11 @@ class CliqueRecord:
 
     ``clique`` and ``chain`` are in global labels; ``child_keys`` are the
     components left undirected once the clique is fixed, in recording order;
-    ``weight`` is ``phi`` times the counts of those components.  ``index`` is
-    the node's position among its subgraph's records.
+    ``weight`` is ``phi`` times the counts of those components.
     """
 
-    index: int
     clique: tuple[int, ...]
-    chain: tuple[tuple[int, ...], ...]
+    chain: Chain
     child_keys: tuple[Key, ...]
     phi: int
     weight: int
@@ -194,49 +178,16 @@ class _KeyEntry:
     total: int
 
 
-class _PermTable:
-    """Permutation counts indexed by (chain suffix start, vertices drawn).
-
-    ``rows[i][d]`` is the number of permutations of the remaining k-d clique
-    vertices avoiding the chain suffix starting at ``i`` with ``d`` drawn
-    vertices removed from every suffix element; by nesting, only these two
-    parameters matter.  ``first_idx`` maps each chain vertex to the smallest
-    chain set containing it.
-    """
-
-    __slots__ = ("rows", "ell", "first_idx")
-
-    def __init__(self, clique_size: int, chain_sets: Sequence[Iterable[int]]):
-        chain_sizes = [len(s) for s in chain_sets]
-        ell = len(chain_sizes)
-        self.ell = ell
-        self.rows = [
-            [
-                _phi_sizes(clique_size - d, [s - d for s in chain_sizes[i:]])
-                for d in range(clique_size + 1)
-            ]
-            for i in range(ell + 1)
-        ]
-        self.first_idx: Dict[int, int] = {}
-        for i, s in enumerate(chain_sets):
-            for v in s:
-                self.first_idx.setdefault(v, i)
-
-
+@dataclass(frozen=True, eq=False)
 class SamplerModel:
     """The explored model of one graph: per explored subgraph, its clique
     records with their weights, cumulative weights and total count.
 
     Counting reads the root's total; sampling draws from the records.
-    Immutable after construction except for the lazily filled permutation
-    table cache, which is lock-protected for concurrent samplers.
     """
 
-    def __init__(self, root: Uccg, entries: Dict[Key, _KeyEntry]):
-        self.root = root
-        self.entries = entries
-        self._tables: Dict[tuple[Key, int], _PermTable] = {}
-        self._lock = threading.Lock()
+    root: Uccg
+    entries: Dict[Key, _KeyEntry]
 
     @property
     def root_key(self) -> Key:
@@ -245,17 +196,6 @@ class SamplerModel:
     @property
     def total(self) -> int:
         return self.entries[self.root_key].total
-
-    def table_for(self, key: Key, record: CliqueRecord) -> _PermTable:
-        tk = (key, record.index)
-        table = self._tables.get(tk)
-        if table is None:
-            with self._lock:
-                table = self._tables.get(tk)
-                if table is None:
-                    table = _PermTable(len(record.clique), record.chain)
-                    self._tables[tk] = table
-        return table
 
 
 def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
@@ -294,9 +234,9 @@ def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
                     graphs.append(h)
             cur_nodes.append((
                 tuple(labels[v] for v in clique),
-                tuple(tuple(labels[v] for v in s) for s in chains[idx].sets),
+                tuple(tuple(labels[v] for v in s) for s in chains[idx]),
                 tuple(child_keys),
-                _phi_sizes(len(clique), chains[idx].sizes()),
+                _phi_sizes(len(clique), [len(s) for s in chains[idx]]),
             ))
         nodes[cur.key] = cur_nodes
 
@@ -306,12 +246,12 @@ def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
         records = []
         cumulative = []
         running = 0
-        for i, (clique, chain, child_keys, phi) in enumerate(nodes[key]):
+        for clique, chain, child_keys, phi in nodes[key]:
             weight = phi
             for child in child_keys:
                 weight *= entries[child].total
             running += weight
-            records.append(CliqueRecord(i, clique, chain, child_keys, phi, weight))
+            records.append(CliqueRecord(clique, chain, child_keys, phi, weight))
             cumulative.append(running)
         entries[key] = _KeyEntry(tuple(records), tuple(cumulative), running)
     return SamplerModel(g, entries)

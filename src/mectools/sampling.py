@@ -22,12 +22,10 @@ from typing import Iterable, Sequence
 
 from .counting import (
     CliqueRecord,
-    FpChain,
     Key,
     SamplerModel,
-    _PermTable,
+    _phi_sizes,
     explore as precount,
-    factorial,
     validate_chain,
 )
 from .graphs import Dag, PartialGraph, Uccg, orient_by_ordering, undirected_components
@@ -59,60 +57,68 @@ def perm_step_weights(
     remaining: Sequence[int],
     suffix: int,
     drawn: int,
-    table: _PermTable,
+    sizes: Sequence[int],
+    first_idx: dict[int, int],
 ) -> list[tuple[int, int, int]]:
     """Weights for the next permutation element.
 
     Returns (vertex, weight, next suffix) per remaining vertex: the weight is
     the number of admissible completions if the vertex is placed next.  A
     vertex inside some chain set shrinks the active suffix to the smallest set
-    containing it; a vertex outside all of them clears the chain.
+    containing it (``first_idx``); a vertex outside all of them clears the
+    chain.  ``sizes`` are the chain set sizes before ``drawn`` vertices were
+    placed.  A weight depends only on the suffix the vertex leaves active, so
+    at most ``len(sizes) - suffix + 1`` values are computed.
     """
-    ell = table.ell
-    rows = table.rows
-    first_idx = table.first_idx
-    free_weight = factorial(len(remaining) - 1)
+    ell = len(sizes)
+    rest = len(remaining) - 1
+    left = [s - drawn - 1 for s in sizes]
+    by_suffix = [_phi_sizes(rest, left[j:]) for j in range(suffix, ell + 1)]
     out = []
     for v in remaining:
         j = first_idx.get(v, ell)
         if j < suffix:
             j = suffix
-        weight = rows[j][drawn + 1] if j < ell else free_weight
-        out.append((v, weight, j))
+        out.append((v, by_suffix[j - suffix], j))
     return out
 
 
 def draw_perm(
-    clique: Iterable[int],
-    chain: FpChain | Sequence[Iterable[int]],
-    rng: random.Random,
-    table: _PermTable | None = None,
+    clique: Iterable[int], chain: Iterable[Iterable[int]], rng: random.Random
 ) -> tuple[int, ...]:
     """Uniform permutation of ``clique`` having no chain element as a prefix.
 
     The chain must be strictly nested and consist of proper subsets (then at
     least one admissible permutation exists).  Each position is drawn with
-    exact integer weights proportional to the number of completions.
+    exact integer weights proportional to the number of completions,
+    computed from the chain sizes.
     """
-    items = sorted(clique)
-    if table is None:
-        sets = chain.sets if isinstance(chain, FpChain) else tuple(chain)
-        chain_sets = validate_chain(frozenset(items), sets)
-        table = _PermTable(len(items), chain_sets)
+    remaining = sorted(clique)
+    if not chain:  # every order is admissible
+        rng.shuffle(remaining)
+        return tuple(remaining)
+    chain_sets = validate_chain(frozenset(remaining), chain)
+    sizes = [len(x) for x in chain_sets]
+    first_idx: dict[int, int] = {}
+    for i, x in enumerate(chain_sets):
+        for v in x:
+            first_idx.setdefault(v, i)
 
-    remaining = list(items)
     out: list[int] = []
     suffix = 0
     drawn = 0
-    ell = table.ell
+    ell = len(sizes)
+    # φ of the remaining vertices under the active chain suffix: the whole
+    # chain first, then the weight of each vertex drawn
+    phi = _phi_sizes(len(remaining), sizes)
     while remaining:
         if suffix >= ell:
             rng.shuffle(remaining)
             out.extend(remaining)
             break
-        weighted = perm_step_weights(remaining, suffix, drawn, table)
+        weighted = perm_step_weights(remaining, suffix, drawn, sizes, first_idx)
         total = sum(w for _, w, _ in weighted)
-        assert total == table.rows[suffix][drawn] and total > 0
+        assert total == phi and total > 0
         r = rng.randrange(total)
         acc = 0
         for pos, (v, w, nxt) in enumerate(weighted):
@@ -123,6 +129,7 @@ def draw_perm(
         remaining.pop(pos)
         suffix = nxt
         drawn += 1
+        phi = w
     return tuple(out)
 
 
@@ -138,8 +145,7 @@ def _draw_labels(model: SamplerModel, rng: random.Random) -> list[int]:
     while stack:
         key = stack.pop()
         record = draw_clique(model, key, rng)
-        table = model.table_for(key, record)
-        tau.extend(draw_perm(record.clique, record.chain, rng, table))
+        tau.extend(draw_perm(record.clique, record.chain, rng))
         stack.extend(reversed(record.child_keys))
     return tau
 
@@ -157,6 +163,25 @@ def precount_cpdag(g: PartialGraph, seed: int | None = None) -> list[SamplerMode
     return [precount(comp, seed) for comp in undirected_components(g)]
 
 
+def _are_components_of(g: PartialGraph, comps: Sequence[Uccg]) -> bool:
+    """True iff ``comps`` are exactly the undirected components of ``g`` in
+    the order :func:`undirected_components` gives: every vertex covered once,
+    each component's rows equal to ``g``'s rows, first labels increasing."""
+    und = g.undirected
+    seen = bytearray(g.n)
+    last = -1
+    for comp in comps:
+        labels = comp.labels
+        if not labels or labels[0] <= last or labels[-1] >= g.n:
+            return False
+        last = labels[0]
+        for u, row in zip(labels, comp.adj):
+            if seen[u] or und[u] != tuple(map(labels.__getitem__, row)):
+                return False
+            seen[u] = 1
+    return all(seen)
+
+
 def sample_cpdag(
     g: PartialGraph,
     models: Sequence[SamplerModel],
@@ -167,22 +192,30 @@ def sample_cpdag(
 
     Keeps the directed edges and orients every undirected component with an
     independently drawn AMO: each undirected edge points from the earlier
-    to the later end of its component's drawn ordering.
+    to the later end of its component's drawn ordering.  The components are
+    the models' roots, checked against ``g``.  A caller that passes
+    ``_components``, the split it built the models from, has each model
+    checked against its component only.
     """
-    comps = list(_components) if _components is not None else undirected_components(g)
-    if len(models) != len(comps) or any(
-        m.root is not c and m.root != c for m, c in zip(models, comps)
-    ):
+    if _components is None:
+        comps = [m.root for m in models]
+        ok = _are_components_of(g, comps)
+    else:
+        comps = list(_components)
+        ok = len(models) == len(comps) and all(
+            m.root is c or m.root == c for m, c in zip(models, comps)
+        )
+    if not ok:
         raise ModelMismatchError("models do not match the undirected components")
+    und = g.undirected
     heads = list(g.directed_out)
     pos = [0] * g.n
     for comp, model in zip(comps, models):
         for i, v in enumerate(_draw_labels(model, rng)):
             pos[v] = i
-        labels = comp.labels
-        for u, nbrs in zip(labels, comp.adj):
+        for u in comp.labels:
             pu = pos[u]
-            later = tuple(labels[w] for w in nbrs if pos[labels[w]] > pu)
+            later = tuple(w for w in und[u] if pos[w] > pu)
             if later:
                 heads[u] = tuple(sorted(heads[u] + later))
     return Dag(g.n, tuple(heads))

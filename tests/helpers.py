@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from mectools import (
     phi_naive,
 )
 from mectools._partition import vertex_mask
+from mectools.counting import _phi_sizes, validate_chain
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.graphs import _connected
 from mectools.sampling import SamplerModel, perm_step_weights, sample_amo
@@ -214,6 +216,38 @@ def count_by_separator_formula(g: Uccg) -> int:
     return total
 
 
+def perm_paths(clique, chain):
+    """Every permutation :func:`~mectools.draw_perm` can draw, with its exact
+    probability: the same step weights, exhaustive branching instead of
+    random choices."""
+    sizes = [len(x) for x in chain]
+    first_idx: dict[int, int] = {}
+    for i, x in enumerate(chain):
+        for v in x:
+            first_idx.setdefault(v, i)
+    ell = len(sizes)
+
+    def rec(remaining, suffix, drawn, prob):
+        if not remaining:
+            yield (), prob
+            return
+        if suffix >= ell:
+            share = prob / math.factorial(len(remaining))
+            for p in itertools.permutations(remaining):
+                yield p, share
+            return
+        weighted = perm_step_weights(remaining, suffix, drawn, sizes, first_idx)
+        total = sum(w for _, w, _ in weighted)
+        for v, w, nxt in weighted:
+            if w == 0:
+                continue
+            rest = [x for x in remaining if x != v]
+            for tail, pr in rec(rest, nxt, drawn + 1, prob * Fraction(w, total)):
+                yield (v,) + tail, pr
+
+    yield from rec(sorted(clique), 0, 0, Fraction(1))
+
+
 def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, Fraction]:
     """Propagate exact probabilities through the sampler's decision tree.
 
@@ -222,37 +256,13 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
     the induced probability per resulting DAG (as its directed edge set).
     """
 
-    def perm_paths(key, record):
-        table = model.table_for(key, record)
-        ell = len(record.chain)
-
-        def rec(remaining, suffix, drawn, prob):
-            if not remaining:
-                yield (), prob
-                return
-            if suffix >= ell:
-                share = prob / math.factorial(len(remaining))
-                for p in itertools.permutations(remaining):
-                    yield p, share
-                return
-            weighted = perm_step_weights(remaining, suffix, drawn, table)
-            total = sum(w for _, w, _ in weighted)
-            for v, w, nxt in weighted:
-                if w == 0:
-                    continue
-                rest = [x for x in remaining if x != v]
-                for tail, pr in rec(rest, nxt, drawn + 1, prob * Fraction(w, total)):
-                    yield (v,) + tail, pr
-
-        yield from rec(sorted(record.clique), 0, 0, Fraction(1))
-
     def key_paths(key):
         entry = model.entries[key]
         for record in entry.records:
             if record.weight == 0:
                 continue
             p_rec = Fraction(record.weight, entry.total)
-            for perm, p_perm in perm_paths(key, record):
+            for perm, p_perm in perm_paths(record.clique, record.chain):
                 stack = [(0, perm, p_rec * p_perm)]
                 while stack:
                     i, tau, prob = stack.pop()
@@ -268,6 +278,83 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
         edges = orient_by_ordering(g, tau).edge_set()
         dist[edges] = dist.get(edges, Fraction(0)) + prob
     return dist
+
+
+# --- table-based permutation draw, the sampler's former path ---------------
+
+
+class PermTable:
+    """Permutation counts indexed by (chain suffix start, vertices drawn).
+
+    ``rows[i][d]`` is the number of permutations of the remaining k-d clique
+    vertices avoiding the chain suffix starting at ``i`` with ``d`` drawn
+    vertices removed from every suffix element; by nesting, only these two
+    parameters matter.  ``first_idx`` maps each chain vertex to the smallest
+    chain set containing it.
+    """
+
+    def __init__(self, clique_size: int, chain_sets):
+        chain_sizes = [len(s) for s in chain_sets]
+        self.ell = len(chain_sizes)
+        self.rows = [
+            [
+                _phi_sizes(clique_size - d, [s - d for s in chain_sizes[i:]])
+                for d in range(clique_size + 1)
+            ]
+            for i in range(self.ell + 1)
+        ]
+        self.first_idx: dict[int, int] = {}
+        for i, s in enumerate(chain_sets):
+            for v in s:
+                self.first_idx.setdefault(v, i)
+
+
+def table_draw_perm(clique, chain, rng: random.Random) -> tuple:
+    """The permutation draw as it read its step weights from a filled
+    :class:`PermTable`; the library's :func:`~mectools.draw_perm` must give
+    the same permutation and consume the same randomness."""
+    remaining = sorted(clique)
+    table = PermTable(len(remaining), validate_chain(frozenset(remaining), chain))
+    out: list = []
+    suffix = 0
+    drawn = 0
+    ell = table.ell
+    while remaining:
+        if suffix >= ell:
+            rng.shuffle(remaining)
+            out.extend(remaining)
+            break
+        free_weight = math.factorial(len(remaining) - 1)
+        weighted = []
+        for v in remaining:
+            j = max(table.first_idx.get(v, ell), suffix)
+            weighted.append((v, table.rows[j][drawn + 1] if j < ell else free_weight, j))
+        total = sum(w for _, w, _ in weighted)
+        assert total == table.rows[suffix][drawn] and total > 0
+        r = rng.randrange(total)
+        acc = 0
+        for pos, (v, w, nxt) in enumerate(weighted):
+            acc += w
+            if r < acc:
+                break
+        out.append(v)
+        remaining.pop(pos)
+        suffix = nxt
+        drawn += 1
+    return tuple(out)
+
+
+def table_draw_labels(model: SamplerModel, rng: random.Random) -> list[int]:
+    """A model draw in global labels whose permutations come from
+    :func:`table_draw_perm`."""
+    tau: list[int] = []
+    stack = [model.root_key]
+    while stack:
+        entry = model.entries[stack.pop()]
+        record = entry.records[bisect.bisect_right(entry.cumulative, rng.randrange(entry.total))]
+        tau.extend(table_draw_perm(record.clique, record.chain, rng))
+        stack.extend(reversed(record.child_keys))
+    return tau
 
 
 # --- list-based oracles for the bitset traversal engine -------------------
@@ -503,7 +590,7 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
             nodes.append((
                 phi_chain(clique, chains[idx]),
                 tuple(cur.labels[v] for v in clique),
-                tuple(tuple(cur.labels[v] for v in x) for x in chains[idx].sets),
+                tuple(tuple(cur.labels[v] for v in x) for x in chains[idx]),
                 tuple(children),
             ))
         plans[cur.key] = tuple(nodes)
@@ -529,6 +616,34 @@ def sample_cpdag_by_components(
         for u, v in sample_amo(comp, model, rng).dag.edges():
             out[labels[u]].add(labels[v])
     return Dag(g.n, tuple(tuple(sorted(s)) for s in out))
+
+
+def many_component_cpdag(seed: int, comps: int = 12, colliders: int = 6) -> PartialGraph:
+    """Chordal components of three generator families, isolated vertices and
+    colliders whose parents lie in distinct components, with shuffled ids."""
+    rng = random.Random(seed)
+    families = [
+        lambda size, s: gen_subtree(size, 3, s),
+        lambda size, s: gen_peo(size, 2, s),
+        lambda size, s: gen_interval(size, s),
+    ]
+    parts = [families[i % 3](rng.randint(1, 12), rng.randrange(2**31)) for i in range(comps)]
+    starts = []
+    base = 0
+    for part in parts:
+        starts.append(base)
+        base += part.n
+    undirected = [(starts[i] + u, starts[i] + v) for i, p in enumerate(parts) for u, v in p.edges()]
+    directed = []
+    for c in range(colliders):
+        for p in rng.sample(range(comps), rng.randint(2, 4)):
+            directed.append((starts[p] + rng.randrange(parts[p].n), base + c))
+    n = base + colliders + 3  # three isolated vertices
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return PartialGraph.from_edges(
+        n, [(perm[u], perm[v]) for u, v in undirected], [(perm[u], perm[v]) for u, v in directed]
+    )
 
 
 def check_partial_graph(n: int, undirected, directed_out) -> None:

@@ -209,6 +209,12 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--model", "nosuch", "--n", "8")
         assert code == 1
 
+    def test_unwritable_output_exit_1(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "out.graph"
+        code, out, err = run(capsys, "gen", "--model", "peo", "--n", "8", "-o", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestOracle:
     def test_rootpick_chain54(self, capsys, chain54):

@@ -50,7 +50,7 @@ def test_lbfs_orders_match_the_oracle():
     for g in CORPUS:
         assert list(lbfs(g)) == helpers.list_lbfs_order(g)
         for seed in range(3):
-            got = lbfs(g, seed=seed)
+            got = lbfs(g, rng=random.Random(seed))
             assert list(got) == helpers.list_lbfs_order(g, random.Random(seed))
 
 

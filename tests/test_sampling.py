@@ -9,7 +9,9 @@ Core claims:
       on small graphs and statistically on the 54-orientation graph
     - identical seeds reproduce identical sample sequences
     - a CPDAG draw built as one DAG equals the per-component assembly, draw
-      for draw, with the same seed
+      for draw, with the same seed, with and without ``_components``
+    - without ``_components``, models that are not exactly the CPDAG's
+      undirected components, in order, are rejected
 """
 
 import itertools
@@ -34,7 +36,6 @@ from mectools import (
     v_structures,
 )
 from mectools.counting import ChainNotNestedError
-from mectools.generators import gen_interval, gen_peo, gen_subtree
 from mectools.sampling import ModelMismatchError
 
 # frozen 0.999 chi-square quantiles (53 and 35 degrees of freedom)
@@ -268,37 +269,9 @@ class TestSampleCpdag:
             sample_cpdag(pg, precount_cpdag(other), random.Random(0))
 
 
-def many_component_cpdag(seed: int, comps: int = 12, colliders: int = 6) -> PartialGraph:
-    """Chordal components of three generator families, isolated vertices and
-    colliders whose parents lie in distinct components, with shuffled ids."""
-    rng = random.Random(seed)
-    families = [
-        lambda size, s: gen_subtree(size, 3, s),
-        lambda size, s: gen_peo(size, 2, s),
-        lambda size, s: gen_interval(size, s),
-    ]
-    parts = [families[i % 3](rng.randint(1, 12), rng.randrange(2**31)) for i in range(comps)]
-    starts = []
-    base = 0
-    for part in parts:
-        starts.append(base)
-        base += part.n
-    undirected = [(starts[i] + u, starts[i] + v) for i, p in enumerate(parts) for u, v in p.edges()]
-    directed = []
-    for c in range(colliders):
-        for p in rng.sample(range(comps), rng.randint(2, 4)):
-            directed.append((starts[p] + rng.randrange(parts[p].n), base + c))
-    n = base + colliders + 3  # three isolated vertices
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return PartialGraph.from_edges(
-        n, [(perm[u], perm[v]) for u, v in undirected], [(perm[u], perm[v]) for u, v in directed]
-    )
-
-
 def test_one_dag_draw_equals_the_per_component_assembly():
     for seed in range(4):
-        pg = many_component_cpdag(seed)
+        pg = helpers.many_component_cpdag(seed)
         comps = undirected_components(pg)
         assert sum(c.n == 1 for c in comps) > 6
         models = [precount(c) for c in comps]
@@ -310,3 +283,27 @@ def test_one_dag_draw_equals_the_per_component_assembly():
                 pg, models, comps, slow
             )
         assert fast.random() == slow.random()
+
+
+def test_default_path_rejects_models_of_other_components():
+    # components {0, 1, 2}, {3, 4} and the singleton {5}
+    pg = PartialGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)], [(2, 5)])
+    path = PartialGraph.from_edges(6, [(0, 1), (1, 2), (3, 4)], [(2, 5)])
+    models = precount_cpdag(pg)
+    many = helpers.many_component_cpdag(5)
+    cases = {
+        "reordered": models[::-1],
+        "neighbours swapped": [models[1], models[0], models[2]],
+        "missing singleton": models[:2],
+        "one model too many": models + models[2:],
+        "same labels, other edges": precount_cpdag(path),
+        "other graph": precount_cpdag(many),
+    }
+    for wrong in cases.values():
+        with pytest.raises(ModelMismatchError):
+            sample_cpdag(pg, wrong, random.Random(0))
+    for other in (path, many):
+        with pytest.raises(ModelMismatchError):
+            sample_cpdag(other, models, random.Random(0))
+    with pytest.raises(ModelMismatchError):
+        sample_cpdag(many, precount_cpdag(helpers.many_component_cpdag(6)), random.Random(0))
