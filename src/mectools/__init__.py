@@ -44,7 +44,6 @@ from .sampling import (
     draw_clique,
     draw_perm,
     precount,
-    precount_cpdag,
     sample_amo,
     sample_cpdag,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "phi_chain",
     "phi_naive",
     "precount",
-    "precount_cpdag",
     "sample_amo",
     "sample_cpdag",
     "topological_orderings_of_amo",

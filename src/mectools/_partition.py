@@ -46,7 +46,8 @@ def refine_traversal(
     initial_blocks: Sequence[int],
     rng: random.Random | None = None,
     skip_record: int | None = None,
-    masks: Sequence[int] | None = None,
+    *,
+    masks: Sequence[int],
 ) -> tuple[list[int], list[int]]:
     """Visit all vertices, always picking from the lexicographically first block.
 
@@ -55,7 +56,7 @@ def refine_traversal(
     ignored).  The pick is the lowest vertex of the front block, or with
     ``rng`` a ``rng.choice`` over its vertices in increasing order.
     ``masks`` are the neighborhood bitmasks of ``adj`` (see
-    :func:`adjacency_masks`); they are built from ``adj`` when omitted.
+    :func:`adjacency_masks`).
 
     If ``skip_record`` (a bitmask) is not None, recording is enabled:
     whenever the visited vertex belongs to no previously recorded block and
@@ -64,8 +65,6 @@ def refine_traversal(
     order.
     """
     n = len(adj)
-    if masks is None:
-        masks = adjacency_masks(adj)
     blocks: list[int] = []
     nxt: list[int] = []
     prv: list[int] = []

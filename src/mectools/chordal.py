@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ._partition import refine_traversal
+from ._partition import mask_bits, refine_traversal
 
 if TYPE_CHECKING:
     from .graphs import Uccg
@@ -24,28 +24,26 @@ def lbfs(g: "Uccg", rng: random.Random | None = None) -> tuple[int, ...]:
 
 
 def is_peo(g: "Uccg", rho: Sequence[int]) -> bool:
-    """True iff for every vertex its later neighbors in ``rho`` are a clique."""
+    """True iff for every vertex its later neighbors in ``rho`` are a clique.
+
+    The test of Rose, Tarjan & Lueker: it suffices that the later neighbors
+    of each vertex, except the earliest one ``m``, are neighbors of ``m``.
+    """
     n = g.n
     if sorted(rho) != list(range(n)):
         raise ValueError("rho is not a permutation of the vertices")
+    masks = g.adj_masks
     pos = [0] * n
     for i, v in enumerate(rho):
         pos[v] = i
-    required: list[list[int]] = [[] for _ in range(n)]
+    later = (1 << n) - 1
     for v in rho:
-        if required[v]:
-            nbr = set(g.adj[v])
-            for w in required[v]:
-                if w not in nbr:
-                    return False
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        m = min(later, key=pos.__getitem__)
-        req = required[m]
-        for w in later:
-            if w != m:
-                req.append(w)
+        later ^= 1 << v
+        nbrs = masks[v] & later
+        if nbrs:
+            m = rho[min(map(pos.__getitem__, mask_bits(nbrs)))]
+            if nbrs & ~masks[m] & ~(1 << m):
+                return False
     return True
 
 
@@ -60,7 +58,9 @@ class CliqueTree:
     ``cliques`` holds the maximal cliques as sorted tuples of local vertices;
     ``parent[i] == i`` exactly at the root; ``separators[i]`` is the
     intersection of clique ``i`` with its parent clique (``None`` at the
-    root).  ``labels`` are the global labels of the underlying graph.
+    root).  ``order`` lists the cliques in BFS order from the root, the
+    children of a clique by increasing index.  ``labels`` are the global
+    labels of the underlying graph.
     """
 
     labels: tuple[int, ...]
@@ -68,25 +68,10 @@ class CliqueTree:
     parent: tuple[int, ...]
     root: int
     separators: tuple[tuple[int, ...] | None, ...]
+    order: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.cliques)
-
-    def children(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.cliques]
-        for x, p in enumerate(self.parent):
-            if x != self.root:
-                out[p].append(x)
-        return out
-
-    def bfs_order(self) -> list[int]:
-        order = [self.root]
-        kids = self.children()
-        i = 0
-        while i < len(order):
-            order.extend(kids[order[i]])
-            i += 1
-        return order
 
 
 def clique_tree(g: "Uccg", rng: random.Random | None = None) -> CliqueTree:
@@ -110,7 +95,7 @@ def clique_tree(g: "Uccg", rng: random.Random | None = None) -> CliqueTree:
     if g._is_complete():
         if rng is not None:
             _skip_sweep_of_complete(rng, n)
-        return CliqueTree(g.labels, (tuple(range(n)),), (0,), 0, (None,))
+        return CliqueTree(g.labels, (tuple(range(n)),), (0,), 0, (None,), (0,))
     return _clique_tree_of_sweep(g, lbfs(g, rng=rng), rng)
 
 
@@ -128,57 +113,32 @@ def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:
 
 
 def _clique_tree_of_sweep(
-    g: "Uccg", order: Sequence[int], rng: random.Random | None
+    g: "Uccg", sweep: Sequence[int], rng: random.Random | None
 ) -> CliqueTree:
-    """Clique tree from the LBFS visit ``order`` of ``g``; ``rng`` picks the
-    root (default: the clique containing local vertex 0)."""
-    n = g.n
-    adj = g.adj
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-
-    cliques: list[list[int]] = [[order[0]]]
-    attach: list[int] = [-1]
-    run_of = [0] * n
-    in_run = bytearray(n)
-    in_run[order[0]] = 1
-    run_members = cliques[0]
-
-    for i in range(1, n):
-        v = order[i]
-        earlier = [w for w in adj[v] if pos[w] < i]
+    """Clique tree from the LBFS visit order ``sweep`` of ``g``; ``rng`` picks
+    the root (default: the clique containing local vertex 0)."""
+    masks = g.adj_masks
+    visited = 1 << sweep[0]
+    cliques = [visited]  # vertex masks; the last one is the running clique
+    attach = [-1]
+    # the clique each vertex joined on its visit, non-decreasing along the sweep
+    clique_of = [0] * g.n
+    for v in sweep[1:]:
+        earlier = masks[v] & visited
         assert earlier, "a connected graph cannot start a component mid-sweep"
-        hits = 0
-        for w in earlier:
-            if in_run[w]:
-                hits += 1
-        if hits == len(run_members):
-            # current run extends: the clique becomes earlier-neighbors plus v
-            for w in earlier:
-                if not in_run[w]:
-                    in_run[w] = 1
-            in_run[v] = 1
-            run_members = earlier + [v]
-            cliques[-1] = run_members
-        else:
-            for w in run_members:
-                in_run[w] = 0
-            u_last = max(earlier, key=pos.__getitem__)
-            run_members = earlier + [v]
-            for w in run_members:
-                in_run[w] = 1
-            cliques.append(run_members)
-            attach.append(run_of[u_last])
-        run_of[v] = len(cliques) - 1
+        if cliques[-1] & ~earlier:
+            # attach to the clique of the latest visited vertex of ``earlier``
+            attach.append(max(map(clique_of.__getitem__, mask_bits(earlier))))
+            cliques.append(0)
+        cliques[-1] = earlier | 1 << v
+        clique_of[v] = len(cliques) - 1
+        visited |= 1 << v
 
-    clique_tuples = tuple(tuple(sorted(c)) for c in cliques)
-    k = len(clique_tuples)
-
+    k = len(cliques)
     if rng is not None:
         root = rng.randrange(k)
     else:
-        root = next(i for i, c in enumerate(clique_tuples) if c[0] == 0)
+        root = next(i for i, c in enumerate(cliques) if c & 1)
 
     tree_adj: list[list[int]] = [[] for _ in range(k)]
     for s in range(1, k):
@@ -188,23 +148,18 @@ def _clique_tree_of_sweep(
     parent = [-1] * k
     parent[root] = root
     bfs = [root]
-    i = 0
-    while i < len(bfs):
-        x = bfs[i]
-        i += 1
+    for x in bfs:
         for y in tree_adj[x]:
             if parent[y] == -1:
                 parent[y] = x
                 bfs.append(y)
 
-    separators: list[tuple[int, ...] | None] = [None] * k
-    for x in range(k):
-        if x == root:
-            continue
-        px = set(clique_tuples[parent[x]])
-        separators[x] = tuple(v for v in clique_tuples[x] if v in px)
-
-    return CliqueTree(g.labels, clique_tuples, tuple(parent), root, tuple(separators))
+    separators = tuple(
+        None if x == root else tuple(mask_bits(c & cliques[parent[x]]))
+        for x, c in enumerate(cliques)
+    )
+    clique_tuples = tuple(tuple(mask_bits(c)) for c in cliques)
+    return CliqueTree(g.labels, clique_tuples, tuple(parent), root, separators, tuple(bfs))
 
 
 def minimal_separators(t: CliqueTree) -> list[tuple[int, ...]]:

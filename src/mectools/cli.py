@@ -227,6 +227,11 @@ def cmd_bench(args) -> int:
     if not args.timeout <= MAX_TIMEOUT_S:
         print("error: --timeout must be at most 1e9 seconds", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        ks = [_resolve_k(args.k_policy, n) for n in sizes]
+    except ValueError:
+        print(f"error: bad --k-policy '{args.k_policy}'", file=sys.stderr)
+        return EXIT_INPUT
     writer = csv.writer(sys.stdout)
     writer.writerow(
         [
@@ -235,12 +240,7 @@ def cmd_bench(args) -> int:
         ]
     )
     instance = 0
-    for n in sizes:
-        try:
-            k = _resolve_k(args.k_policy, n)
-        except ValueError:
-            print(f"error: bad --k-policy '{args.k_policy}'", file=sys.stderr)
-            return EXIT_INPUT
+    for n, k in zip(sizes, ks):
         for rep in range(args.reps):
             seed = args.seed + instance
             instance += 1
@@ -315,7 +315,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # the commands raise their input faults; each maps to its exit code here
     try:
         return args.func(args)
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NotChordalError as exc:

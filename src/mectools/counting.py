@@ -142,9 +142,7 @@ def fp_chains(t: CliqueTree) -> tuple[Chain, ...]:
     k = len(t.cliques)
     chains: list[Chain] = [()] * k
     clique_sets = [frozenset(c) for c in t.cliques]
-    for x in t.bfs_order():
-        if x == t.root:
-            continue
+    for x in t.order[1:]:
         cs = clique_sets[x]
         kept = [s for s in chains[t.parent[x]] if cs.issuperset(s)]
         sep = t.separators[x]
@@ -223,7 +221,7 @@ def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
         chains = fp_chains(t)
         labels = cur.labels
         cur_nodes = []
-        for idx in t.bfs_order():
+        for idx in t.order:
             clique = t.cliques[idx]
             child_keys = []
             for h in components_after_clique(cur, clique, check=False):

@@ -28,7 +28,7 @@ from .counting import (
     explore as precount,
     validate_chain,
 )
-from .graphs import Dag, PartialGraph, Uccg, orient_by_ordering, undirected_components
+from .graphs import Dag, PartialGraph, Uccg, orient_by_ordering
 
 
 class ModelMismatchError(ValueError):
@@ -156,11 +156,6 @@ def sample_amo(g: Uccg, model: SamplerModel, rng: random.Random) -> SampleResult
         raise ModelMismatchError("model was precomputed for a different graph")
     tau = tuple(g.local_of(lab) for lab in _draw_labels(model, rng))
     return SampleResult(tau, orient_by_ordering(g, tau))
-
-
-def precount_cpdag(g: PartialGraph, seed: int | None = None) -> list[SamplerModel]:
-    """One sampler model per undirected component of the CPDAG."""
-    return [precount(comp, seed) for comp in undirected_components(g)]
 
 
 def _are_components_of(g: PartialGraph, comps: Sequence[Uccg]) -> bool:

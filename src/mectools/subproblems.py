@@ -11,7 +11,6 @@ their keys pays for none.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from ._partition import refine_traversal, vertex_mask
@@ -59,10 +58,7 @@ def _emit_components(g: Uccg, blocks: list[int]) -> list[Uccg]:
 
 
 def components_after_clique(
-    g: Uccg,
-    clique: Sequence[int],
-    rng: random.Random | None = None,
-    check: bool = True,
+    g: Uccg, clique: Sequence[int], check: bool = True
 ) -> list[Uccg]:
     """Components left undirected once the clique (in any order) is fixed first.
 
@@ -74,7 +70,5 @@ def components_after_clique(
     """
     kmask = _check_clique(g, clique) if check else vertex_mask(set(clique))
     rest = ((1 << g.n) - 1) ^ kmask
-    _, records = refine_traversal(
-        g.adj, [kmask, rest], rng=rng, skip_record=kmask, masks=g.adj_masks
-    )
+    _, records = refine_traversal(g.adj, [kmask, rest], skip_record=kmask, masks=g.adj_masks)
     return _emit_components(g, records)

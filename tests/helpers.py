@@ -10,11 +10,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from mectools import (
+    CliqueTree,
     Dag,
     ParseError,
     PartialGraph,
     Uccg,
-    chordal,
     clique_tree,
     components_after_clique,
     count_amos,
@@ -565,21 +565,143 @@ def list_lbfs_order(g: Uccg, rng: random.Random | None = None) -> list[int]:
     return list_refine_traversal(g.adj, [list(range(g.n))], rng=rng)[0]
 
 
+def list_is_peo(g: Uccg, rho: Sequence[int]) -> bool:
+    """The elimination-ordering test on adjacency lists, the oracle for
+    :func:`mectools.is_peo`: each vertex's later neighbors other than the
+    earliest one ``m`` are queued on ``m`` and checked when ``m`` comes up."""
+    n = g.n
+    if sorted(rho) != list(range(n)):
+        raise ValueError("rho is not a permutation of the vertices")
+    pos = [0] * n
+    for i, v in enumerate(rho):
+        pos[v] = i
+    required: list[list[int]] = [[] for _ in range(n)]
+    for v in rho:
+        if required[v]:
+            nbr = set(g.adj[v])
+            for w in required[v]:
+                if w not in nbr:
+                    return False
+        later = [w for w in g.adj[v] if pos[w] > pos[v]]
+        if not later:
+            continue
+        m = min(later, key=pos.__getitem__)
+        req = required[m]
+        for w in later:
+            if w != m:
+                req.append(w)
+    return True
+
+
+def list_clique_tree_of_sweep(
+    g: Uccg, sweep: Sequence[int], rng: random.Random | None
+) -> CliqueTree:
+    """The clique tree of the LBFS visit order ``sweep`` built on adjacency
+    lists, the oracle for ``mectools.chordal._clique_tree_of_sweep``: run
+    flags and hit counts find where a clique closes, separators intersect
+    sets, and the tree's ``order`` is a BFS over per-clique child lists."""
+    n = g.n
+    adj = g.adj
+    pos = [0] * n
+    for i, v in enumerate(sweep):
+        pos[v] = i
+
+    cliques: list[list[int]] = [[sweep[0]]]
+    attach: list[int] = [-1]
+    run_of = [0] * n
+    in_run = bytearray(n)
+    in_run[sweep[0]] = 1
+    run_members = cliques[0]
+
+    for i in range(1, n):
+        v = sweep[i]
+        earlier = [w for w in adj[v] if pos[w] < i]
+        assert earlier, "a connected graph cannot start a component mid-sweep"
+        hits = 0
+        for w in earlier:
+            if in_run[w]:
+                hits += 1
+        if hits == len(run_members):
+            # current run extends: the clique becomes earlier-neighbors plus v
+            for w in earlier:
+                if not in_run[w]:
+                    in_run[w] = 1
+            in_run[v] = 1
+            run_members = earlier + [v]
+            cliques[-1] = run_members
+        else:
+            for w in run_members:
+                in_run[w] = 0
+            u_last = max(earlier, key=pos.__getitem__)
+            run_members = earlier + [v]
+            for w in run_members:
+                in_run[w] = 1
+            cliques.append(run_members)
+            attach.append(run_of[u_last])
+        run_of[v] = len(cliques) - 1
+
+    clique_tuples = tuple(tuple(sorted(c)) for c in cliques)
+    k = len(clique_tuples)
+
+    if rng is not None:
+        root = rng.randrange(k)
+    else:
+        root = next(i for i, c in enumerate(clique_tuples) if c[0] == 0)
+
+    tree_adj: list[list[int]] = [[] for _ in range(k)]
+    for s in range(1, k):
+        tree_adj[s].append(attach[s])
+        tree_adj[attach[s]].append(s)
+
+    parent = [-1] * k
+    parent[root] = root
+    bfs = [root]
+    i = 0
+    while i < len(bfs):
+        x = bfs[i]
+        i += 1
+        for y in tree_adj[x]:
+            if parent[y] == -1:
+                parent[y] = x
+                bfs.append(y)
+
+    separators: list[tuple[int, ...] | None] = [None] * k
+    for x in range(k):
+        if x == root:
+            continue
+        px = set(clique_tuples[parent[x]])
+        separators[x] = tuple(v for v in clique_tuples[x] if v in px)
+
+    kids: list[list[int]] = [[] for _ in range(k)]
+    for x, p in enumerate(parent):
+        if x != root:
+            kids[p].append(x)
+    tree_order = [root]
+    i = 0
+    while i < len(tree_order):
+        tree_order.extend(kids[tree_order[i]])
+        i += 1
+
+    return CliqueTree(
+        g.labels, clique_tuples, tuple(parent), root, tuple(separators), tuple(tree_order)
+    )
+
+
 def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
     """The counter's clique nodes as computed before the bitset engine, as
     ``(phi, clique, chain, child keys)`` per node: list traversals
-    throughout, and a clique tree from a full sweep for every explored graph,
-    complete ones included."""
+    throughout, and a clique tree from a full list-based sweep for every
+    explored graph, complete ones included."""
     rng = random.Random(seed) if seed is not None else None
     plans: dict = {}
     graphs = [g]
     seen = {g.key}
     while graphs:
         cur = graphs.pop()
-        t = chordal._clique_tree_of_sweep(cur, list_lbfs_order(cur, rng), rng)
+        t = list_clique_tree_of_sweep(cur, list_lbfs_order(cur, rng), rng)
         chains = fp_chains(t)
         nodes = []
-        for idx in t.bfs_order():
+        for idx in t.order:
             clique = t.cliques[idx]
             children = []
             for h in list_components_after_clique(cur, clique):

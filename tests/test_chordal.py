@@ -2,7 +2,8 @@
 
 Core claims:
     - a reversed LBFS order is a perfect elimination ordering on chordal input
-    - is_peo matches the definition checked pairwise
+    - is_peo matches the definition checked pairwise, and the list-based
+      test on chordal and non-chordal graphs
     - clique trees satisfy the induced-subtree property, enumerate exactly the
       maximal cliques, and carry the minimal separators on their edges
     - none of this depends on tie-breaking or root seeds
@@ -12,6 +13,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from mectools import (
@@ -59,6 +62,38 @@ class TestIsPeo:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             is_peo(helpers.path_graph(3), (0, 1))
+
+
+PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def graphs_with_orders(draw):
+    """A chordal graph, a cycle C4..C8, or a chordal graph with one edge
+    removed, with a random order or a reversed randomized LBFS."""
+    kind = draw(st.sampled_from(["chordal", "cycle", "edge removed"]))
+    if kind == "cycle":
+        n = draw(st.integers(4, 8))
+        g = Uccg.from_edges(range(n), helpers.cycle_edges(n), validate=False)
+    else:
+        model = draw(st.sampled_from(["peo", "subtree", "thicken", "interval"]))
+        n = draw(st.integers(1, 12))
+        g = helpers._generate(model, n, draw(st.integers(2, 3)), draw(st.integers(0, 2**16)))
+        if kind == "edge removed" and g.m:
+            gone = draw(st.sampled_from(sorted(g.edges())))
+            g = Uccg.from_edges(range(g.n), [e for e in g.edges() if e != gone], validate=False)
+    if draw(st.booleans()):
+        rho = draw(st.permutations(range(g.n)))
+    else:
+        rho = lbfs(g, rng=random.Random(draw(st.integers(0, 2**16))))[::-1]
+    return g, rho
+
+
+@PROPERTY
+@given(graphs_with_orders())
+def test_is_peo_matches_the_list_oracle(case):
+    g, rho = case
+    assert is_peo(g, rho) == helpers.list_is_peo(g, rho)
 
 
 class TestLbfs:
@@ -158,7 +193,11 @@ class TestCliqueTree:
         for g in helpers.random_chordal_corpus(25, 2, 14, seed=9):
             for rng in (None, random.Random(1), random.Random(2)):
                 t = clique_tree(g, rng=rng)
-                kids = t.children()
+                tree_nbrs = [set() for _ in t.cliques]
+                for x, p in enumerate(t.parent):
+                    if x != p:
+                        tree_nbrs[x].add(p)
+                        tree_nbrs[p].add(x)
                 for v in range(g.n):
                     holding = [i for i, c in enumerate(t.cliques) if v in c]
                     # connectivity in the tree via BFS restricted to holding
@@ -167,8 +206,7 @@ class TestCliqueTree:
                     stack = [holding[0]]
                     while stack:
                         x = stack.pop()
-                        nbrs = kids[x] + ([t.parent[x]] if x != t.root else [])
-                        for y in nbrs:
+                        for y in tree_nbrs[x]:
                             if y in hold and y not in seen:
                                 seen.add(y)
                                 stack.append(y)

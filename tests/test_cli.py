@@ -49,6 +49,15 @@ def square(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["count", "sample", "oracle"])
+def test_file_not_in_utf8_exit_1(capsys, tmp_path, command):
+    f = tmp_path / "bytes.graph"
+    f.write_bytes(b"\xff\xfe 1 0\n")
+    code, out, err = run(capsys, command, str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 class TestCount:
     def test_chain54(self, capsys, chain54):
         code, out, _ = run(capsys, "count", chain54)
@@ -300,11 +309,12 @@ class TestBench:
         assert code == 1
 
     def test_nonpositive_k_policy_exit_1(self, capsys):
-        code, out, err = run(
-            capsys, "bench", "--model", "subtree", "--sizes", "8", "--k-policy", "0"
-        )
-        assert code == 1
-        assert err == "error: bad --k-policy '0'\n"
+        for policy in ("0", "abc"):
+            code, out, err = run(
+                capsys, "bench", "--model", "subtree", "--sizes", "8", "--k-policy", policy
+            )
+            assert code == 1 and out == ""
+            assert err == f"error: bad --k-policy '{policy}'\n"
 
     @pytest.mark.parametrize("sizes", ["0..4", "-2..8", "8,0"])
     def test_nonpositive_sizes_exit_1(self, capsys, sizes):

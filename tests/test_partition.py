@@ -1,8 +1,11 @@
-"""The bitset traversal engine against the list-based oracle.
+"""The bitset traversal engine and the chordal layer against the list-based
+oracles.
 
 Core claims:
     - LBFS visit orders are identical, with lowest-index ties and with
       seeded random ties
+    - clique trees are identical in every field, their BFS order included,
+      with and without a seed
     - K-first traversals visit and record identically, so the subproblem
       step emits the same components in the same order
     - the counter's exploration plans, and so the sampler models, are
@@ -70,7 +73,7 @@ def test_k_first_records_match_the_oracle():
             for seed in (None, 0, 1):
                 rng = random.Random(seed) if seed is not None else None
                 order, records = refine_traversal(
-                    g.adj, [kmask, full ^ kmask], rng=rng, skip_record=kmask
+                    g.adj, [kmask, full ^ kmask], rng=rng, skip_record=kmask, masks=g.adj_masks
                 )
                 rng = random.Random(seed) if seed is not None else None
                 want = helpers.list_k_first_records(g, clique, rng=rng)
@@ -110,6 +113,19 @@ def test_complete_graph_is_one_plan_node():
     g = helpers.complete_graph(7)
     assert records_of(counting.explore(g))[g.key] == ((5040, g.labels, (), ()),)
     assert count_amos(g) == 5040
+
+
+def test_clique_trees_match_the_oracle():
+    for g in CORPUS:
+        for seed in (None, 0, 1, 2, 3):
+            fast = random.Random(seed) if seed is not None else None
+            swept = random.Random(seed) if seed is not None else None
+            want = helpers.list_clique_tree_of_sweep(
+                g, helpers.list_lbfs_order(g, swept), swept
+            )
+            assert clique_tree(g, rng=fast) == want
+            if seed is not None:
+                assert fast.random() == swept.random()
 
 
 def test_clique_tree_of_a_complete_graph_draws_like_its_sweep():
@@ -157,4 +173,4 @@ def test_lazy_component_equals_an_eager_one():
 def test_blocks_must_partition_the_vertices(blocks):
     g = helpers.path_graph(3)
     with pytest.raises(ValueError):
-        refine_traversal(g.adj, blocks)
+        refine_traversal(g.adj, blocks, masks=g.adj_masks)

@@ -29,7 +29,6 @@ from mectools import (
     draw_perm,
     enumerate_amos,
     precount,
-    precount_cpdag,
     sample_amo,
     sample_cpdag,
     undirected_components,
@@ -37,6 +36,12 @@ from mectools import (
 )
 from mectools.counting import ChainNotNestedError
 from mectools.sampling import ModelMismatchError
+
+
+def models_of(pg: PartialGraph) -> list:
+    """One sampler model per undirected component, in split order."""
+    return [precount(c) for c in undirected_components(pg)]
+
 
 # frozen 0.999 chi-square quantiles (53 and 35 degrees of freedom)
 CHI2_999_53 = 90.5734
@@ -216,13 +221,13 @@ class TestSampleAmo:
 class TestSampleCpdag:
     def test_fully_directed_is_returned_as_is(self):
         pg = PartialGraph.from_edges(3, [], [(0, 1), (2, 1)])
-        models = precount_cpdag(pg)
+        models = models_of(pg)
         dag = sample_cpdag(pg, models, random.Random(0))
         assert dag.edge_set() == {(0, 1), (2, 1)}
 
     def test_directed_edges_kept_undirected_oriented(self):
         pg = PartialGraph.from_edges(4, [(2, 3)], [(0, 1)])
-        models = precount_cpdag(pg)
+        models = models_of(pg)
         rng = random.Random(8)
         seen = Counter()
         for _ in range(2000):
@@ -237,7 +242,7 @@ class TestSampleCpdag:
         pg = PartialGraph.from_edges(
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
         )
-        models = precount_cpdag(pg)
+        models = models_of(pg)
         rng = random.Random(9)
         draws = 36000
         counts = Counter(
@@ -266,7 +271,7 @@ class TestSampleCpdag:
         pg = PartialGraph.from_edges(3, [(0, 1), (1, 2)])
         other = PartialGraph.from_edges(3, [(0, 1)])
         with pytest.raises(ModelMismatchError):
-            sample_cpdag(pg, precount_cpdag(other), random.Random(0))
+            sample_cpdag(pg, models_of(other), random.Random(0))
 
 
 def test_one_dag_draw_equals_the_per_component_assembly():
@@ -289,15 +294,15 @@ def test_default_path_rejects_models_of_other_components():
     # components {0, 1, 2}, {3, 4} and the singleton {5}
     pg = PartialGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)], [(2, 5)])
     path = PartialGraph.from_edges(6, [(0, 1), (1, 2), (3, 4)], [(2, 5)])
-    models = precount_cpdag(pg)
+    models = models_of(pg)
     many = helpers.many_component_cpdag(5)
     cases = {
         "reordered": models[::-1],
         "neighbours swapped": [models[1], models[0], models[2]],
         "missing singleton": models[:2],
         "one model too many": models + models[2:],
-        "same labels, other edges": precount_cpdag(path),
-        "other graph": precount_cpdag(many),
+        "same labels, other edges": models_of(path),
+        "other graph": models_of(many),
     }
     for wrong in cases.values():
         with pytest.raises(ModelMismatchError):
@@ -306,4 +311,4 @@ def test_default_path_rejects_models_of_other_components():
         with pytest.raises(ModelMismatchError):
             sample_cpdag(other, models, random.Random(0))
     with pytest.raises(ModelMismatchError):
-        sample_cpdag(many, precount_cpdag(helpers.many_component_cpdag(6)), random.Random(0))
+        sample_cpdag(many, models_of(helpers.many_component_cpdag(6)), random.Random(0))

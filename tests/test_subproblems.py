@@ -10,6 +10,7 @@ Core claims:
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,8 @@ from mectools import (
     components_after_clique,
     is_chordal,
 )
+from mectools._partition import refine_traversal, vertex_mask
+from mectools.subproblems import _emit_components
 
 
 def as_label_sets(comps):
@@ -66,19 +69,20 @@ class TestComponentsAfterClique:
                     assert is_chordal(c)
 
     def test_tie_break_invariance(self):
-        import random
-
         for g in helpers.random_chordal_corpus(10, 3, 10, seed=47):
+            full = (1 << g.n) - 1
             for clique in helpers.brute_maximal_cliques(g):
                 base = as_label_sets(components_after_clique(g, sorted(clique)))
+                kmask = vertex_mask(clique)
                 for seed in range(5):
-                    rng = random.Random(seed)
-                    assert (
-                        as_label_sets(
-                            components_after_clique(g, sorted(clique), rng=rng)
-                        )
-                        == base
+                    _, records = refine_traversal(
+                        g.adj,
+                        [kmask, full ^ kmask],
+                        rng=random.Random(seed),
+                        skip_record=kmask,
+                        masks=g.adj_masks,
                     )
+                    assert as_label_sets(_emit_components(g, records)) == base
 
 
 class TestComponentsAfterPermutation:
