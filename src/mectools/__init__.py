@@ -39,7 +39,6 @@ from .oracle import (
 )
 from .sampling import (
     ModelMismatchError,
-    SampleResult,
     SamplerModel,
     draw_clique,
     draw_perm,
@@ -63,7 +62,6 @@ __all__ = [
     "NotCliqueError",
     "ParseError",
     "PartialGraph",
-    "SampleResult",
     "SamplerModel",
     "SetTooLargeError",
     "TooLargeError",

@@ -194,17 +194,20 @@ def _count_with_timeout(g, budget: float) -> tuple[float, int | None]:
         raise _Timeout
 
     old = signal.signal(signal.SIGALRM, handler)
-    signal.setitimer(signal.ITIMER_REAL, budget)
     start = time.perf_counter()
+    # the alarm is armed and disarmed inside the try, so an alarm that lands
+    # at either end is a timeout too
     try:
-        value = counting.count_cpdag(g)
-        elapsed = time.perf_counter() - start
-        return elapsed, value
+        try:
+            signal.setitimer(signal.ITIMER_REAL, budget)
+            value = counting.count_cpdag(g)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
     except _Timeout:
-        return time.perf_counter() - start, None
+        value = None
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old)
+    return time.perf_counter() - start, value
 
 
 def cmd_bench(args) -> int:

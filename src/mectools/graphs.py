@@ -237,7 +237,7 @@ class Uccg:
     then, so a subgraph that is only looked up by key never builds either.
     """
 
-    __slots__ = ("labels", "_adj", "_masks", "_local", "_source")
+    __slots__ = ("labels", "_adj", "_masks", "_source")
 
     def __init__(
         self,
@@ -248,7 +248,6 @@ class Uccg:
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_masks", None)
-        object.__setattr__(self, "_local", None)
         object.__setattr__(self, "_source", None)
         if validate:
             self._validate()
@@ -263,7 +262,6 @@ class Uccg:
         setter(self, "labels", tuple(map(parent.labels.__getitem__, verts)))
         setter(self, "_adj", None)
         setter(self, "_masks", None)
-        setter(self, "_local", None)
         setter(self, "_source", (parent.adj_masks, verts, sub))
         return self
 
@@ -327,13 +325,6 @@ class Uccg:
     @property
     def key(self) -> tuple[int, ...]:
         return self.labels
-
-    def local_of(self, label: int) -> int:
-        lookup = self._local
-        if lookup is None:
-            lookup = {lab: i for i, lab in enumerate(self.labels)}
-            object.__setattr__(self, "_local", lookup)
-        return lookup[label]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -516,18 +507,27 @@ class Dag:
         return "\n".join(lines) + "\n"
 
 
-def orient_by_ordering(g: Uccg, tau: Sequence[int]) -> Dag:
-    """Orient every edge of ``g`` from the earlier to the later vertex of ``tau``.
+def orient_by_ordering(g: PartialGraph, tau: Sequence[int]) -> Dag:
+    """Keep ``g``'s directed edges and point every undirected edge from the
+    earlier to the later end of ``tau``.
 
-    ``tau`` must be a permutation of the local vertices.  The result is
-    acyclic by construction and has the same skeleton as ``g``.
+    ``tau`` must be a permutation of all of ``g``'s vertices; that is checked
+    in the pass that records each vertex's position.  The result is built
+    with :class:`Dag`'s own acyclicity check.
     """
-    if sorted(tau) != list(range(g.n)):
+    n = g.n
+    if len(tau) != n:
         raise ValueError("tau is not a permutation of the vertices")
-    pos = [0] * g.n
+    pos = [-1] * n
     for i, v in enumerate(tau):
+        if not 0 <= v < n or pos[v] >= 0:
+            raise ValueError("tau is not a permutation of the vertices")
         pos[v] = i
-    out = []
-    for u in range(g.n):
-        out.append(tuple(v for v in g.adj[u] if pos[u] < pos[v]))
-    return Dag(g.n, tuple(out))
+    und = g.undirected
+    heads = list(g.directed_out)
+    for u in range(n):
+        pu = pos[u]
+        later = tuple(w for w in und[u] if pos[w] > pu)
+        if later:
+            heads[u] = tuple(sorted(heads[u] + later)) if heads[u] else later
+    return Dag(n, tuple(heads))

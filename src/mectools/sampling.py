@@ -9,15 +9,15 @@ recurse on the components.  All weights are exact big integers; clique draws use
 sums with binary search rather than a real-valued alias table, which would
 lose exactness to rounding.  Random numbers come from a caller-supplied
 ``random.Random`` (Mersenne Twister), so fixed seeds reproduce exact sample
-sequences.  A CPDAG draw orients every component straight from its drawn
-ordering and builds one DAG.
+sequences.  Every draw is a topological ordering, one drawn per undirected
+component and concatenated; :func:`~mectools.graphs.orient_by_ordering` turns
+it into the DAG.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .counting import (
@@ -33,15 +33,6 @@ from .graphs import Dag, PartialGraph, Uccg, orient_by_ordering
 
 class ModelMismatchError(ValueError):
     """The sampler model was not built for the graph it is used with."""
-
-
-@dataclass(frozen=True)
-class SampleResult:
-    """A sampled orientation: the drawn topological ordering (local vertices)
-    and the DAG it induces."""
-
-    tau: tuple[int, ...]
-    dag: Dag
 
 
 def draw_clique(model: SamplerModel, key: Key, rng: random.Random) -> CliqueRecord:
@@ -150,12 +141,14 @@ def _draw_labels(model: SamplerModel, rng: random.Random) -> list[int]:
     return tau
 
 
-def sample_amo(g: Uccg, model: SamplerModel, rng: random.Random) -> SampleResult:
-    """Draw one orientation of ``g`` uniformly among its AMOs."""
+def sample_amo(g: Uccg, model: SamplerModel, rng: random.Random) -> Dag:
+    """Draw one orientation of ``g`` uniformly among its AMOs, on ``g``'s
+    local vertices."""
     if model.root is not g and model.root != g:
         raise ModelMismatchError("model was precomputed for a different graph")
-    tau = tuple(g.local_of(lab) for lab in _draw_labels(model, rng))
-    return SampleResult(tau, orient_by_ordering(g, tau))
+    local = {lab: i for i, lab in enumerate(g.labels)}
+    tau = [local[lab] for lab in _draw_labels(model, rng)]
+    return orient_by_ordering(g.as_partial_graph(), tau)
 
 
 def _are_components_of(g: PartialGraph, comps: Sequence[Uccg]) -> bool:
@@ -186,15 +179,14 @@ def sample_cpdag(
     """Uniform member of the Markov equivalence class represented by ``g``.
 
     Keeps the directed edges and orients every undirected component with an
-    independently drawn AMO: each undirected edge points from the earlier
-    to the later end of its component's drawn ordering.  The components are
-    the models' roots, checked against ``g``.  A caller that passes
-    ``_components``, the split it built the models from, has each model
-    checked against its component only.
+    independently drawn AMO: the components' drawn orderings, concatenated
+    in model order, go to :func:`~mectools.graphs.orient_by_ordering`.  The
+    components are the models' roots, checked against ``g``.  A caller that
+    passes ``_components``, the split it built the models from, has each
+    model checked against its component only.
     """
     if _components is None:
-        comps = [m.root for m in models]
-        ok = _are_components_of(g, comps)
+        ok = _are_components_of(g, [m.root for m in models])
     else:
         comps = list(_components)
         ok = len(models) == len(comps) and all(
@@ -202,15 +194,7 @@ def sample_cpdag(
         )
     if not ok:
         raise ModelMismatchError("models do not match the undirected components")
-    und = g.undirected
-    heads = list(g.directed_out)
-    pos = [0] * g.n
-    for comp, model in zip(comps, models):
-        for i, v in enumerate(_draw_labels(model, rng)):
-            pos[v] = i
-        for u in comp.labels:
-            pu = pos[u]
-            later = tuple(w for w in und[u] if pos[w] > pu)
-            if later:
-                heads[u] = tuple(sorted(heads[u] + later))
-    return Dag(g.n, tuple(heads))
+    tau: list[int] = []
+    for model in models:
+        tau += _draw_labels(model, rng)
+    return orient_by_ordering(g, tau)

@@ -20,7 +20,6 @@ from mectools import (
     count_amos,
     enumerate_amos,
     fp_chains,
-    orient_by_ordering,
     phi_chain,
     phi_naive,
 )
@@ -28,7 +27,7 @@ from mectools._partition import vertex_mask
 from mectools.counting import _phi_sizes, validate_chain
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.graphs import _connected
-from mectools.sampling import SamplerModel, perm_step_weights, sample_amo
+from mectools.sampling import SamplerModel, _draw_labels, perm_step_weights
 from mectools.subproblems import _check_clique
 
 
@@ -274,10 +273,49 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
 
     dist: dict[frozenset, Fraction] = {}
     for tau_labels, prob in key_paths(g.key):
-        tau = tuple(g.local_of(lab) for lab in tau_labels)
-        edges = orient_by_ordering(g, tau).edge_set()
+        tau = tuple(g.labels.index(lab) for lab in tau_labels)
+        edges = uccg_orient_by_ordering(g, tau).edge_set()
         dist[edges] = dist.get(edges, Fraction(0)) + prob
     return dist
+
+
+# --- orientation oracles ----------------------------------------------------
+
+
+def uccg_orient_by_ordering(g: Uccg, tau: Sequence[int]) -> Dag:
+    """Orient every edge of ``g`` from the earlier to the later vertex of
+    ``tau``, a permutation of the local vertices; the reference for
+    :func:`mectools.orient_by_ordering` on one component."""
+    if sorted(tau) != list(range(g.n)):
+        raise ValueError("tau is not a permutation of the vertices")
+    pos = [0] * g.n
+    for i, v in enumerate(tau):
+        pos[v] = i
+    out = []
+    for u in range(g.n):
+        out.append(tuple(v for v in g.adj[u] if pos[u] < pos[v]))
+    return Dag(g.n, tuple(out))
+
+
+def kahn_acyclic(n: int, edges) -> bool:
+    """True iff the directed graph on ``range(n)`` with ``edges`` has no
+    directed cycle, by Kahn's algorithm on its own adjacency (independent of
+    :class:`Dag`'s check)."""
+    heads: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in edges:
+        heads[u].append(v)
+        indeg[v] += 1
+    ready = [u for u in range(n) if indeg[u] == 0]
+    seen = 0
+    while ready:
+        u = ready.pop()
+        seen += 1
+        for v in heads[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return seen == n
 
 
 # --- table-based permutation draw, the sampler's former path ---------------
@@ -722,7 +760,7 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
 def induced_subgraph(g: Uccg, vs) -> Uccg:
     """Induced subgraph of ``g`` on the global labels ``vs``, which the caller
     guarantees to be connected."""
-    out = Uccg._induced(g, vertex_mask({g.local_of(lab) for lab in vs}))
+    out = Uccg._induced(g, vertex_mask({g.labels.index(lab) for lab in vs}))
     assert _connected(out.adj, range(out.n)), "induced subgraph must be connected"
     return out
 
@@ -730,12 +768,13 @@ def induced_subgraph(g: Uccg, vs) -> Uccg:
 def sample_cpdag_by_components(
     g: PartialGraph, models: Sequence[SamplerModel], comps: Sequence[Uccg], rng
 ) -> Dag:
-    """A CPDAG draw assembled from one :func:`sample_amo` DAG per component,
-    re-labelled and merged edge by edge."""
+    """A CPDAG draw assembled from one :func:`uccg_orient_by_ordering` DAG
+    per component, re-labelled and merged edge by edge."""
     out: list[set[int]] = [set(a) for a in g.directed_out]
     for comp, model in zip(comps, models):
         labels = comp.labels
-        for u, v in sample_amo(comp, model, rng).dag.edges():
+        tau = [labels.index(lab) for lab in _draw_labels(model, rng)]
+        for u, v in uccg_orient_by_ordering(comp, tau).edges():
             out[labels[u]].add(labels[v])
     return Dag(g.n, tuple(tuple(sorted(s)) for s in out))
 

@@ -237,7 +237,7 @@ class TestCliqueTree:
             assert len(seps) == len(t.cliques) - 1
             nbr = [set(a) for a in g.adj]
             for sep in seps:
-                local = [g.local_of(lab) for lab in sep]
+                local = [g.labels.index(lab) for lab in sep]
                 for a, b in itertools.combinations(local, 2):
                     assert b in nbr[a]
 
@@ -245,7 +245,7 @@ class TestCliqueTree:
         for g in helpers.random_chordal_corpus(20, 2, 7, seed=37):
             t = clique_tree(g)
             found = {
-                frozenset(g.local_of(lab) for lab in sep)
+                frozenset(g.labels.index(lab) for lab in sep)
                 for sep in minimal_separators(t)
             }
             assert found == helpers.brute_minimal_separators(g)

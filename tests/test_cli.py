@@ -2,7 +2,8 @@
 
 Core claims:
     - count prints the decimal class size; --stats adds key=value diagnostics
-      on stderr
+      on stderr; the README's format example is a CPDAG whose class size
+      matches a brute-force enumeration
     - sample emits valid, seed-deterministic DAG files
     - gen writes a parseable connected chordal graph and reports shape stats
     - oracle enforces its size guards with exit code 3
@@ -12,8 +13,10 @@ Core claims:
 
 import csv
 import io
+import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +61,62 @@ def test_file_not_in_utf8_exit_1(capsys, tmp_path, command):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def readme_format_example() -> str:
+    """The graph file in the README's "Graph file format" section."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Graph file format", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def brute_force_class(g: PartialGraph) -> list[frozenset]:
+    """Edge sets of the DAGs on ``g``'s skeleton whose v-structures are
+    exactly those of ``g``'s directed edges, found by trying every
+    orientation.  If ``g`` is a CPDAG, these are the members of its class
+    (Verma & Pearl: same skeleton, same v-structures)."""
+    pairs = list(g.undirected_edges()) + list(g.directed_edges())
+    adjacent = {frozenset(p) for p in pairs}
+
+    def v_structures(edges):
+        return {
+            (a, c, b)
+            for (a, c), (b, d) in itertools.permutations(edges, 2)
+            if c == d and a < b and frozenset((a, b)) not in adjacent
+        }
+
+    want = v_structures(list(g.directed_edges()))
+    members = []
+    for flips in itertools.product((False, True), repeat=len(pairs)):
+        edges = [(v, u) if f else (u, v) for (u, v), f in zip(pairs, flips)]
+        if helpers.kahn_acyclic(g.n, edges) and v_structures(edges) == want:
+            members.append(frozenset(edges))
+    return members
+
+
 class TestCount:
+    def test_readme_format_example_is_a_cpdag_of_its_class(self, capsys, tmp_path):
+        text = readme_format_example()
+        g = parse_graph(text)
+        members = brute_force_class(g)
+        # a CPDAG marks exactly the edges that point the same way in every
+        # member: its directed edges are kept, its undirected ones vary
+        for u, v in g.directed_edges():
+            assert all((u, v) in m for m in members)
+        for u, v in g.undirected_edges():
+            assert any((u, v) in m for m in members)
+            assert any((v, u) in m for m in members)
+        f = tmp_path / "example.graph"
+        f.write_text(text)
+        code, out, err = run(capsys, "count", str(f))
+        assert code == 0 and err == ""
+        assert out == f"{len(members)}\n" == "3\n"
+
+    def test_former_readme_example_is_not_a_cpdag(self):
+        # the path 1 - 2 - 3 with 4 -> 3: three of the four members of its
+        # class point 3 -> 4, so a CPDAG would leave that edge undirected
+        members = brute_force_class(parse_graph("4 2 1\n1 2\n2 3\n4 3\n"))
+        assert len(members) == 4
+        assert sum((2, 3) in m for m in members) == 3
+
     def test_chain54(self, capsys, chain54):
         code, out, _ = run(capsys, "count", chain54)
         assert code == 0
@@ -299,6 +357,19 @@ class TestBench:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1][10] == "timeout"
         assert rows[1][8] == ""
+
+    @pytest.mark.parametrize("timeout", ["1e-6", "1e-5"])
+    def test_alarm_at_either_end_of_a_count_is_a_timeout(self, capsys, timeout):
+        # an alarm this short can land while it is armed or disarmed
+        code, out, err = run(
+            capsys, "bench", "--model", "subtree", "--sizes", "2,3",
+            "--reps", "5", "--timeout", timeout,
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == self.HEADER
+        assert len(rows) == 1 + 10
+        assert {row[10] for row in rows[1:]} <= {"ok", "timeout"}
 
     def test_unknown_model_exit_1(self, capsys):
         code, _, _ = run(capsys, "bench", "--model", "nosuch", "--sizes", "8")

@@ -6,8 +6,9 @@ Core claims:
     - the undirected components partition the undirected subgraph and are
       validated chordal
     - induced subgraphs keep global labels
-    - orienting by an ordering always yields an acyclic DAG with the input's
-      skeleton
+    - orienting by an ordering keeps the directed edges, points every
+      undirected edge forward, and yields an acyclic DAG with the input's
+      skeleton; an ordering that is not a permutation is rejected
 """
 
 import random
@@ -194,18 +195,18 @@ class TestInducedSubgraph:
 
 class TestOrientByOrdering:
     def test_path_oriented_outward(self):
-        g = helpers.path_graph(3)
+        g = helpers.path_graph(3).as_partial_graph()
         dag = orient_by_ordering(g, (1, 0, 2))
         assert dag.edge_set() == {(1, 0), (1, 2)}
 
     def test_triangle_linear(self):
-        g = helpers.complete_graph(3)
+        g = helpers.complete_graph(3).as_partial_graph()
         dag = orient_by_ordering(g, (0, 1, 2))
         assert dag.edge_set() == {(0, 1), (0, 2), (1, 2)}
 
     def test_seven_vertex_clique_first_ordering(self):
         # fixing the big clique as 3,2,1,0 forces everything else outward
-        g = helpers.clique_chain_7()
+        g = helpers.clique_chain_7().as_partial_graph()
         dag = orient_by_ordering(g, (3, 2, 1, 0, 4, 5, 6))
         assert dag.edge_set() == {
             (3, 0), (3, 1), (3, 2), (3, 4), (3, 5),
@@ -214,17 +215,49 @@ class TestOrientByOrdering:
         }
         assert v_structures(dag) == set()
 
+    def test_directed_edges_are_kept(self):
+        # directed edges stay even where tau puts the head first: a draw
+        # concatenates per-component orderings, which ignore them
+        g = PartialGraph.from_edges(5, [(2, 3), (3, 4)], [(0, 2), (1, 2), (2, 4)])
+        dag = orient_by_ordering(g, (3, 4, 2, 1, 0))
+        assert dag.edge_set() == {(0, 2), (1, 2), (2, 4), (3, 2), (3, 4)}
+        # a tail's undirected heads merge with its directed ones, sorted
+        g = PartialGraph.from_edges(4, [(1, 0), (1, 3)], [(1, 2)])
+        assert orient_by_ordering(g, (1, 0, 2, 3)).out_edges[1] == (0, 2, 3)
+
+    def test_directed_cycle_is_rejected(self):
+        g = PartialGraph.from_edges(3, [], [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValueError, match="cycle"):
+            orient_by_ordering(g, (0, 1, 2))
+
     def test_not_a_permutation(self):
-        g = helpers.path_graph(3)
-        with pytest.raises(ValueError):
-            orient_by_ordering(g, (0, 0, 2))
+        g = helpers.path_graph(3).as_partial_graph()
+        cases = {
+            "duplicate": (0, 0, 2),
+            "out of range": (0, 1, 3),
+            "negative": (0, -1, 2),
+            "negative alias of a missing vertex": (-3, 1, 2),
+            "too short": (0, 1),
+            "too long": (0, 1, 2, 0),
+            "too long, in range": (0, 1, 2, 3),
+        }
+        accepted = []
+        for name, tau in cases.items():
+            try:
+                orient_by_ordering(g, tau)
+                accepted.append(name)
+            except ValueError as exc:
+                assert "permutation" in str(exc), name
+        assert accepted == []
 
     def test_skeleton_and_acyclicity_random(self):
         rng = random.Random(3)
         for g in helpers.random_chordal_corpus(20, 2, 9, seed=21):
             tau = list(range(g.n))
             rng.shuffle(tau)
-            dag = orient_by_ordering(g, tau)  # Dag construction checks acyclicity
+            dag = orient_by_ordering(g.as_partial_graph(), tau)
+            assert dag == helpers.uccg_orient_by_ordering(g, tau)
+            assert helpers.kahn_acyclic(dag.n, dag.edges())
             assert dag.skeleton() == frozenset(g.edges())
 
 

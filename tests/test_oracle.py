@@ -31,9 +31,10 @@ from mectools.oracle import TooLargeError
 
 def amos_by_definition(g):
     """Filter every permutation-induced orientation for morality."""
+    pg = g.as_partial_graph()
     out = set()
     for perm in itertools.permutations(range(g.n)):
-        dag = orient_by_ordering(g, perm)
+        dag = orient_by_ordering(pg, perm)
         if not v_structures(dag):
             out.add(dag.edge_set())
     return out
@@ -119,12 +120,12 @@ class TestTopologicalOrderings:
 
     def test_fully_ordered_path(self):
         g = helpers.path_graph(4)
-        dag = orient_by_ordering(g, (0, 1, 2, 3))
+        dag = orient_by_ordering(g.as_partial_graph(), (0, 1, 2, 3))
         assert topological_orderings_of_amo(g, dag) == [(0, 1, 2, 3)]
 
     def test_oriented_triangle_single_ordering(self):
         g = helpers.complete_graph(3)
-        dag = orient_by_ordering(g, (0, 1, 2))
+        dag = orient_by_ordering(g.as_partial_graph(), (0, 1, 2))
         assert topological_orderings_of_amo(g, dag) == [(0, 1, 2)]
 
     def test_mismatched_skeleton_rejected(self):
@@ -136,7 +137,9 @@ class TestTopologicalOrderings:
     def test_size_guard(self):
         g = helpers.path_graph(11)
         with pytest.raises(TooLargeError):
-            topological_orderings_of_amo(g, orient_by_ordering(g, tuple(range(11))))
+            topological_orderings_of_amo(
+                g, orient_by_ordering(g.as_partial_graph(), tuple(range(11)))
+            )
 
 
 class TestOrderingProperties:
@@ -168,7 +171,7 @@ class TestOrderingProperties:
             cliques = {frozenset(c) for c in t.cliques}
             candidates = set(cliques)
             candidates.update(
-                frozenset(g.local_of(lab) for lab in sep)
+                frozenset(g.labels.index(lab) for lab in sep)
                 for sep in minimal_separators(t)
             )
             for dag in enumerate_amos(g):

@@ -4,14 +4,17 @@ Core claims:
     - precount records clique weights summing to the orientation count
     - draw_clique realizes exact weight/total probabilities
     - draw_perm is uniform over the admissible permutations
-    - sample_amo yields valid orientations (skeleton preserved, acyclic, no
-      v-structures) with exactly uniform probabilities, verified symbolically
-      on small graphs and statistically on the 54-orientation graph
+    - sample_amo yields valid orientations (skeleton preserved, acyclic by an
+      independent Kahn check, no v-structures) with exactly uniform
+      probabilities, verified symbolically on small graphs and statistically
+      on the 54-orientation graph
+    - every CPDAG draw passes the independent Kahn check
     - identical seeds reproduce identical sample sequences
     - a CPDAG draw built as one DAG equals the per-component assembly, draw
       for draw, with the same seed, with and without ``_components``
     - without ``_components``, models that are not exactly the CPDAG's
       undirected components, in order, are rejected
+    - with ``_components``, a split that misses vertices is rejected
 """
 
 import itertools
@@ -41,6 +44,12 @@ from mectools.sampling import ModelMismatchError
 def models_of(pg: PartialGraph) -> list:
     """One sampler model per undirected component, in split order."""
     return [precount(c) for c in undirected_components(pg)]
+
+
+def assert_acyclic(n: int, edge_sets) -> None:
+    """Every edge set, on vertices ``range(n)``, passes the Kahn oracle."""
+    for edges in edge_sets:
+        assert helpers.kahn_acyclic(n, edges)
 
 
 # frozen 0.999 chi-square quantiles (53 and 35 degrees of freedom)
@@ -152,9 +161,8 @@ class TestSampleAmo:
         g = helpers.path_graph(2)
         model = precount(g)
         rng = random.Random(5)
-        counts = Counter(
-            sample_amo(g, model, rng).dag.edge_set() for _ in range(4000)
-        )
+        counts = Counter(sample_amo(g, model, rng).edge_set() for _ in range(4000))
+        assert_acyclic(g.n, counts)
         assert set(counts) == {frozenset({(0, 1)}), frozenset({(1, 0)})}
         assert abs(counts[frozenset({(0, 1)})] / 4000 - 0.5) < 0.05
 
@@ -162,9 +170,8 @@ class TestSampleAmo:
         g = helpers.path_graph(3)
         model = precount(g)
         rng = random.Random(6)
-        counts = Counter(
-            sample_amo(g, model, rng).dag.edge_set() for _ in range(9000)
-        )
+        counts = Counter(sample_amo(g, model, rng).edge_set() for _ in range(9000))
+        assert_acyclic(g.n, counts)
         assert len(counts) == 3
         for c in counts.values():
             assert abs(c / 9000 - 1 / 3) < 0.03
@@ -174,10 +181,10 @@ class TestSampleAmo:
         for g in helpers.random_chordal_corpus(15, 2, 12, seed=131):
             model = precount(g)
             for _ in range(20):
-                res = sample_amo(g, model, rng)
-                assert sorted(res.tau) == list(range(g.n))
-                assert res.dag.skeleton() == frozenset(g.edges())
-                assert v_structures(res.dag) == set()
+                dag = sample_amo(g, model, rng)
+                assert helpers.kahn_acyclic(g.n, dag.edges())
+                assert dag.skeleton() == frozenset(g.edges())
+                assert v_structures(dag) == set()
 
     def test_statistical_uniformity_54(self):
         g = helpers.three_clique_chain()
@@ -186,9 +193,8 @@ class TestSampleAmo:
         model = precount(g)
         rng = random.Random(20210)
         draws = 54000
-        counts = Counter(
-            sample_amo(g, model, rng).dag.edge_set() for _ in range(draws)
-        )
+        counts = Counter(sample_amo(g, model, rng).edge_set() for _ in range(draws))
+        assert_acyclic(g.n, counts)
         assert set(counts) == expected
         mean = draws / 54
         chi2 = sum((c - mean) ** 2 / mean for c in counts.values())
@@ -209,7 +215,7 @@ class TestSampleAmo:
         runs = []
         for _ in range(2):
             rng = random.Random(424242)
-            runs.append([sample_amo(g, model, rng).tau for _ in range(50)])
+            runs.append([sample_amo(g, model, rng) for _ in range(50)])
         assert runs[0] == runs[1]
 
     def test_model_mismatch(self):
@@ -223,6 +229,7 @@ class TestSampleCpdag:
         pg = PartialGraph.from_edges(3, [], [(0, 1), (2, 1)])
         models = models_of(pg)
         dag = sample_cpdag(pg, models, random.Random(0))
+        assert helpers.kahn_acyclic(pg.n, dag.edges())
         assert dag.edge_set() == {(0, 1), (2, 1)}
 
     def test_directed_edges_kept_undirected_oriented(self):
@@ -234,6 +241,7 @@ class TestSampleCpdag:
             dag = sample_cpdag(pg, models, rng)
             assert (0, 1) in dag.edge_set()
             seen[dag.edge_set()] += 1
+        assert_acyclic(pg.n, seen)
         assert len(seen) == 2
         for c in seen.values():
             assert abs(c / 2000 - 0.5) < 0.06
@@ -245,9 +253,8 @@ class TestSampleCpdag:
         models = models_of(pg)
         rng = random.Random(9)
         draws = 36000
-        counts = Counter(
-            sample_cpdag(pg, models, rng).edge_set() for _ in range(draws)
-        )
+        counts = Counter(sample_cpdag(pg, models, rng).edge_set() for _ in range(draws))
+        assert_acyclic(pg.n, counts)
         assert len(counts) == 36
         mean = draws / 36
         chi2 = sum((c - mean) ** 2 / mean for c in counts.values())
@@ -265,6 +272,7 @@ class TestSampleCpdag:
                 adjacency[v].add(u)
         for _ in range(50):
             dag = sample_cpdag(pg, models, rng, _components=comps)
+            assert helpers.kahn_acyclic(pg.n, dag.edges())
             assert v_structures(dag, adjacency) == {(0, 2, 1)}
 
     def test_model_component_mismatch(self):
@@ -272,6 +280,15 @@ class TestSampleCpdag:
         other = PartialGraph.from_edges(3, [(0, 1)])
         with pytest.raises(ModelMismatchError):
             sample_cpdag(pg, models_of(other), random.Random(0))
+
+    def test_components_that_miss_vertices_are_rejected(self):
+        # a trusted split is checked against its models only; the ordering
+        # it yields then misses vertices, which orient_by_ordering rejects
+        pg = PartialGraph.from_edges(5, [(0, 1), (3, 4)], [(1, 2)])
+        comps = undirected_components(pg)
+        models = [precount(c) for c in comps]
+        with pytest.raises(ValueError, match="permutation"):
+            sample_cpdag(pg, models[:-1], random.Random(0), _components=comps[:-1])
 
 
 def test_one_dag_draw_equals_the_per_component_assembly():
@@ -282,8 +299,9 @@ def test_one_dag_draw_equals_the_per_component_assembly():
         models = [precount(c) for c in comps]
         fast, slow = random.Random(seed), random.Random(seed)
         for _ in range(25):
-            want = helpers.sample_cpdag_by_components(pg, models, comps, slow)
-            assert sample_cpdag(pg, models, fast, _components=comps) == want
+            got = sample_cpdag(pg, models, fast, _components=comps)
+            assert got == helpers.sample_cpdag_by_components(pg, models, comps, slow)
+            assert helpers.kahn_acyclic(pg.n, got.edges())
             assert sample_cpdag(pg, models, fast) == helpers.sample_cpdag_by_components(
                 pg, models, comps, slow
             )
