@@ -6,18 +6,16 @@ clique-tree based algorithm in polynomial time and sampled uniformly after a
 precomputation pass.
 """
 
-from .chordal import CliqueTree, clique_tree, is_chordal, is_peo, lbfs, minimal_separators
+from .chordal import CliqueTree, clique_tree, is_chordal, is_peo, lbfs
 from .counting import (
     ChainElementNotProperSubsetError,
     ChainNotNestedError,
     CountStats,
-    SetTooLargeError,
     count_amos,
     count_cpdag,
     count_with_stats,
     fp_chains,
     phi_chain,
-    phi_naive,
 )
 from .generators import GenerationError, gen_interval, gen_peo, gen_subtree, gen_thicken
 from .graphs import (
@@ -63,7 +61,6 @@ __all__ = [
     "ParseError",
     "PartialGraph",
     "SamplerModel",
-    "SetTooLargeError",
     "TooLargeError",
     "Uccg",
     "clique_tree",
@@ -83,11 +80,9 @@ __all__ = [
     "is_chordal",
     "is_peo",
     "lbfs",
-    "minimal_separators",
     "orient_by_ordering",
     "parse_graph",
     "phi_chain",
-    "phi_naive",
     "precount",
     "sample_amo",
     "sample_cpdag",

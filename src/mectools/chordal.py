@@ -1,4 +1,4 @@
-"""Lexicographic BFS, elimination orderings, clique trees, minimal separators."""
+"""Lexicographic BFS, elimination orderings and clique trees."""
 
 from __future__ import annotations
 
@@ -160,17 +160,3 @@ def _clique_tree_of_sweep(
     )
     clique_tuples = tuple(tuple(mask_bits(c)) for c in cliques)
     return CliqueTree(g.labels, clique_tuples, tuple(parent), root, separators, tuple(bfs))
-
-
-def minimal_separators(t: CliqueTree) -> list[tuple[int, ...]]:
-    """The per-edge clique intersections of the tree, as global label tuples.
-
-    Returned as a multiset (one entry per tree edge); the deduplicated set is
-    exactly the set of minimal separators of the underlying graph.
-    """
-    out = []
-    for x in range(len(t.cliques)):
-        sep = t.separators[x]
-        if sep is not None:
-            out.append(tuple(t.labels[v] for v in sep))
-    return out

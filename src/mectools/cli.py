@@ -29,10 +29,10 @@ MAX_TIMEOUT_S = 1e9  # largest bench --timeout, in seconds
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the interface reserves 2 for
-    # non-chordal inputs, so remap
+    # non-chordal inputs, so remap, keeping argparse's usage and error lines
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _read_graph(path: str):

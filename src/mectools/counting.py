@@ -13,7 +13,6 @@ from its records.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
@@ -32,10 +31,6 @@ class ChainNotNestedError(ValueError):
 
 class ChainElementNotProperSubsetError(ValueError):
     """A chain element is not a proper subset of the ground set."""
-
-
-class SetTooLargeError(ValueError):
-    """The ground set exceeds the enumeration limit."""
 
 
 _FACT = [1]
@@ -96,40 +91,6 @@ def phi_chain(s: Iterable[int], chain: Iterable[Iterable[int]]) -> int:
     ground = frozenset(s)
     validated = validate_chain(ground, chain)
     return _phi_sizes(len(ground), [len(x) for x in validated])
-
-
-def phi_naive(s: Iterable[int], collection: Iterable[Iterable[int]]) -> int:
-    """Count permutations of ``s`` avoiding every set in ``collection`` as a
-    prefix, by direct enumeration.  Oracle-grade: limited to |s| <= 10."""
-    items = sorted(set(s))
-    n = len(items)
-    if n > 10:
-        raise SetTooLargeError("naive enumeration is limited to 10 elements")
-    ground = frozenset(items)
-    by_len: dict[int, set[frozenset]] = {}
-    for r in collection:
-        fr = frozenset(r)
-        if not fr <= ground:
-            continue
-        by_len.setdefault(len(fr), set()).add(fr)
-    if 0 in by_len:
-        return 0
-    if not by_len:
-        return factorial(n)
-    max_len = max(by_len)
-    count = 0
-    for perm in itertools.permutations(items):
-        prefix: set[int] = set()
-        ok = True
-        for i in range(max_len):
-            prefix.add(perm[i])
-            group = by_len.get(i + 1)
-            if group is not None and frozenset(prefix) in group:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def fp_chains(t: CliqueTree) -> tuple[Chain, ...]:

@@ -198,7 +198,7 @@ def gen_thicken(n: int, k: int, seed: int) -> Uccg:
         nonlocal m
         insort(adj[u], v)
         insort(adj[v], u)
-        if is_chordal(Uccg(range(n), adj, validate=False)):
+        if is_chordal(Uccg._unchecked(range(n), adj)):
             m += 1
             return True
         adj[u].remove(v)

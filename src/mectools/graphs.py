@@ -8,12 +8,14 @@ of any induced subgraph is a stable identity usable as a memoization key.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from ._partition import adjacency_masks, mask_bits
+from .chordal import is_chordal
 
 
 class ParseError(ValueError):
@@ -72,6 +74,16 @@ class PartialGraph:
                 if v in nbrs[u] or key in pairs:
                     raise ValueError("vertex pair carries more than one edge")
                 pairs.add(key)
+
+    @classmethod
+    def _unchecked(cls, n, undirected, directed_out) -> "PartialGraph":
+        """Build without :meth:`__post_init__`, for rows the library made
+        from input it has already checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "undirected", undirected)
+        object.__setattr__(self, "directed_out", directed_out)
+        return self
 
     @classmethod
     def from_edges(
@@ -150,6 +162,8 @@ def parse_graph(text: str | bytes) -> PartialGraph:
         raise ParseError("malformed header, expected 'n m_u m_d'", head_no) from None
     if n < 0 or mu < 0 or md < 0:
         raise ParseError("malformed header, counts must be nonnegative", head_no)
+    if n > sys.maxsize:  # no list can hold that many rows
+        raise ParseError("malformed header, vertex count too large", head_no)
 
     # one pass over the edge lines; the line count is checked before any
     # edge line, so the first faulty edge line is kept and raised at the end.
@@ -212,16 +226,14 @@ def parse_graph(text: str | bytes) -> PartialGraph:
     for key in dir_keys:
         u, v = divmod(key, n)
         out[u].append(vertex[v])
-    # free the keys and the lists before the graph's own check runs
-    del und_keys, dir_keys
+    del und_keys, dir_keys  # freed before the rows are copied into tuples
     for row in und:
         row.sort()
     for row in out:
         row.sort()
     undirected = tuple(map(tuple, und))
     directed_out = tuple(map(tuple, out))
-    del und, out
-    return PartialGraph(n, undirected, directed_out)
+    return PartialGraph._unchecked(n, undirected, directed_out)
 
 
 class Uccg:
@@ -239,18 +251,29 @@ class Uccg:
 
     __slots__ = ("labels", "_adj", "_masks", "_source")
 
-    def __init__(
-        self,
-        labels: Sequence[int],
-        adj: Sequence[Sequence[int]],
-        validate: bool = True,
-    ):
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "_masks", None)
-        object.__setattr__(self, "_source", None)
-        if validate:
-            self._validate()
+    def __init__(self, labels: Sequence[int], adj: Sequence[Sequence[int]]):
+        """Checks what a Uccg adds to a graph, increasing labels and one
+        component; :class:`PartialGraph` and :func:`undirected_components`
+        check the rows and chordality."""
+        labels = tuple(labels)
+        self._fill(labels, tuple(map(tuple, adj)), None)
+        if not _strictly_increasing(labels):
+            raise ValueError("labels must be strictly increasing")
+        n = len(labels)
+        try:
+            comps = undirected_components(PartialGraph(n, self._adj, ((),) * n))
+        except NotChordalError as exc:
+            raise NotChordalError(map(labels.__getitem__, exc.labels)) from None
+        if len(comps) > 1:
+            raise ValueError("graph not connected")
+
+    @classmethod
+    def _unchecked(cls, labels: Sequence[int], adj: Sequence[Sequence[int]]) -> "Uccg":
+        """Build without validation, for a caller that checks the graph
+        itself or needs one that is not connected chordal."""
+        self = object.__new__(cls)
+        self._fill(tuple(labels), tuple(map(tuple, adj)), None)
+        return self
 
     @classmethod
     def _induced(cls, parent: "Uccg", sub: int) -> "Uccg":
@@ -258,12 +281,16 @@ class Uccg:
         which the caller guarantees to be connected (and hence chordal)."""
         verts = mask_bits(sub)
         self = object.__new__(cls)
-        setter = object.__setattr__
-        setter(self, "labels", tuple(map(parent.labels.__getitem__, verts)))
-        setter(self, "_adj", None)
-        setter(self, "_masks", None)
-        setter(self, "_source", (parent.adj_masks, verts, sub))
+        labels = tuple(map(parent.labels.__getitem__, verts))
+        self._fill(labels, None, (parent.adj_masks, verts, sub))
         return self
+
+    def _fill(self, labels, adj, source):
+        setter = object.__setattr__
+        setter(self, "labels", labels)
+        setter(self, "_adj", adj)
+        setter(self, "_masks", None)
+        setter(self, "_source", source)
 
     def __setattr__(self, name, value):
         raise AttributeError("Uccg is immutable")
@@ -305,14 +332,13 @@ class Uccg:
         cls,
         labels: Sequence[int],
         edges: Iterable[tuple[int, int]],
-        validate: bool = True,
     ) -> "Uccg":
         """Build from local edge pairs over ``range(len(labels))``."""
         nbr: list[set[int]] = [set() for _ in labels]
         for u, v in edges:
             nbr[u].add(v)
             nbr[v].add(u)
-        return cls(labels, [sorted(s) for s in nbr], validate=validate)
+        return cls(labels, [sorted(s) for s in nbr])
 
     @property
     def n(self) -> int:
@@ -334,40 +360,7 @@ class Uccg:
 
     def as_partial_graph(self) -> PartialGraph:
         """View as a fully undirected PartialGraph on the local vertex space."""
-        return PartialGraph(self.n, self.adj, tuple(() for _ in range(self.n)))
-
-    def _validate(self):
-        n = self.n
-        if len(self.adj) != n:
-            raise ValueError("adjacency length does not match label count")
-        for i in range(1, n):
-            if self.labels[i - 1] >= self.labels[i]:
-                raise ValueError("labels must be strictly increasing")
-        nbr_sets = []
-        for u, row in enumerate(self.adj):
-            prev = -1
-            for v in row:
-                if v <= prev:
-                    raise ValueError("neighbor lists must be sorted and duplicate-free")
-                prev = v
-                if v == u:
-                    raise ValueError("self-loop")
-                if not 0 <= v < n:
-                    raise ValueError("vertex out of range")
-            nbr_sets.append(set(row))
-        for u in range(n):
-            for v in self.adj[u]:
-                if u not in nbr_sets[v]:
-                    raise ValueError("adjacency not symmetric")
-        if n and not _connected(self.adj, range(n)):
-            raise ValueError("graph not connected")
-        self._check_chordal()
-
-    def _check_chordal(self):
-        from .chordal import is_chordal
-
-        if not is_chordal(self):
-            raise NotChordalError(self.labels)
+        return PartialGraph._unchecked(self.n, self.adj, ((),) * self.n)
 
     def __eq__(self, other):
         return (
@@ -381,21 +374,6 @@ class Uccg:
 
     def __repr__(self):
         return f"Uccg(n={self.n}, m={self.m}, labels={self.labels})"
-
-
-def _connected(adj: Sequence[Sequence[int]], verts: Iterable[int]) -> bool:
-    verts = list(verts)
-    if not verts:
-        return True
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return all(v in seen for v in verts)
 
 
 def undirected_components(g: PartialGraph) -> list[Uccg]:
@@ -434,10 +412,30 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
         rows = tuple(tuple(map(to_local, und[v])) for v in comp)
         if not all(map(_strictly_increasing, rows)):
             raise ValueError("neighbor lists must be sorted and duplicate-free")
-        c = Uccg(comp, rows, validate=False)
-        c._check_chordal()
+        c = Uccg._unchecked(comp, rows)
+        if not is_chordal(c):
+            raise NotChordalError(comp)
         out.append(c)
     return out
+
+
+def _are_components_of(g: PartialGraph, comps: Sequence[Uccg]) -> bool:
+    """True iff ``comps`` are exactly the undirected components of ``g`` in
+    the order :func:`undirected_components` gives: every vertex covered once,
+    each component's rows equal to ``g``'s rows, first labels increasing."""
+    und = g.undirected
+    seen = bytearray(g.n)
+    last = -1
+    for comp in comps:
+        labels = comp.labels
+        if not labels or labels[0] <= last or labels[-1] >= g.n:
+            return False
+        last = labels[0]
+        for u, row in zip(labels, comp.adj):
+            if seen[u] or und[u] != tuple(map(labels.__getitem__, row)):
+                return False
+            seen[u] = 1
+    return all(seen)
 
 
 def _strictly_increasing(row: Sequence[int]) -> bool:

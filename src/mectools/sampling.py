@@ -28,7 +28,7 @@ from .counting import (
     explore as precount,
     validate_chain,
 )
-from .graphs import Dag, PartialGraph, Uccg, orient_by_ordering
+from .graphs import Dag, PartialGraph, Uccg, _are_components_of, orient_by_ordering
 
 
 class ModelMismatchError(ValueError):
@@ -149,25 +149,6 @@ def sample_amo(g: Uccg, model: SamplerModel, rng: random.Random) -> Dag:
     local = {lab: i for i, lab in enumerate(g.labels)}
     tau = [local[lab] for lab in _draw_labels(model, rng)]
     return orient_by_ordering(g.as_partial_graph(), tau)
-
-
-def _are_components_of(g: PartialGraph, comps: Sequence[Uccg]) -> bool:
-    """True iff ``comps`` are exactly the undirected components of ``g`` in
-    the order :func:`undirected_components` gives: every vertex covered once,
-    each component's rows equal to ``g``'s rows, first labels increasing."""
-    und = g.undirected
-    seen = bytearray(g.n)
-    last = -1
-    for comp in comps:
-        labels = comp.labels
-        if not labels or labels[0] <= last or labels[-1] >= g.n:
-            return False
-        last = labels[0]
-        for u, row in zip(labels, comp.adj):
-            if seen[u] or und[u] != tuple(map(labels.__getitem__, row)):
-                return False
-            seen[u] = 1
-    return all(seen)
 
 
 def sample_cpdag(

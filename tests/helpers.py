@@ -6,12 +6,14 @@ import bisect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 from mectools import (
     CliqueTree,
     Dag,
+    NotChordalError,
     ParseError,
     PartialGraph,
     Uccg,
@@ -21,12 +23,10 @@ from mectools import (
     enumerate_amos,
     fp_chains,
     phi_chain,
-    phi_naive,
 )
 from mectools._partition import vertex_mask
-from mectools.counting import _phi_sizes, validate_chain
+from mectools.counting import _phi_sizes, factorial, validate_chain
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
-from mectools.graphs import _connected
 from mectools.sampling import SamplerModel, _draw_labels, perm_step_weights
 from mectools.subproblems import _check_clique
 
@@ -41,6 +41,16 @@ def complete_graph(n: int) -> Uccg:
 
 def cycle_edges(n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
+
+
+def unchecked_uccg(n: int, edges) -> Uccg:
+    """A Uccg on labels ``0..n-1`` that skips validation, so it may be
+    disconnected or not chordal."""
+    nbr: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return Uccg._unchecked(range(n), [sorted(s) for s in nbr])
 
 
 def three_clique_chain() -> Uccg:
@@ -115,6 +125,20 @@ def random_chordal_corpus(
             if max(len(c) for c in t.cliques) > max_clique:
                 continue
         out.append(g)
+    return out
+
+
+def minimal_separators(t: CliqueTree) -> list[tuple[int, ...]]:
+    """The per-edge clique intersections of the tree, as global label tuples.
+
+    Returned as a multiset (one entry per tree edge); the deduplicated set is
+    exactly the set of minimal separators of the underlying graph.
+    """
+    out = []
+    for x in range(len(t.cliques)):
+        sep = t.separators[x]
+        if sep is not None:
+            out.append(tuple(t.labels[v] for v in sep))
     return out
 
 
@@ -197,6 +221,44 @@ def union_components_oracle(g: Uccg, clique: list[int]) -> set[tuple[int, ...]]:
                     stack.append(w)
         comps.add(tuple(sorted(g.labels[v] for v in comp)))
     return comps
+
+
+class SetTooLargeError(ValueError):
+    """The ground set exceeds the enumeration limit."""
+
+
+def phi_naive(s, collection) -> int:
+    """Count permutations of ``s`` avoiding every set in ``collection`` as a
+    prefix, by direct enumeration.  Oracle-grade: limited to |s| <= 10."""
+    items = sorted(set(s))
+    n = len(items)
+    if n > 10:
+        raise SetTooLargeError("naive enumeration is limited to 10 elements")
+    ground = frozenset(items)
+    by_len: dict[int, set[frozenset]] = {}
+    for r in collection:
+        fr = frozenset(r)
+        if not fr <= ground:
+            continue
+        by_len.setdefault(len(fr), set()).add(fr)
+    if 0 in by_len:
+        return 0
+    if not by_len:
+        return factorial(n)
+    max_len = max(by_len)
+    count = 0
+    for perm in itertools.permutations(items):
+        prefix: set[int] = set()
+        ok = True
+        for i in range(max_len):
+            prefix.add(perm[i])
+            group = by_len.get(i + 1)
+            if group is not None and frozenset(prefix) in group:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
 
 
 def count_by_separator_formula(g: Uccg) -> int:
@@ -565,7 +627,7 @@ def _list_emit_components(g: Uccg, blocks: list[list[int]]) -> list[Uccg]:
             comp.sort()
             local = {v: i for i, v in enumerate(comp)}
             adj = [[local[w] for w in g.adj[v] if in_block[w]] for v in comp]
-            out.append(Uccg([g.labels[v] for v in comp], adj, validate=False))
+            out.append(Uccg._unchecked([g.labels[v] for v in comp], adj))
         for u in block:
             in_block[u] = 0
     return out
@@ -757,6 +819,22 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
     return plans
 
 
+def _connected(adj: Sequence[Sequence[int]], verts) -> bool:
+    """True iff ``verts`` are connected in ``adj``; the connectivity oracle."""
+    verts = list(verts)
+    if not verts:
+        return True
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return all(v in seen for v in verts)
+
+
 def induced_subgraph(g: Uccg, vs) -> Uccg:
     """Induced subgraph of ``g`` on the global labels ``vs``, which the caller
     guarantees to be connected."""
@@ -859,6 +937,8 @@ def reference_parse_graph(text: str | bytes) -> PartialGraph:
         raise ParseError("malformed header, expected 'n m_u m_d'", no) from None
     if n < 0 or mu < 0 or md < 0:
         raise ParseError("malformed header, counts must be nonnegative", no)
+    if n > sys.maxsize:
+        raise ParseError("malformed header, vertex count too large", no)
     if len(rows) - 1 != mu + md:
         if len(rows) - 1 < mu + md:
             raise ParseError(f"expected {mu + md} edge lines, found {len(rows) - 1}", no)
@@ -901,8 +981,8 @@ def reference_parse_graph(text: str | bytes) -> PartialGraph:
 
 
 def reference_undirected_components(g: PartialGraph) -> list[Uccg]:
-    """Components by a dict relabelling, each run through the full
-    :class:`Uccg` validation."""
+    """Components by a dict relabelling, each checked for sorted,
+    duplicate-free rows and then for chordality on the list engine."""
     seen = bytearray(g.n)
     out: list[Uccg] = []
     for s in range(g.n):
@@ -921,5 +1001,10 @@ def reference_undirected_components(g: PartialGraph) -> list[Uccg]:
         comp.sort()
         local = {v: i for i, v in enumerate(comp)}
         adj = [[local[w] for w in g.undirected[v]] for v in comp]
-        out.append(Uccg(comp, adj, validate=True))
+        if any(a >= b for row in adj for a, b in zip(row, row[1:])):
+            raise ValueError("neighbor lists must be sorted and duplicate-free")
+        c = Uccg._unchecked(comp, adj)
+        if not list_is_peo(c, list_lbfs_order(c)[::-1]):
+            raise NotChordalError(comp)
+        out.append(c)
     return out

@@ -22,7 +22,6 @@ from mectools import (
     gen_subtree,
     is_peo,
     lbfs,
-    minimal_separators,
     phi_chain,
     precount,
     sample_amo,
@@ -223,7 +222,7 @@ def test_criterion_11_ordering_properties():
         cliques = {frozenset(c) for c in t.cliques}
         candidates = set(cliques)
         candidates.update(
-            frozenset(g.labels.index(lab) for lab in sep) for sep in minimal_separators(t)
+            frozenset(g.labels.index(lab) for lab in sep) for sep in helpers.minimal_separators(t)
         )
         for dag in enumerate_amos(g):
             orderings = topological_orderings_of_amo(g, dag)

@@ -23,7 +23,6 @@ from mectools import (
     is_chordal,
     is_peo,
     lbfs,
-    minimal_separators,
 )
 
 
@@ -74,14 +73,14 @@ def graphs_with_orders(draw):
     kind = draw(st.sampled_from(["chordal", "cycle", "edge removed"]))
     if kind == "cycle":
         n = draw(st.integers(4, 8))
-        g = Uccg.from_edges(range(n), helpers.cycle_edges(n), validate=False)
+        g = helpers.unchecked_uccg(n, helpers.cycle_edges(n))
     else:
         model = draw(st.sampled_from(["peo", "subtree", "thicken", "interval"]))
         n = draw(st.integers(1, 12))
         g = helpers._generate(model, n, draw(st.integers(2, 3)), draw(st.integers(0, 2**16)))
         if kind == "edge removed" and g.m:
             gone = draw(st.sampled_from(sorted(g.edges())))
-            g = Uccg.from_edges(range(g.n), [e for e in g.edges() if e != gone], validate=False)
+            g = helpers.unchecked_uccg(g.n, [e for e in g.edges() if e != gone])
     if draw(st.booleans()):
         rho = draw(st.permutations(range(g.n)))
     else:
@@ -129,7 +128,7 @@ class TestLbfs:
             assert is_peo(g, tuple(reversed(order)))
 
     def test_four_cycle_reverse_fails_peo(self):
-        g = Uccg.from_edges(range(4), helpers.cycle_edges(4), validate=False)
+        g = helpers.unchecked_uccg(4, helpers.cycle_edges(4))
         assert not is_peo(g, lbfs(g)[::-1])
 
     def test_default_is_deterministic(self):
@@ -144,12 +143,12 @@ class TestLbfs:
 
 class TestIsChordal:
     def test_four_cycle(self):
-        g = Uccg.from_edges(range(4), helpers.cycle_edges(4), validate=False)
+        g = helpers.unchecked_uccg(4, helpers.cycle_edges(4))
         assert not is_chordal(g)
 
     def test_larger_cycles(self):
         for n in (5, 6, 8):
-            g = Uccg.from_edges(range(n), helpers.cycle_edges(n), validate=False)
+            g = helpers.unchecked_uccg(n, helpers.cycle_edges(n))
             assert not is_chordal(g)
 
     def test_any_tree(self):
@@ -157,7 +156,7 @@ class TestIsChordal:
         for _ in range(10):
             n = rng.randint(2, 30)
             edges = [(rng.randrange(i), i) for i in range(1, n)]
-            assert is_chordal(Uccg.from_edges(range(n), edges, validate=False))
+            assert is_chordal(helpers.unchecked_uccg(n, edges))
 
     def test_seven_vertex_chain(self):
         assert is_chordal(helpers.clique_chain_7())
@@ -168,21 +167,21 @@ class TestCliqueTree:
         t = clique_tree(helpers.complete_graph(5))
         assert t.cliques == ((0, 1, 2, 3, 4),)
         assert t.parent == (0,)
-        assert minimal_separators(t) == []
+        assert helpers.minimal_separators(t) == []
 
     def test_three_clique_chain(self):
         t = clique_tree(helpers.three_clique_chain())
         assert set(t.cliques) == {(0, 1, 2), (1, 2, 3, 4), (1, 2, 4, 5)}
-        assert sorted(minimal_separators(t)) == [(1, 2), (1, 2, 4)]
+        assert sorted(helpers.minimal_separators(t)) == [(1, 2), (1, 2, 4)]
 
     def test_path_cliques(self):
         t = clique_tree(helpers.path_graph(3))
         assert set(t.cliques) == {(0, 1), (1, 2)}
-        assert minimal_separators(t) == [(1,)]
+        assert helpers.minimal_separators(t) == [(1,)]
 
     def test_path4_separators(self):
         t = clique_tree(helpers.path_graph(4))
-        assert sorted(minimal_separators(t)) == [(1,), (2,)]
+        assert sorted(helpers.minimal_separators(t)) == [(1,), (2,)]
 
     def test_default_root_contains_lowest_label(self):
         for g in helpers.random_chordal_corpus(10, 3, 12, seed=17):
@@ -233,7 +232,7 @@ class TestCliqueTree:
     def test_separator_count_and_cliqueness(self):
         for g in helpers.random_chordal_corpus(15, 2, 12, seed=29):
             t = clique_tree(g)
-            seps = minimal_separators(t)
+            seps = helpers.minimal_separators(t)
             assert len(seps) == len(t.cliques) - 1
             nbr = [set(a) for a in g.adj]
             for sep in seps:
@@ -246,7 +245,7 @@ class TestCliqueTree:
             t = clique_tree(g)
             found = {
                 frozenset(g.labels.index(lab) for lab in sep)
-                for sep in minimal_separators(t)
+                for sep in helpers.minimal_separators(t)
             }
             assert found == helpers.brute_minimal_separators(g)
 

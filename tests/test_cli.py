@@ -416,5 +416,22 @@ class TestUsage:
     def test_no_command_exit_1(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["count"], "mectools count: error: the following arguments are required: file"),
+            (["sample", "x", "--samples", "abc"],
+             "mectools sample: error: argument --samples: invalid int value: 'abc'"),
+            (["gen", "--model", "nope", "--n", "3"],
+             "mectools gen: error: argument --model: invalid choice: 'nope'"),
+        ],
+        ids=["count-no-file", "sample-bad-int", "gen-bad-model"],
+    )
+    def test_usage_error_says_why(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage: mectools {argv[0]} ")
+        assert err.splitlines()[-1].startswith(error)
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

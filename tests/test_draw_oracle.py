@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import helpers
-from mectools import draw_perm, phi_naive, precount, undirected_components
+from mectools import draw_perm, precount, undirected_components
 from mectools.sampling import _draw_labels
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -71,7 +71,7 @@ def test_step_weights_are_exactly_uniform_on_long_chains():
         for length in range(k):
             clique = rng.sample(range(50), k)
             chain = nested_chain(rng, clique, length)
-            phi = phi_naive(clique, chain)
+            phi = helpers.phi_naive(clique, chain)
             dist = dict(helpers.perm_paths(clique, chain))
             assert len(dist) == phi
             assert all(p == Fraction(1, phi) for p in dist.values())

@@ -5,6 +5,8 @@ Core claims:
     - malformed input is rejected with a line-numbered error
     - the undirected components partition the undirected subgraph and are
       validated chordal
+    - a Uccg is rejected unless its labels increase and its rows form one
+      connected chordal graph; a non-chordal one names its own labels
     - induced subgraphs keep global labels
     - orienting by an ordering keeps the directed edges, points every
       undirected edge forward, and yields an acyclic DAG with the input's
@@ -162,6 +164,27 @@ class TestUccg:
     def test_non_chordal_rejected(self):
         with pytest.raises(NotChordalError):
             Uccg.from_edges(range(4), helpers.cycle_edges(4))
+
+    @pytest.mark.parametrize(
+        "adj",
+        [
+            [[1], [0, 2]],  # wrong adjacency length
+            [[1], [0, 3], [1]],  # out-of-range entry
+            [[0, 1], [0, 2], [1]],  # self-loop
+            [[1, 2], [0, 2], [1]],  # asymmetric row
+            [[2, 1], [0], [0]],  # unsorted row
+            [[1, 1], [0, 2], [1]],  # duplicate entry
+        ],
+        ids=["length", "range", "self-loop", "asymmetric", "unsorted", "duplicate"],
+    )
+    def test_malformed_adjacency_rejected(self, adj):
+        with pytest.raises(ValueError):
+            Uccg([0, 1, 2], adj)
+
+    def test_non_chordal_error_carries_labels(self):
+        with pytest.raises(NotChordalError) as info:
+            Uccg.from_edges((10, 11, 12, 13), helpers.cycle_edges(4))
+        assert info.value.labels == (10, 11, 12, 13)
 
     def test_immutable(self):
         g = helpers.path_graph(3)

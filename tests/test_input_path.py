@@ -2,7 +2,8 @@
 
 Core claims:
     - every text, valid or not, parses to the reference's graph, or fails
-      with the reference's error, message and line
+      with the reference's error, message and line; a parsed graph passes
+      the PartialGraph constructor's check, which the parser skips
     - the PartialGraph constructor accepts exactly what the pair-by-pair
       check accepts, and otherwise raises its message
     - undirected_components returns the reference's components, or raises
@@ -104,7 +105,11 @@ def graph_texts(draw):
 @PROPERTY
 @given(graph_texts())
 def test_parse_matches_reference(text):
-    assert outcome(parse_graph, text) == outcome(helpers.reference_parse_graph, text)
+    got = outcome(parse_graph, text)
+    assert got == outcome(helpers.reference_parse_graph, text)
+    if got[0] == "ok":  # the parser skips the constructor's check; it must pass
+        g = got[1]
+        assert g == PartialGraph(g.n, g.undirected, g.directed_out)
 
 
 @st.composite
@@ -192,6 +197,7 @@ def test_components_match_reference(g):
         ("# only a comment\n\n", "missing header", None),
         ("3 2\n1 2\n", "malformed header, expected 'n m_u m_d'", 1),
         ("3 -1 0\n", "malformed header, counts must be nonnegative", 1),
+        ("99999999999999999999 0 0\n", "malformed header, vertex count too large", 1),
         # the line count is checked before any edge line
         ("3 2 0\n1 1\n", "expected 2 edge lines, found 1", 1),
         ("3 1 0\n1 1\n2 3\n", "unexpected extra line", 3),

@@ -20,7 +20,6 @@ from mectools import (
     count_root_picking,
     enumerate_amos,
     is_peo,
-    minimal_separators,
     orient_by_ordering,
     topological_orderings_of_amo,
     v_structures,
@@ -172,7 +171,7 @@ class TestOrderingProperties:
             candidates = set(cliques)
             candidates.update(
                 frozenset(g.labels.index(lab) for lab in sep)
-                for sep in minimal_separators(t)
+                for sep in helpers.minimal_separators(t)
             )
             for dag in enumerate_amos(g):
                 started = [
