@@ -6,7 +6,7 @@ clique-tree based algorithm in polynomial time and sampled uniformly after a
 precomputation pass.
 """
 
-from .chordal import CliqueTree, clique_tree, is_chordal, is_peo, lbfs
+from .chordal import CliqueTree, NotChordalError, clique_tree, is_chordal, lbfs
 from .counting import (
     ChainElementNotProperSubsetError,
     ChainNotNestedError,
@@ -20,7 +20,6 @@ from .counting import (
 from .generators import GenerationError, gen_interval, gen_peo, gen_subtree, gen_thicken
 from .graphs import (
     Dag,
-    NotChordalError,
     ParseError,
     PartialGraph,
     Uccg,
@@ -32,7 +31,6 @@ from .oracle import (
     TooLargeError,
     count_root_picking,
     enumerate_amos,
-    topological_orderings_of_amo,
     v_structures,
 )
 from .sampling import (
@@ -78,7 +76,6 @@ __all__ = [
     "gen_subtree",
     "gen_thicken",
     "is_chordal",
-    "is_peo",
     "lbfs",
     "orient_by_ordering",
     "parse_graph",
@@ -86,7 +83,6 @@ __all__ = [
     "precount",
     "sample_amo",
     "sample_cpdag",
-    "topological_orderings_of_amo",
     "undirected_components",
     "v_structures",
 ]

@@ -1,10 +1,10 @@
-"""Lexicographic BFS, elimination orderings and clique trees."""
+"""Lexicographic BFS, the chordality test of its sweep, and clique trees."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._partition import mask_bits, refine_traversal
 
@@ -23,32 +23,20 @@ def lbfs(g: "Uccg", rng: random.Random | None = None) -> tuple[int, ...]:
     return tuple(order)
 
 
-def is_peo(g: "Uccg", rho: Sequence[int]) -> bool:
-    """True iff for every vertex its later neighbors in ``rho`` are a clique.
+class NotChordalError(ValueError):
+    """An undirected component that has to be chordal is not."""
 
-    The test of Rose, Tarjan & Lueker: it suffices that the later neighbors
-    of each vertex, except the earliest one ``m``, are neighbors of ``m``.
-    """
-    n = g.n
-    if sorted(rho) != list(range(n)):
-        raise ValueError("rho is not a permutation of the vertices")
-    masks = g.adj_masks
-    pos = [0] * n
-    for i, v in enumerate(rho):
-        pos[v] = i
-    later = (1 << n) - 1
-    for v in rho:
-        later ^= 1 << v
-        nbrs = masks[v] & later
-        if nbrs:
-            m = rho[min(map(pos.__getitem__, mask_bits(nbrs)))]
-            if nbrs & ~masks[m] & ~(1 << m):
-                return False
-    return True
+    def __init__(self, labels: Iterable[int] = ()):
+        self.labels = tuple(labels)
+        msg = "graph is not chordal"
+        if self.labels:
+            msg += f" (component {list(self.labels)})"
+        super().__init__(msg)
 
 
 def is_chordal(g: "Uccg") -> bool:
-    return is_peo(g, lbfs(g)[::-1])
+    """True iff ``g`` is chordal: the clique sweep of one LBFS passes."""
+    return _cliques_of_sweep(g, lbfs(g)) is not None
 
 
 @dataclass(frozen=True)
@@ -58,32 +46,27 @@ class CliqueTree:
     ``cliques`` holds the maximal cliques as sorted tuples of local vertices;
     ``parent[i] == i`` exactly at the root; ``separators[i]`` is the
     intersection of clique ``i`` with its parent clique (``None`` at the
-    root).  ``order`` lists the cliques in BFS order from the root, the
-    children of a clique by increasing index.  ``labels`` are the global
-    labels of the underlying graph.
+    root).  ``order`` lists the cliques in BFS order from the root, which is
+    ``order[0]``, the children of a clique by increasing index.
     """
 
-    labels: tuple[int, ...]
     cliques: tuple[tuple[int, ...], ...]
     parent: tuple[int, ...]
-    root: int
     separators: tuple[tuple[int, ...] | None, ...]
     order: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.cliques)
 
 
 def clique_tree(g: "Uccg", rng: random.Random | None = None) -> CliqueTree:
     """Build a rooted clique tree from a single LBFS sweep.
 
-    Maximal cliques are collected as runs of the sweep: a visited vertex whose
-    earlier-neighbor set no longer contains the running clique closes it and
-    starts a new one, which is attached to the clique of its most recently
-    visited earlier neighbor.  The default root is the clique containing the
-    lowest label; with ``rng`` both the LBFS ties and the root are
-    randomized.  Clique trees are not unique, but every quantity derived from
-    them downstream is tree-invariant.
+    The sweep collects the maximal cliques and tests chordality on the way
+    (see :func:`_cliques_of_sweep`); a graph that is not chordal raises
+    :class:`NotChordalError`, an empty or disconnected one ``ValueError``.
+    Each new clique is attached to the clique of its most recently visited
+    earlier neighbor.  The default root is the clique containing the lowest
+    label; with ``rng`` both the LBFS ties and the root are randomized.
+    Clique trees are not unique, but every quantity derived from them
+    downstream is tree-invariant.
 
     A complete graph gets its one-clique tree without building adjacency;
     ``rng`` is advanced as the sweep would advance it (see
@@ -95,7 +78,7 @@ def clique_tree(g: "Uccg", rng: random.Random | None = None) -> CliqueTree:
     if g._is_complete():
         if rng is not None:
             _skip_sweep_of_complete(rng, n)
-        return CliqueTree(g.labels, (tuple(range(n)),), (0,), 0, (None,), (0,))
+        return CliqueTree((tuple(range(n)),), (0,), (None,), (0,))
     return _clique_tree_of_sweep(g, lbfs(g, rng=rng), rng)
 
 
@@ -112,27 +95,55 @@ def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:
     rng.randrange(1)
 
 
+def _cliques_of_sweep(
+    g: "Uccg", sweep: Sequence[int]
+) -> tuple[list[int], list[int]] | None:
+    """The maximal cliques of ``g`` as vertex masks, collected as runs of its
+    LBFS visit order ``sweep``, and the clique each later one is attached
+    to; ``None`` if ``g`` is not chordal.
+
+    A vertex ``v`` extends the running clique iff its earlier neighbors
+    ``E`` equal it: that clique is the previous vertex ``u`` with its
+    earlier neighbors, so ``E`` cannot hold more, or LBFS would have picked
+    ``v`` before ``u``.  Otherwise ``v`` starts a new clique, attached to
+    the clique ``a`` of its latest visited vertex in ``E``, and ``E`` must
+    lie inside clique ``a``, as it does in a chordal graph.  So every ``E``
+    is a clique and the reversed sweep is a perfect elimination ordering.
+    The first vertex of a further component has ``E`` empty and attaches
+    to -1.
+    """
+    masks = g.adj_masks
+    visited = 0
+    cliques = [0]  # the last one is the running clique
+    attach: list[int] = []
+    # the clique each vertex joined on its visit, non-decreasing along the sweep
+    clique_of = [0] * g.n
+    for v in sweep:
+        bit = 1 << v
+        earlier = masks[v] & visited
+        if earlier != cliques[-1]:
+            a = max(map(clique_of.__getitem__, mask_bits(earlier)), default=-1)
+            if earlier | cliques[a] != cliques[a]:
+                return None
+            attach.append(a)
+            cliques.append(0)
+        cliques[-1] = earlier | bit
+        clique_of[v] = len(cliques) - 1
+        visited |= bit
+    return cliques, attach
+
+
 def _clique_tree_of_sweep(
     g: "Uccg", sweep: Sequence[int], rng: random.Random | None
 ) -> CliqueTree:
     """Clique tree from the LBFS visit order ``sweep`` of ``g``; ``rng`` picks
     the root (default: the clique containing local vertex 0)."""
-    masks = g.adj_masks
-    visited = 1 << sweep[0]
-    cliques = [visited]  # vertex masks; the last one is the running clique
-    attach = [-1]
-    # the clique each vertex joined on its visit, non-decreasing along the sweep
-    clique_of = [0] * g.n
-    for v in sweep[1:]:
-        earlier = masks[v] & visited
-        assert earlier, "a connected graph cannot start a component mid-sweep"
-        if cliques[-1] & ~earlier:
-            # attach to the clique of the latest visited vertex of ``earlier``
-            attach.append(max(map(clique_of.__getitem__, mask_bits(earlier))))
-            cliques.append(0)
-        cliques[-1] = earlier | 1 << v
-        clique_of[v] = len(cliques) - 1
-        visited |= 1 << v
+    found = _cliques_of_sweep(g, sweep)
+    if found is None:
+        raise NotChordalError(g.labels)
+    cliques, attach = found
+    if -1 in attach:
+        raise ValueError("graph not connected")
 
     k = len(cliques)
     if rng is not None:
@@ -141,9 +152,9 @@ def _clique_tree_of_sweep(
         root = next(i for i, c in enumerate(cliques) if c & 1)
 
     tree_adj: list[list[int]] = [[] for _ in range(k)]
-    for s in range(1, k):
-        tree_adj[s].append(attach[s])
-        tree_adj[attach[s]].append(s)
+    for s, a in enumerate(attach, 1):
+        tree_adj[s].append(a)
+        tree_adj[a].append(s)
 
     parent = [-1] * k
     parent[root] = root
@@ -159,4 +170,4 @@ def _clique_tree_of_sweep(
         for x, c in enumerate(cliques)
     )
     clique_tuples = tuple(tuple(mask_bits(c)) for c in cliques)
-    return CliqueTree(g.labels, clique_tuples, tuple(parent), root, separators, tuple(bfs))
+    return CliqueTree(clique_tuples, tuple(parent), separators, tuple(bfs))

@@ -16,8 +16,8 @@ import time
 from typing import Sequence
 
 from . import counting, generators, oracle, sampling
-from .chordal import clique_tree
-from .graphs import NotChordalError, ParseError, parse_graph, undirected_components
+from .chordal import NotChordalError, clique_tree
+from .graphs import ParseError, parse_graph, undirected_components
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -229,7 +229,7 @@ def count_cpdag(g: PartialGraph) -> int:
     """Size of the Markov equivalence class represented by a CPDAG.
 
     Product over the undirected components; a fully directed input counts 1.
-    Raises :class:`~mectools.graphs.NotChordalError` if a component is not
+    Raises :class:`~mectools.chordal.NotChordalError` if a component is not
     chordal.
     """
     total = 1

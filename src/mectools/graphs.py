@@ -15,7 +15,7 @@ from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from ._partition import adjacency_masks, mask_bits
-from .chordal import is_chordal
+from .chordal import NotChordalError, is_chordal
 
 
 class ParseError(ValueError):
@@ -24,17 +24,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
-
-
-class NotChordalError(ValueError):
-    """An undirected component that has to be chordal is not."""
-
-    def __init__(self, labels: Iterable[int] = ()):
-        self.labels = tuple(labels)
-        msg = "graph is not chordal"
-        if self.labels:
-            msg += f" (component {list(self.labels)})"
-        super().__init__(msg)
 
 
 @dataclass(frozen=True)

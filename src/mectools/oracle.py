@@ -1,5 +1,5 @@
-"""Brute-force ground truth for tests: exhaustive orientation enumeration,
-source-picking recursion, and linear extensions.
+"""Brute-force ground truth for tests: exhaustive orientation enumeration
+and source-picking recursion.
 
 Everything here favors being obviously correct over being fast; hard size
 guards keep the enumerations within reach.
@@ -120,37 +120,3 @@ def count_root_picking(g: Uccg, _memo: dict | None = None) -> int:
         total += prod
     memo[key] = total
     return total
-
-
-def topological_orderings_of_amo(g: Uccg, dag: Dag) -> list[tuple[int, ...]]:
-    """All linear extensions of ``dag`` (which must orient ``g``); n <= 10."""
-    n = g.n
-    if n > 10:
-        raise TooLargeError("linear extension enumeration is limited to 10 vertices")
-    if dag.skeleton() != frozenset(g.edges()):
-        raise ValueError("dag does not orient the given graph")
-    indeg = [0] * n
-    for _, v in dag.edges():
-        indeg[v] += 1
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    used = bytearray(n)
-
-    def rec() -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(n):
-            if not used[v] and indeg[v] == 0:
-                used[v] = 1
-                for w in dag.out_edges[v]:
-                    indeg[w] -= 1
-                prefix.append(v)
-                rec()
-                prefix.pop()
-                for w in dag.out_edges[v]:
-                    indeg[w] += 1
-                used[v] = 0
-
-    rec()
-    return out

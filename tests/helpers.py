@@ -27,6 +27,7 @@ from mectools import (
 from mectools._partition import vertex_mask
 from mectools.counting import _phi_sizes, factorial, validate_chain
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
+from mectools.oracle import TooLargeError
 from mectools.sampling import SamplerModel, _draw_labels, perm_step_weights
 from mectools.subproblems import _check_clique
 
@@ -129,17 +130,12 @@ def random_chordal_corpus(
 
 
 def minimal_separators(t: CliqueTree) -> list[tuple[int, ...]]:
-    """The per-edge clique intersections of the tree, as global label tuples.
+    """The per-edge clique intersections of the tree, as local vertex tuples.
 
     Returned as a multiset (one entry per tree edge); the deduplicated set is
     exactly the set of minimal separators of the underlying graph.
     """
-    out = []
-    for x in range(len(t.cliques)):
-        sep = t.separators[x]
-        if sep is not None:
-            out.append(tuple(t.labels[v] for v in sep))
-    return out
+    return [sep for sep in t.separators if sep is not None]
 
 
 def brute_minimal_separators(g: Uccg) -> set[frozenset[int]]:
@@ -378,6 +374,40 @@ def kahn_acyclic(n: int, edges) -> bool:
             if indeg[v] == 0:
                 ready.append(v)
     return seen == n
+
+
+def topological_orderings_of_amo(g: Uccg, dag: Dag) -> list[tuple[int, ...]]:
+    """All linear extensions of ``dag`` (which must orient ``g``); n <= 10."""
+    n = g.n
+    if n > 10:
+        raise TooLargeError("linear extension enumeration is limited to 10 vertices")
+    if dag.skeleton() != frozenset(g.edges()):
+        raise ValueError("dag does not orient the given graph")
+    indeg = [0] * n
+    for _, v in dag.edges():
+        indeg[v] += 1
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+    used = bytearray(n)
+
+    def rec() -> None:
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for v in range(n):
+            if not used[v] and indeg[v] == 0:
+                used[v] = 1
+                for w in dag.out_edges[v]:
+                    indeg[w] -= 1
+                prefix.append(v)
+                rec()
+                prefix.pop()
+                for w in dag.out_edges[v]:
+                    indeg[w] += 1
+                used[v] = 0
+
+    rec()
+    return out
 
 
 # --- table-based permutation draw, the sampler's former path ---------------
@@ -666,9 +696,10 @@ def list_lbfs_order(g: Uccg, rng: random.Random | None = None) -> list[int]:
 
 
 def list_is_peo(g: Uccg, rho: Sequence[int]) -> bool:
-    """The elimination-ordering test on adjacency lists, the oracle for
-    :func:`mectools.is_peo`: each vertex's later neighbors other than the
-    earliest one ``m`` are queued on ``m`` and checked when ``m`` comes up."""
+    """The elimination-ordering test of Rose, Tarjan & Lueker on adjacency
+    lists, the judge of :func:`mectools.is_chordal` on a reversed LBFS order:
+    each vertex's later neighbors other than the earliest one ``m`` are
+    queued on ``m`` and checked when ``m`` comes up."""
     n = g.n
     if sorted(rho) != list(range(n)):
         raise ValueError("rho is not a permutation of the vertices")
@@ -782,9 +813,7 @@ def list_clique_tree_of_sweep(
         tree_order.extend(kids[tree_order[i]])
         i += 1
 
-    return CliqueTree(
-        g.labels, clique_tuples, tuple(parent), root, tuple(separators), tuple(tree_order)
-    )
+    return CliqueTree(clique_tuples, tuple(parent), tuple(separators), tuple(tree_order))
 
 
 def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:

@@ -20,12 +20,10 @@ from mectools import (
     enumerate_amos,
     gen_interval,
     gen_subtree,
-    is_peo,
     lbfs,
     phi_chain,
     precount,
     sample_amo,
-    topological_orderings_of_amo,
 )
 from mectools.generators import _prufer_tree
 
@@ -213,7 +211,7 @@ def test_criterion_10_complete_graph_and_tree_laws():
 def test_criterion_11_ordering_properties():
     ok_peo = True
     for g in helpers.random_chordal_corpus(1000, 2, 24, seed=1111):
-        if not is_peo(g, lbfs(g)[::-1]):
+        if not helpers.list_is_peo(g, lbfs(g)[::-1]):
             ok_peo = False
     corpus = helpers.random_chordal_corpus(25, 2, 7, seed=1212, max_edges=13)
     ok_rev = ok_start = ok_prefix = True
@@ -221,12 +219,10 @@ def test_criterion_11_ordering_properties():
         t = clique_tree(g)
         cliques = {frozenset(c) for c in t.cliques}
         candidates = set(cliques)
-        candidates.update(
-            frozenset(g.labels.index(lab) for lab in sep) for sep in helpers.minimal_separators(t)
-        )
+        candidates.update(map(frozenset, helpers.minimal_separators(t)))
         for dag in enumerate_amos(g):
-            orderings = topological_orderings_of_amo(g, dag)
-            if not all(is_peo(g, tuple(reversed(tau))) for tau in orderings):
+            orderings = helpers.topological_orderings_of_amo(g, dag)
+            if not all(helpers.list_is_peo(g, tuple(reversed(tau))) for tau in orderings):
                 ok_rev = False
             started = [
                 tau

@@ -2,10 +2,12 @@
 
 Core claims:
     - a reversed LBFS order is a perfect elimination ordering on chordal input
-    - is_peo matches the definition checked pairwise, and the list-based
-      test on chordal and non-chordal graphs
+    - the list-based elimination-ordering test matches the definition checked
+      pairwise, and is_chordal matches it on chordal, non-chordal and
+      disconnected graphs
     - clique trees satisfy the induced-subtree property, enumerate exactly the
-      maximal cliques, and carry the minimal separators on their edges
+      maximal cliques, and carry the minimal separators on their edges;
+      clique_tree rejects non-chordal and disconnected graphs
     - none of this depends on tie-breaking or root seeds
 """
 
@@ -18,10 +20,10 @@ from hypothesis import strategies as st
 
 import helpers
 from mectools import (
+    NotChordalError,
     Uccg,
     clique_tree,
     is_chordal,
-    is_peo,
     lbfs,
 )
 
@@ -39,16 +41,16 @@ def peo_by_definition(g: Uccg, rho) -> bool:
 
 class TestIsPeo:
     def test_path_good_order(self):
-        assert is_peo(helpers.path_graph(3), (0, 2, 1))
+        assert helpers.list_is_peo(helpers.path_graph(3), (0, 2, 1))
 
     def test_path_bad_order(self):
         # 0 and 2 come after 1 but are not adjacent
-        assert not is_peo(helpers.path_graph(3), (1, 0, 2))
+        assert not helpers.list_is_peo(helpers.path_graph(3), (1, 0, 2))
 
     def test_complete_graph_any_order(self):
         g = helpers.complete_graph(4)
         for rho in itertools.permutations(range(4)):
-            assert is_peo(g, rho)
+            assert helpers.list_is_peo(g, rho)
 
     def test_matches_definition_on_random_orders(self):
         rng = random.Random(2)
@@ -56,11 +58,11 @@ class TestIsPeo:
             for _ in range(10):
                 rho = list(range(g.n))
                 rng.shuffle(rho)
-                assert is_peo(g, rho) == peo_by_definition(g, rho)
+                assert helpers.list_is_peo(g, rho) == peo_by_definition(g, rho)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
-            is_peo(helpers.path_graph(3), (0, 1))
+            helpers.list_is_peo(helpers.path_graph(3), (0, 1))
 
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -90,15 +92,20 @@ def graphs_with_orders(draw):
 
 @PROPERTY
 @given(graphs_with_orders())
-def test_is_peo_matches_the_list_oracle(case):
+def test_is_chordal_matches_the_list_oracle(case):
     g, rho = case
-    assert is_peo(g, rho) == helpers.list_is_peo(g, rho)
+    assert helpers.list_is_peo(g, rho) == peo_by_definition(g, rho)
+    chordal = helpers.list_is_peo(g, helpers.list_lbfs_order(g)[::-1])
+    assert is_chordal(g) == chordal
+    if not chordal:
+        with pytest.raises(NotChordalError):
+            clique_tree(g)
 
 
 class TestLbfs:
     def test_complete_graph_reverse_is_peo(self):
         g = helpers.complete_graph(3)
-        assert is_peo(g, lbfs(g)[::-1])
+        assert helpers.list_is_peo(g, lbfs(g)[::-1])
 
     def test_path_orders_enumerated(self):
         # brute force: the reverse-PEO orders of the path starting anywhere
@@ -125,11 +132,11 @@ class TestLbfs:
         assert middle_starts
         assert middle_starts <= {(1, 0, 2), (1, 2, 0)}
         for order in middle_starts:
-            assert is_peo(g, tuple(reversed(order)))
+            assert helpers.list_is_peo(g, tuple(reversed(order)))
 
     def test_four_cycle_reverse_fails_peo(self):
         g = helpers.unchecked_uccg(4, helpers.cycle_edges(4))
-        assert not is_peo(g, lbfs(g)[::-1])
+        assert not helpers.list_is_peo(g, lbfs(g)[::-1])
 
     def test_default_is_deterministic(self):
         g = helpers.random_chordal_corpus(1, 12, 16, seed=4)[0]
@@ -137,8 +144,8 @@ class TestLbfs:
 
     def test_reverse_peo_on_corpus(self):
         for g in helpers.random_chordal_corpus(40, 2, 20, seed=6):
-            assert is_peo(g, lbfs(g)[::-1])
-            assert is_peo(g, lbfs(g, rng=random.Random(g.n))[::-1])
+            assert helpers.list_is_peo(g, lbfs(g)[::-1])
+            assert helpers.list_is_peo(g, lbfs(g, rng=random.Random(g.n))[::-1])
 
 
 class TestIsChordal:
@@ -160,6 +167,16 @@ class TestIsChordal:
 
     def test_seven_vertex_chain(self):
         assert is_chordal(helpers.clique_chain_7())
+
+    def test_empty_graph(self):
+        assert is_chordal(Uccg((), ()))
+
+    def test_disconnected(self):
+        # a 4-cycle beside an isolated vertex, visited before or after it
+        assert not is_chordal(helpers.unchecked_uccg(5, helpers.cycle_edges(4)))
+        shifted = [(u + 1, v + 1) for u, v in helpers.cycle_edges(4)]
+        assert not is_chordal(helpers.unchecked_uccg(5, shifted))
+        assert is_chordal(helpers.unchecked_uccg(5, [(0, 1), (1, 2), (3, 4)]))
 
 
 class TestCliqueTree:
@@ -186,7 +203,7 @@ class TestCliqueTree:
     def test_default_root_contains_lowest_label(self):
         for g in helpers.random_chordal_corpus(10, 3, 12, seed=17):
             t = clique_tree(g)
-            assert 0 in t.cliques[t.root]
+            assert 0 in t.cliques[t.order[0]]
 
     def test_induced_subtree_property(self):
         for g in helpers.random_chordal_corpus(25, 2, 14, seed=9):
@@ -236,20 +253,29 @@ class TestCliqueTree:
             assert len(seps) == len(t.cliques) - 1
             nbr = [set(a) for a in g.adj]
             for sep in seps:
-                local = [g.labels.index(lab) for lab in sep]
-                for a, b in itertools.combinations(local, 2):
+                for a, b in itertools.combinations(sep, 2):
                     assert b in nbr[a]
 
     def test_separators_match_brute_force(self):
         for g in helpers.random_chordal_corpus(20, 2, 7, seed=37):
             t = clique_tree(g)
-            found = {
-                frozenset(g.labels.index(lab) for lab in sep)
-                for sep in helpers.minimal_separators(t)
-            }
+            found = set(map(frozenset, helpers.minimal_separators(t)))
             assert found == helpers.brute_minimal_separators(g)
 
     def test_singleton_graph(self):
         t = clique_tree(Uccg([5], [[]]))
         assert t.cliques == ((0,),)
-        assert t.labels == (5,)
+        assert t.separators == (None,)
+
+    def test_rejects_a_cycle(self):
+        for n in (4, 5, 6):
+            g = helpers.unchecked_uccg(n, helpers.cycle_edges(n))
+            for rng in (None, random.Random(n)):
+                with pytest.raises(NotChordalError) as info:
+                    clique_tree(g, rng=rng)
+                assert info.value.labels == g.labels
+
+    def test_rejects_a_disconnected_graph(self):
+        g = helpers.unchecked_uccg(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="not connected"):
+            clique_tree(g)

@@ -17,6 +17,7 @@ import pytest
 
 import helpers
 from mectools import (
+    NotChordalError,
     PartialGraph,
     clique_tree,
     count_amos,
@@ -112,7 +113,7 @@ class TestFpChains:
         g = helpers.three_clique_chain()
         t = clique_tree(g)
         chains = fp_chains(t)
-        by_clique = {t.cliques[i]: chains[i] for i in range(len(t))}
+        by_clique = {t.cliques[i]: chains[i] for i in range(len(t.cliques))}
         assert by_clique[(0, 1, 2)] == ()
         assert by_clique[(1, 2, 3, 4)] == ((1, 2),)
         assert by_clique[(1, 2, 4, 5)] == ((1, 2), (1, 2, 4))
@@ -127,7 +128,7 @@ class TestFpChains:
         g = helpers.path_graph(4)
         t = clique_tree(g)
         chains = fp_chains(t)
-        by_clique = {t.cliques[i]: chains[i] for i in range(len(t))}
+        by_clique = {t.cliques[i]: chains[i] for i in range(len(t.cliques))}
         assert by_clique[(0, 1)] == ()
         assert by_clique[(1, 2)] == ((1,),)
         assert by_clique[(2, 3)] == ((2,),)
@@ -201,6 +202,14 @@ class TestCountAmos:
 
     def test_deep_path_does_not_overflow_stack(self):
         assert count_amos(helpers.path_graph(600)) == 600
+
+    def test_unchecked_cycle_is_rejected(self):
+        # a Uccg built without validation reaches the counter unchecked; the
+        # 4-cycle has no AMO, and its clique-tree sweep raises
+        g = helpers.unchecked_uccg(4, helpers.cycle_edges(4))
+        assert enumerate_amos(g) == []
+        with pytest.raises(NotChordalError):
+            count_amos(g)
 
 
 class TestCountCpdag:

@@ -19,9 +19,7 @@ from mectools import (
     clique_tree,
     count_root_picking,
     enumerate_amos,
-    is_peo,
     orient_by_ordering,
-    topological_orderings_of_amo,
     v_structures,
 )
 from mectools.counting import factorial
@@ -112,7 +110,7 @@ class TestTopologicalOrderings:
     def test_diamond_orientation_has_two_orderings(self):
         g = helpers.diamond_with_chord()
         dag = Dag.from_edges(4, [(1, 0), (1, 3), (2, 0), (2, 1), (2, 3)])
-        assert sorted(topological_orderings_of_amo(g, dag)) == [
+        assert sorted(helpers.topological_orderings_of_amo(g, dag)) == [
             (2, 1, 0, 3),
             (2, 1, 3, 0),
         ]
@@ -120,23 +118,23 @@ class TestTopologicalOrderings:
     def test_fully_ordered_path(self):
         g = helpers.path_graph(4)
         dag = orient_by_ordering(g.as_partial_graph(), (0, 1, 2, 3))
-        assert topological_orderings_of_amo(g, dag) == [(0, 1, 2, 3)]
+        assert helpers.topological_orderings_of_amo(g, dag) == [(0, 1, 2, 3)]
 
     def test_oriented_triangle_single_ordering(self):
         g = helpers.complete_graph(3)
         dag = orient_by_ordering(g.as_partial_graph(), (0, 1, 2))
-        assert topological_orderings_of_amo(g, dag) == [(0, 1, 2)]
+        assert helpers.topological_orderings_of_amo(g, dag) == [(0, 1, 2)]
 
     def test_mismatched_skeleton_rejected(self):
         with pytest.raises(ValueError):
-            topological_orderings_of_amo(
+            helpers.topological_orderings_of_amo(
                 helpers.path_graph(3), Dag.from_edges(3, [(0, 1)])
             )
 
     def test_size_guard(self):
         g = helpers.path_graph(11)
         with pytest.raises(TooLargeError):
-            topological_orderings_of_amo(
+            helpers.topological_orderings_of_amo(
                 g, orient_by_ordering(g.as_partial_graph(), tuple(range(11)))
             )
 
@@ -148,8 +146,8 @@ class TestOrderingProperties:
     def test_reverse_of_every_ordering_is_peo(self):
         for g in self.corpus():
             for dag in enumerate_amos(g):
-                for tau in topological_orderings_of_amo(g, dag):
-                    assert is_peo(g, tuple(reversed(tau)))
+                for tau in helpers.topological_orderings_of_amo(g, dag):
+                    assert helpers.list_is_peo(g, tuple(reversed(tau)))
 
     def test_some_ordering_starts_with_a_maximal_clique(self):
         for g in self.corpus():
@@ -157,7 +155,7 @@ class TestOrderingProperties:
             for dag in enumerate_amos(g):
                 assert any(
                     frozenset(tau[: len(c)]) == c
-                    for tau in topological_orderings_of_amo(g, dag)
+                    for tau in helpers.topological_orderings_of_amo(g, dag)
                     for c in cliques
                 )
 
@@ -169,14 +167,11 @@ class TestOrderingProperties:
             t = clique_tree(g)
             cliques = {frozenset(c) for c in t.cliques}
             candidates = set(cliques)
-            candidates.update(
-                frozenset(g.labels.index(lab) for lab in sep)
-                for sep in helpers.minimal_separators(t)
-            )
+            candidates.update(map(frozenset, helpers.minimal_separators(t)))
             for dag in enumerate_amos(g):
                 started = [
                     tau
-                    for tau in topological_orderings_of_amo(g, dag)
+                    for tau in helpers.topological_orderings_of_amo(g, dag)
                     if any(frozenset(tau[: len(c)]) == c for c in cliques)
                 ]
                 assert started
