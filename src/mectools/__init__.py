@@ -20,6 +20,7 @@ from .counting import (
 from .generators import GenerationError, gen_interval, gen_peo, gen_subtree, gen_thicken
 from .graphs import (
     Dag,
+    NotCpdagError,
     ParseError,
     PartialGraph,
     Uccg,
@@ -55,6 +56,7 @@ __all__ = [
     "GenerationError",
     "ModelMismatchError",
     "NotChordalError",
+    "NotCpdagError",
     "NotCliqueError",
     "ParseError",
     "PartialGraph",

@@ -1,7 +1,8 @@
 """Command-line front end: count, sample, gen, oracle, bench.
 
 Exit codes: 0 success, 1 input/usage error, 2 input not chordal, 3 oracle
-size guard.  Results go to stdout; diagnostics to stderr.
+size guard, 4 input not a CPDAG.  Results go to stdout; diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from typing import Sequence
 
 from . import counting, generators, oracle, sampling
 from .chordal import NotChordalError, clique_tree
-from .graphs import ParseError, parse_graph, undirected_components
+from .graphs import NotCpdagError, ParseError, parse_graph, undirected_components
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_CHORDAL = 2
 EXIT_ORACLE_GUARD = 3
+EXIT_NOT_CPDAG = 4
 
 MAX_TIMEOUT_S = 1e9  # largest bench --timeout, in seconds
 
@@ -38,6 +40,18 @@ class _Parser(argparse.ArgumentParser):
 def _read_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
+
+
+def _split(g):
+    """The undirected components of ``g``.  A component that is not chordal
+    raises first; then a graph that is not a chain graph, which no CPDAG
+    is, raises :class:`NotCpdagError`."""
+    comps = undirected_components(g)
+    if not g.is_chain_graph:
+        raise NotCpdagError(
+            "not a CPDAG: a directed edge lies on a partially directed cycle"
+        )
+    return comps
 
 
 def _decimal(x: int) -> str:
@@ -63,7 +77,7 @@ def cmd_count(args) -> int:
     total = 1
     explored = 0
     cliques = 0
-    for comp in undirected_components(g):
+    for comp in _split(g):
         stats = counting.count_with_stats(comp)
         total *= stats.count
         explored += stats.explored
@@ -82,7 +96,7 @@ def cmd_sample(args) -> int:
         print("error: --samples must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
     g = _read_graph(args.file)
-    comps = undirected_components(g)
+    comps = _split(g)
     models = [sampling.precount(c) for c in comps]
     rng = random.Random(args.seed)
     # each draw is written as it is made, a blank line between two draws
@@ -128,7 +142,7 @@ def cmd_gen(args) -> int:
 def cmd_oracle(args) -> int:
     g = _read_graph(args.file)
     total = 1
-    for comp in undirected_components(g):
+    for comp in _split(g):
         if args.method == "enumerate":
             if comp.m > 24:
                 print(
@@ -324,6 +338,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotChordalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CHORDAL
+    except NotCpdagError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CPDAG
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import filterfalse, islice
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -26,13 +27,18 @@ class ParseError(ValueError):
         self.line = line
 
 
+class NotCpdagError(ValueError):
+    """The graph cannot be the CPDAG of a Markov equivalence class."""
+
+
 @dataclass(frozen=True)
 class PartialGraph:
     """A graph with undirected and directed edges (e.g. a CPDAG).
 
-    ``undirected[u]`` is the sorted tuple of undirected neighbors of ``u``;
-    ``directed_out[u]`` the sorted tuple of heads of edges ``u -> v``.  A
-    vertex pair carries at most one edge overall.
+    ``undirected[u]`` is the strictly increasing tuple of undirected
+    neighbors of ``u``; ``directed_out[u]`` the strictly increasing tuple of
+    heads of edges ``u -> v``.  A vertex pair carries at most one edge
+    overall.
     """
 
     n: int
@@ -43,6 +49,10 @@ class PartialGraph:
         n = self.n
         if len(self.undirected) != n or len(self.directed_out) != n:
             raise ValueError("adjacency length does not match vertex count")
+        if not all(map(_strictly_increasing, self.undirected)) or not all(
+            map(_strictly_increasing, self.directed_out)
+        ):
+            raise ValueError("neighbor lists must be sorted and duplicate-free")
         nbrs = list(map(frozenset, self.undirected))
         for u, row in enumerate(self.undirected):
             for v in row:
@@ -73,6 +83,46 @@ class PartialGraph:
         object.__setattr__(self, "undirected", undirected)
         object.__setattr__(self, "directed_out", directed_out)
         return self
+
+    @cached_property
+    def is_chain_graph(self) -> bool:
+        """True iff no directed edge lies on a partially directed cycle: no
+        directed edge joins two vertices of one undirected component, and
+        the directed edges between components close no cycle.  Every CPDAG
+        is one.  Computed once per graph, in O(n + m)."""
+        out = self.directed_out
+        if not any(out):
+            return True
+        und = self.undirected
+        comp = [-1] * self.n  # vertex -> its undirected component
+        k = 0
+        for s in range(self.n):
+            if comp[s] >= 0:
+                continue
+            comp[s] = k
+            stack = [s]
+            while stack:
+                for v in und[stack.pop()]:
+                    if comp[v] < 0:
+                        comp[v] = k
+                        stack.append(v)
+            k += 1
+        heads: list[list[int]] = [[] for _ in range(k)]
+        indeg = [0] * k
+        for u, row in enumerate(out):
+            cu = comp[u]
+            for v in row:
+                heads[cu].append(comp[v])
+                indeg[comp[v]] += 1
+        # Kahn's algorithm on the components, where an edge inside one is a
+        # loop that keeps it from ever being ready; the list grows as it is read
+        ready = [c for c in range(k) if not indeg[c]]
+        for c in ready:
+            for d in heads[c]:
+                indeg[d] -= 1
+                if not indeg[d]:
+                    ready.append(d)
+        return len(ready) == k
 
     @classmethod
     def from_edges(
@@ -375,7 +425,8 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
     ``g``'s own invariant makes every component's adjacency symmetric, in
     range and loop-free, and the search makes it connected; what is left to
     check, per component in order, is that its rows are sorted and
-    duplicate-free and that it is chordal.
+    duplicate-free (a graph built by ``PartialGraph._unchecked`` has not had
+    them checked) and that it is chordal.
     """
     n = g.n
     und = g.undirected
@@ -464,6 +515,16 @@ class Dag:
             raise ValueError("graph contains a directed cycle")
 
     @classmethod
+    def _trusted(cls, n, out_edges) -> "Dag":
+        """Build without :meth:`__post_init__`, for head lists the library
+        oriented from a chain graph by a permutation: sorted, in range and
+        acyclic by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "out_edges", out_edges)
+        return self
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Dag":
         out: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
@@ -499,22 +560,26 @@ def orient_by_ordering(g: PartialGraph, tau: Sequence[int]) -> Dag:
     earlier to the later end of ``tau``.
 
     ``tau`` must be a permutation of all of ``g``'s vertices; that is checked
-    in the pass that records each vertex's position.  The result is built
-    with :class:`Dag`'s own acyclicity check.
+    in the one walk over it, which marks each vertex placed and gives it the
+    neighbours not placed yet.  On a chain graph every such orientation is
+    acyclic, so its :class:`Dag` is built without the acyclicity check; any
+    other ``g`` goes through :class:`Dag`'s own check.
     """
     n = g.n
     if len(tau) != n:
         raise ValueError("tau is not a permutation of the vertices")
-    pos = [-1] * n
-    for i, v in enumerate(tau):
-        if not 0 <= v < n or pos[v] >= 0:
-            raise ValueError("tau is not a permutation of the vertices")
-        pos[v] = i
     und = g.undirected
     heads = list(g.directed_out)
-    for u in range(n):
-        pu = pos[u]
-        later = tuple(w for w in und[u] if pos[w] > pu)
+    placed = bytearray(n)
+    is_placed = placed.__getitem__
+    for v in tau:
+        if not 0 <= v < n or placed[v]:
+            raise ValueError("tau is not a permutation of the vertices")
+        placed[v] = 1
+        later = tuple(filterfalse(is_placed, und[v]))
         if later:
-            heads[u] = tuple(sorted(heads[u] + later)) if heads[u] else later
+            head = heads[v]
+            heads[v] = tuple(sorted(head + later)) if head else later
+    if g.is_chain_graph:
+        return Dag._trusted(n, tuple(heads))
     return Dag(n, tuple(heads))

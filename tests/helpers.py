@@ -355,6 +355,40 @@ def uccg_orient_by_ordering(g: Uccg, tau: Sequence[int]) -> Dag:
     return Dag(g.n, tuple(out))
 
 
+def orientation_edges(g: PartialGraph, tau: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """``g``'s directed edges plus every undirected edge pointed from the
+    earlier to the later vertex of ``tau``, a permutation of ``range(g.n)``;
+    the reference edge set for :func:`mectools.orient_by_ordering`, built
+    without :class:`Dag`, so that it exists also when it has a cycle."""
+    if sorted(tau) != list(range(g.n)):
+        raise ValueError("tau is not a permutation of the vertices")
+    pos = {v: i for i, v in enumerate(tau)}
+    undirected = {(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.undirected_edges()}
+    return frozenset(g.directed_edges()) | undirected
+
+
+def has_partially_directed_cycle(g: PartialGraph) -> bool:
+    """True iff some cycle through distinct vertices takes at least one
+    directed edge, and takes every directed edge on it from tail to head
+    (undirected edges either way): the cycles a chain graph has none of.
+    Found by trying every simple path from the head of each directed edge
+    back to its tail; exponential, for small graphs."""
+    step = [set(g.undirected[u]) | set(g.directed_out[u]) for u in range(g.n)]
+
+    def returns(end: int, tail: int, on_path: set[int]) -> bool:
+        for x in step[end]:
+            if x == tail:
+                return True
+            if x not in on_path:
+                on_path.add(x)
+                if returns(x, tail, on_path):
+                    return True
+                on_path.remove(x)
+        return False
+
+    return any(returns(v, u, {u, v}) for u, v in g.directed_edges())
+
+
 def kahn_acyclic(n: int, edges) -> bool:
     """True iff the directed graph on ``range(n)`` with ``edges`` has no
     directed cycle, by Kahn's algorithm on its own adjacency (independent of
@@ -919,6 +953,9 @@ def check_partial_graph(n: int, undirected, directed_out) -> None:
     raises the ``ValueError`` the constructor must raise on these fields."""
     if len(undirected) != n or len(directed_out) != n:
         raise ValueError("adjacency length does not match vertex count")
+    for row in list(undirected) + list(directed_out):
+        if any(a >= b for a, b in zip(row, row[1:])):
+            raise ValueError("neighbor lists must be sorted and duplicate-free")
     seen: set[tuple[int, int]] = set()
     for u in range(n):
         for v in undirected[u]:

@@ -8,7 +8,8 @@ Core claims:
     - gen writes a parseable connected chordal graph and reports shape stats
     - oracle enforces its size guards with exit code 3
     - bench emits one well-formed CSV row per instance and survives timeouts
-    - exit codes: 0 ok, 1 input error, 2 not chordal, 3 oracle guard
+    - exit codes: 0 ok, 1 input error, 2 not chordal, 3 oracle guard,
+      4 not a CPDAG (so far: not a chain graph), reported after chordality
 """
 
 import csv
@@ -59,6 +60,40 @@ def test_file_not_in_utf8_exit_1(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(f))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["count", "sample", "oracle"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 0 3\n1 2\n2 3\n3 1\n",  # directed 3-cycle
+        "3 2 1\n1 2\n2 3\n1 3\n",  # 1 - 2 - 3 with 1 -> 3
+    ],
+    ids=["directed-cycle", "directed-edge-in-component"],
+)
+def test_not_a_chain_graph_exit_4(capsys, tmp_path, command, text):
+    f = tmp_path / "cycle.graph"
+    f.write_text(text)
+    code, out, err = run(capsys, command, str(f))
+    assert code == 4 and out == ""
+    assert err.startswith("error: not a CPDAG") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["count", "sample", "oracle"])
+def test_not_chordal_is_reported_before_not_a_chain_graph(capsys, tmp_path, command):
+    # a 4-cycle component, and a directed 3-cycle on three other vertices
+    f = tmp_path / "both.graph"
+    f.write_text("7 4 3\n1 2\n2 3\n3 4\n1 4\n5 6\n6 7\n7 5\n")
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2 and out == ""
+    assert "chordal" in err
+
+
+def test_chain_graph_that_is_not_a_cpdag_is_still_counted(capsys, tmp_path):
+    # 1 -> 2 - 3 is a chain graph; the other CPDAG conditions are not checked
+    f = tmp_path / "chain.graph"
+    f.write_text("3 1 1\n2 3\n1 2\n")
+    assert run(capsys, "count", str(f)) == (0, "2\n", "")
 
 
 def readme_format_example() -> str:

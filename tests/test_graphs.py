@@ -11,11 +11,19 @@ Core claims:
     - orienting by an ordering keeps the directed edges, points every
       undirected edge forward, and yields an acyclic DAG with the input's
       skeleton; an ordering that is not a permutation is rejected
+    - a PartialGraph's rows are strictly increasing, and it is a chain graph
+      exactly when no partially directed cycle runs through it
+    - on a chain graph the DAG built without the acyclicity check is one the
+      public check accepts; on any other graph an orientation with a cycle
+      is rejected
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from mectools import (
@@ -29,6 +37,88 @@ from mectools import (
     undirected_components,
     v_structures,
 )
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def chordal_edges(draw, size):
+    """Edges of a connected chordal graph on ``range(size)``: each vertex
+    joins an earlier vertex ``j`` and some of ``j``'s own earlier
+    neighbours, which form a clique with ``j``."""
+    earlier: list[tuple[int, ...]] = [()]
+    edges = []
+    for i in range(1, size):
+        j = draw(st.integers(0, i - 1))
+        keep = draw(st.lists(st.booleans(), min_size=len(earlier[j]), max_size=len(earlier[j])))
+        nbrs = (j,) + tuple(w for w, k in zip(earlier[j], keep) if k)
+        earlier.append(nbrs)
+        edges += [(w, i) for w in nbrs]
+    return edges
+
+
+@st.composite
+def chain_graphs(draw):
+    """A chain graph: chordal components on shuffled vertex ids, ranked at
+    random, with directed edges only from a lower to a higher rank."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    n = sum(sizes)
+    ids = draw(st.permutations(range(n)))
+    rank = draw(st.permutations(range(len(sizes))))
+    rank_of = [0] * n
+    undirected = []
+    base = 0
+    for part, size in enumerate(sizes):
+        local = ids[base : base + size]
+        undirected += [(local[a], local[b]) for a, b in draw(chordal_edges(size))]
+        for v in local:
+            rank_of[v] = rank[part]
+        base += size
+    across = [(u, v) for u, v in itertools.combinations(range(n), 2) if rank_of[u] != rank_of[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(across), max_size=len(across)))
+    directed = [
+        (u, v) if rank_of[u] < rank_of[v] else (v, u) for (u, v), k in zip(across, keep) if k
+    ]
+    return PartialGraph.from_edges(n, undirected, directed)
+
+
+@st.composite
+def changed_chain_graphs(draw):
+    """A chain graph with one vertex pair changed, which may close a
+    partially directed cycle: an undirected edge made directed, a directed
+    edge reversed, or a directed edge added between non-adjacent vertices."""
+    g = draw(chain_graphs())
+    if g.n < 2:
+        return g
+    u, v = draw(st.permutations(range(g.n)))[:2]
+    undirected = set(g.undirected_edges()) - {(u, v), (v, u)}
+    directed = set(g.directed_edges()) - {(u, v), (v, u)}
+    return PartialGraph.from_edges(g.n, undirected, directed | {(u, v)})
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Any partial graph on up to seven vertices."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    kinds = draw(st.lists(st.sampled_from(".udr"), min_size=len(pairs), max_size=len(pairs)))
+    return graph_of_kinds(n, pairs, kinds)
+
+
+def graph_of_kinds(n, pairs, kinds):
+    """The partial graph whose pair ``(u, v)`` carries no edge (``.``), an
+    undirected one (``u``), ``u -> v`` (``d``) or ``v -> u`` (``r``)."""
+    return PartialGraph.from_edges(
+        n,
+        [p for p, k in zip(pairs, kinds) if k == "u"],
+        [(u, v) if k == "d" else (v, u) for (u, v), k in zip(pairs, kinds) if k in "dr"],
+    )
+
+
+@st.composite
+def with_ordering(draw, graphs):
+    g = draw(graphs)
+    return g, draw(st.permutations(range(g.n)))
 
 
 class TestParse:
@@ -121,6 +211,44 @@ class TestPartialGraphInvariants:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             PartialGraph(2, ((1,), ()), ((), ()))
+
+    @pytest.mark.parametrize(
+        "undirected, directed_out",
+        [
+            (((2, 1), (0,), (0,)), ((), (), ())),
+            (((1, 1), (0,), ()), ((), (2,), ())),
+            (((), (), ()), ((2, 1), (), ())),
+            (((), (), ()), ((1, 1), (), ())),
+        ],
+        ids=["undirected-unsorted", "undirected-duplicate", "directed-unsorted", "directed-duplicate"],
+    )
+    def test_rejects_unsorted_or_duplicate_row(self, undirected, directed_out):
+        with pytest.raises(ValueError, match="^neighbor lists must be sorted and duplicate-free$"):
+            PartialGraph(3, undirected, directed_out)
+
+
+class TestIsChainGraph:
+    def test_every_mixed_graph_up_to_four_vertices(self):
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for kinds in itertools.product(".udr", repeat=len(pairs)):
+                g = graph_of_kinds(n, pairs, kinds)
+                assert g.is_chain_graph is not helpers.has_partially_directed_cycle(g), kinds
+
+    @PROPERTY
+    @given(st.one_of(mixed_graphs(), chain_graphs(), changed_chain_graphs()))
+    def test_matches_brute_force(self, g):
+        assert g.is_chain_graph is not helpers.has_partially_directed_cycle(g)
+
+    def test_directed_edge_inside_a_component(self):
+        # 0 - 1 - 2 with 0 -> 2: the path back closes a cycle
+        assert not PartialGraph.from_edges(3, [(0, 1), (1, 2)], [(0, 2)]).is_chain_graph
+
+    def test_cycle_through_components(self):
+        # 0 -> 1 - 2 -> 3 - 4 -> 0 runs through three components
+        g = PartialGraph.from_edges(5, [(1, 2), (3, 4)], [(0, 1), (2, 3), (4, 0)])
+        assert not g.is_chain_graph
+        assert PartialGraph.from_edges(5, [(1, 2), (3, 4)], [(0, 1), (2, 3)]).is_chain_graph
 
 
 class TestUndirectedComponents:
@@ -282,6 +410,32 @@ class TestOrientByOrdering:
             assert dag == helpers.uccg_orient_by_ordering(g, tau)
             assert helpers.kahn_acyclic(dag.n, dag.edges())
             assert dag.skeleton() == frozenset(g.edges())
+
+
+class TestTrustedOrientation:
+    @PROPERTY
+    @given(with_ordering(chain_graphs()))
+    def test_chain_graph_draws_pass_the_public_check(self, case):
+        g, tau = case
+        assert g.is_chain_graph
+        dag = orient_by_ordering(g, tau)
+        assert dag.edge_set() == helpers.orientation_edges(g, tau)
+        assert helpers.kahn_acyclic(dag.n, dag.edges())
+        assert Dag(dag.n, dag.out_edges) == dag
+
+    @PROPERTY
+    @given(with_ordering(changed_chain_graphs()))
+    def test_cycle_is_rejected_exactly_when_there_is_one(self, case):
+        g, tau = case
+        edges = helpers.orientation_edges(g, tau)
+        if helpers.kahn_acyclic(g.n, edges):
+            dag = orient_by_ordering(g, tau)
+            assert dag.edge_set() == edges
+            assert Dag(dag.n, dag.out_edges) == dag
+        else:
+            assert not g.is_chain_graph
+            with pytest.raises(ValueError, match="cycle"):
+                orient_by_ordering(g, tau)
 
 
 class TestDag:

@@ -161,14 +161,10 @@ def test_partial_graph_check_matches_reference(fields):
         assert got == want
 
 
-def test_rows_with_duplicate_entries_are_accepted():
-    g = PartialGraph(3, ((1, 1), (0,), ()), ((), (2,), ()))
-    assert g.undirected[0] == (1, 1)
-
-
 @st.composite
 def component_graphs(draw):
-    """Small partial graphs, chordal or not, sometimes with unsorted rows."""
+    """Small partial graphs, chordal or not, sometimes with unsorted rows
+    (built unchecked, since the constructor rejects them)."""
     n = draw(st.integers(0, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     kinds = draw(st.lists(st.sampled_from("uu.d"), min_size=len(pairs), max_size=len(pairs)))
@@ -181,7 +177,7 @@ def component_graphs(draw):
         und = list(g.undirected)
         u = draw(st.integers(0, n - 1))
         und[u] = tuple(reversed(und[u])) + und[u][:draw(st.integers(0, 1))]
-        g = PartialGraph(n, tuple(und), g.directed_out)
+        g = PartialGraph._unchecked(n, tuple(und), g.directed_out)
     return g
 
 
@@ -242,7 +238,7 @@ def test_not_chordal_component_after_unsorted_one_is_reported_first():
     und = list(four_cycle.undirected)
     und[4], und[5] = (5, 6), (6, 4)  # not sorted, but a triangle
     und[6] = (4, 5)
-    g = PartialGraph(7, tuple(und), four_cycle.directed_out)
+    g = PartialGraph._unchecked(7, tuple(und), four_cycle.directed_out)
     with pytest.raises(NotChordalError) as err:
         undirected_components(g)
     assert err.value.labels == (0, 1, 2, 3)
