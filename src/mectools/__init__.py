@@ -4,19 +4,17 @@ The class is given as a CPDAG; its undirected components are connected
 chordal graphs whose acyclic moral orientations (AMOs) are counted with a
 clique-tree based algorithm in polynomial time and sampled uniformly after a
 precomputation pass.
+
+The names in ``__all__`` are the library's contract: the input types and
+their split, the two entry points (count a CPDAG; precount it, then draw),
+the errors, the generators and the brute-force oracles.  The steps inside
+(clique trees, the components left after a clique, the permutation draw)
+are reached through their own modules, with no stability promise, and
+trust the input the library builds for them.
 """
 
-from .chordal import CliqueTree, NotChordalError, clique_tree, is_chordal, lbfs
-from .counting import (
-    ChainElementNotProperSubsetError,
-    ChainNotNestedError,
-    CountStats,
-    count_amos,
-    count_cpdag,
-    count_with_stats,
-    fp_chains,
-    phi_chain,
-)
+from .chordal import NotChordalError, is_chordal
+from .counting import count_cpdag
 from .generators import GenerationError, gen_interval, gen_peo, gen_subtree, gen_thicken
 from .graphs import (
     Dag,
@@ -24,66 +22,35 @@ from .graphs import (
     ParseError,
     PartialGraph,
     Uccg,
-    orient_by_ordering,
     parse_graph,
     undirected_components,
 )
-from .oracle import (
-    TooLargeError,
-    count_root_picking,
-    enumerate_amos,
-    v_structures,
-)
-from .sampling import (
-    ModelMismatchError,
-    SamplerModel,
-    draw_clique,
-    draw_perm,
-    precount,
-    sample_amo,
-    sample_cpdag,
-)
-from .subproblems import NotCliqueError, components_after_clique
+from .oracle import TooLargeError, count_root_picking, enumerate_amos, v_structures
+from .sampling import ModelMismatchError, SamplerModel, precount, sample_cpdag
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainElementNotProperSubsetError",
-    "ChainNotNestedError",
-    "CliqueTree",
-    "CountStats",
     "Dag",
     "GenerationError",
     "ModelMismatchError",
     "NotChordalError",
     "NotCpdagError",
-    "NotCliqueError",
     "ParseError",
     "PartialGraph",
     "SamplerModel",
     "TooLargeError",
     "Uccg",
-    "clique_tree",
-    "components_after_clique",
-    "count_amos",
     "count_cpdag",
     "count_root_picking",
-    "count_with_stats",
-    "draw_clique",
-    "draw_perm",
     "enumerate_amos",
-    "fp_chains",
     "gen_interval",
     "gen_peo",
     "gen_subtree",
     "gen_thicken",
     "is_chordal",
-    "lbfs",
-    "orient_by_ordering",
     "parse_graph",
-    "phi_chain",
     "precount",
-    "sample_amo",
     "sample_cpdag",
     "undirected_components",
     "v_structures",

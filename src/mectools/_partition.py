@@ -51,10 +51,12 @@ def refine_traversal(
 ) -> tuple[list[int], list[int]]:
     """Visit all vertices, always picking from the lexicographically first block.
 
-    ``initial_blocks`` is the starting block sequence as vertex bitmasks
-    (disjoint, covering all ``len(adj)`` vertices; empty blocks are
-    ignored).  The pick is the lowest vertex of the front block, or with
-    ``rng`` a ``rng.choice`` over its vertices in increasing order.
+    ``initial_blocks`` is the starting block sequence as vertex bitmasks,
+    disjoint and covering all ``len(adj)`` vertices, as every caller builds
+    it (one block, or a clique and the rest); empty blocks are ignored, and
+    nothing else is checked.  The pick is the lowest vertex of the front
+    block, or with ``rng`` a ``rng.choice`` over its vertices in increasing
+    order.
     ``masks`` are the neighborhood bitmasks of ``adj`` (see
     :func:`adjacency_masks`).
 
@@ -69,13 +71,9 @@ def refine_traversal(
     nxt: list[int] = []
     prv: list[int] = []
     first = -1
-    covered = 0
     for blk in initial_blocks:
         if not blk:
             continue
-        if covered & blk:
-            raise ValueError("initial blocks overlap")
-        covered |= blk
         bid = len(blocks)
         blocks.append(blk)
         nxt.append(-1)
@@ -85,8 +83,6 @@ def refine_traversal(
         else:
             first = bid
     unvisited = (1 << n) - 1
-    if covered != unvisited:
-        raise ValueError("initial blocks do not cover the vertices")
     if not n:
         return [], []
 

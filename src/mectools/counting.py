@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .chordal import CliqueTree, clique_tree
 from .graphs import PartialGraph, Uccg, undirected_components
@@ -23,14 +23,6 @@ from .subproblems import components_after_clique
 
 # key of an explored induced subgraph: its sorted global labels
 Key = Tuple[int, ...]
-
-
-class ChainNotNestedError(ValueError):
-    """Chain elements are not strictly nested."""
-
-
-class ChainElementNotProperSubsetError(ValueError):
-    """A chain element is not a proper subset of the ground set."""
 
 
 _FACT = [1]
@@ -66,31 +58,6 @@ def _phi_sizes(total: int, sizes: Sequence[int]) -> int:
 
 # a strictly nested chain of forbidden prefix sets X_1 < X_2 < ... < X_l
 Chain = Tuple[Tuple[int, ...], ...]
-
-
-def validate_chain(ground: frozenset, sets: Iterable[Iterable[int]]) -> list[frozenset]:
-    chain = [frozenset(s) for s in sets]
-    prev: frozenset | None = None
-    for x in chain:
-        if prev is not None and not prev < x:
-            raise ChainNotNestedError("chain elements must be strictly nested")
-        if not x < ground:
-            raise ChainElementNotProperSubsetError(
-                "chain elements must be proper subsets of the ground set"
-            )
-        prev = x
-    return chain
-
-
-def phi_chain(s: Iterable[int], chain: Iterable[Iterable[int]]) -> int:
-    """Number of permutations of ``s`` with no chain element as a prefix.
-
-    Requires the chain to be strictly nested; evaluated with quadratically
-    many big-integer operations via the peel-off recurrence on the chain.
-    """
-    ground = frozenset(s)
-    validated = validate_chain(ground, chain)
-    return _phi_sizes(len(ground), [len(x) for x in validated])
 
 
 def fp_chains(t: CliqueTree) -> tuple[Chain, ...]:
@@ -185,7 +152,7 @@ def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
         for idx in t.order:
             clique = t.cliques[idx]
             child_keys = []
-            for h in components_after_clique(cur, clique, check=False):
+            for h in components_after_clique(cur, clique):
                 hk = h.key
                 child_keys.append(hk)
                 if hk not in seen:
@@ -216,15 +183,6 @@ def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
     return SamplerModel(g, entries)
 
 
-def count_amos(g: Uccg, seed: int | None = None) -> int:
-    """Number of acyclic moral orientations of a connected chordal graph.
-
-    ``seed`` randomizes clique-tree construction (the result is
-    tree-invariant).
-    """
-    return explore(g, seed).total
-
-
 def count_cpdag(g: PartialGraph) -> int:
     """Size of the Markov equivalence class represented by a CPDAG.
 
@@ -248,9 +206,10 @@ class CountStats:
 
 
 def count_with_stats(g: Uccg, seed: int | None = None) -> CountStats:
-    """Like :func:`count_amos`, also reporting how many distinct subgraphs the
-    run explored (the input included) and how many clique-tree nodes the
-    input has."""
+    """The number of AMOs of a connected chordal graph, with how many
+    distinct subgraphs the run explored (the input included) and how many
+    clique-tree nodes the input has.  ``seed`` randomizes clique-tree
+    construction (the count is tree-invariant)."""
     model = explore(g, seed)
     return CountStats(
         count=model.total,

@@ -134,9 +134,13 @@ class PartialGraph:
         und: list[set[int]] = [set() for _ in range(n)]
         out: list[set[int]] = [set() for _ in range(n)]
         for u, v in undirected_edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("vertex out of range")
             und[u].add(v)
             und[v].add(u)
         for u, v in directed_edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("vertex out of range")
             out[u].add(v)
         return cls(
             n,
@@ -374,7 +378,10 @@ class Uccg:
     ) -> "Uccg":
         """Build from local edge pairs over ``range(len(labels))``."""
         nbr: list[set[int]] = [set() for _ in labels]
+        n = len(nbr)
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("vertex out of range")
             nbr[u].add(v)
             nbr[v].add(u)
         return cls(labels, [sorted(s) for s in nbr])
@@ -422,11 +429,11 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
     undirected subgraph) yield singleton components.  Components are returned
     in order of their smallest vertex.
 
-    ``g``'s own invariant makes every component's adjacency symmetric, in
-    range and loop-free, and the search makes it connected; what is left to
-    check, per component in order, is that its rows are sorted and
-    duplicate-free (a graph built by ``PartialGraph._unchecked`` has not had
-    them checked) and that it is chordal.
+    ``g``'s own invariant makes every component's rows sorted,
+    duplicate-free, symmetric, in range and loop-free (the constructor
+    checks them, and the parser and :meth:`Uccg.as_partial_graph` build
+    them so), and the search makes it connected; what is left to check, per
+    component in order, is that it is chordal.
     """
     n = g.n
     und = g.undirected
@@ -449,10 +456,7 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
         for i, v in enumerate(comp):
             local[v] = i
         to_local = local.__getitem__
-        rows = tuple(tuple(map(to_local, und[v])) for v in comp)
-        if not all(map(_strictly_increasing, rows)):
-            raise ValueError("neighbor lists must be sorted and duplicate-free")
-        c = Uccg._unchecked(comp, rows)
+        c = Uccg._unchecked(comp, tuple(tuple(map(to_local, und[v])) for v in comp))
         if not is_chordal(c):
             raise NotChordalError(comp)
         out.append(c)
@@ -528,6 +532,8 @@ class Dag:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Dag":
         out: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("vertex out of range")
             out[u].add(v)
         return cls(n, tuple(tuple(sorted(s)) for s in out))
 

@@ -103,20 +103,23 @@ def enumerate_amos(g: Uccg) -> list[Dag]:
     return out
 
 
-def count_root_picking(g: Uccg, _memo: dict | None = None) -> int:
+def count_root_picking(g: Uccg) -> int:
     """Count AMOs by fixing each vertex as the unique source and recursing on
     the parts left undirected.  Independent of the clique-level counter;
-    practical to roughly 25 vertices."""
-    memo = {} if _memo is None else _memo
-    key = g.key
-    got = memo.get(key)
-    if got is not None:
-        return got
-    total = 0
-    for s in range(g.n):
-        prod = 1
-        for h in components_after_clique(g, (s,), check=False):
-            prod *= count_root_picking(h, memo)
-        total += prod
-    memo[key] = total
-    return total
+    practical to roughly 25 vertices, and the recursion is at most ``g.n``
+    deep."""
+    memo: dict[tuple[int, ...], int] = {}
+
+    def count(h: Uccg) -> int:
+        total = memo.get(h.key)
+        if total is None:
+            total = 0
+            for s in range(h.n):
+                prod = 1
+                for c in components_after_clique(h, (s,)):
+                    prod *= count(c)
+                total += prod
+            memo[h.key] = total
+        return total
+
+    return count(g)

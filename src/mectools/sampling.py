@@ -20,14 +20,7 @@ import random
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
-from .counting import (
-    CliqueRecord,
-    Key,
-    SamplerModel,
-    _phi_sizes,
-    explore as precount,
-    validate_chain,
-)
+from .counting import Chain, CliqueRecord, Key, SamplerModel, _phi_sizes, explore as precount
 from .graphs import Dag, PartialGraph, Uccg, _are_components_of, orient_by_ordering
 
 
@@ -37,9 +30,7 @@ class ModelMismatchError(ValueError):
 
 def draw_clique(model: SamplerModel, key: Key, rng: random.Random) -> CliqueRecord:
     """Draw one clique record with probability weight/total, exactly."""
-    entry = model.entries.get(key)
-    if entry is None:
-        raise KeyError(f"no sampler entry for key {key}")
+    entry = model.entries[key]
     r = rng.randrange(entry.total)
     return entry.records[bisect_right(entry.cumulative, r)]
 
@@ -74,24 +65,22 @@ def perm_step_weights(
     return out
 
 
-def draw_perm(
-    clique: Iterable[int], chain: Iterable[Iterable[int]], rng: random.Random
-) -> tuple[int, ...]:
+def draw_perm(clique: Iterable[int], chain: Chain, rng: random.Random) -> tuple[int, ...]:
     """Uniform permutation of ``clique`` having no chain element as a prefix.
 
-    The chain must be strictly nested and consist of proper subsets (then at
-    least one admissible permutation exists).  Each position is drawn with
-    exact integer weights proportional to the number of completions,
-    computed from the chain sizes.
+    The chain must be strictly nested and consist of proper subsets of the
+    clique (then at least one admissible permutation exists), as
+    :func:`~mectools.counting.fp_chains` builds it; it is not checked again
+    here.  Each position is drawn with exact integer weights proportional to
+    the number of completions, computed from the chain sizes.
     """
     remaining = sorted(clique)
     if not chain:  # every order is admissible
         rng.shuffle(remaining)
         return tuple(remaining)
-    chain_sets = validate_chain(frozenset(remaining), chain)
-    sizes = [len(x) for x in chain_sets]
+    sizes = [len(x) for x in chain]
     first_idx: dict[int, int] = {}
-    for i, x in enumerate(chain_sets):
+    for i, x in enumerate(chain):
         for v in x:
             first_idx.setdefault(v, i)
 

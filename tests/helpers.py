@@ -11,25 +11,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from mectools import (
-    CliqueTree,
     Dag,
     NotChordalError,
     ParseError,
     PartialGraph,
     Uccg,
-    clique_tree,
-    components_after_clique,
-    count_amos,
     enumerate_amos,
-    fp_chains,
-    phi_chain,
 )
 from mectools._partition import vertex_mask
-from mectools.counting import _phi_sizes, factorial, validate_chain
+from mectools.chordal import CliqueTree, clique_tree
+from mectools.counting import _phi_sizes, factorial, fp_chains
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.oracle import TooLargeError
-from mectools.sampling import SamplerModel, _draw_labels, perm_step_weights
-from mectools.subproblems import _check_clique
+from mectools.sampling import SamplerModel, _draw_labels, perm_step_weights, precount
+from mectools.subproblems import components_after_clique
 
 
 def path_graph(n: int) -> Uccg:
@@ -268,15 +263,88 @@ def count_by_separator_formula(g: Uccg) -> int:
         forbidden = [set(x) for x in seps if set(x) < set(s)]
         prod = 1
         for h in components_after_clique(g, s):
-            prod *= count_amos(h)
+            prod *= precount(h).total
         total += phi_naive(s, forbidden) * prod
     return total
 
 
+# --- checks of data the library builds for its internal steps -------------
+#
+# ``components_after_clique``, ``draw_perm`` and ``refine_traversal`` trust
+# their input: every caller in the library builds it correctly.  These
+# checks are the oracles the tests hold that input to.
+
+
+class NotCliqueError(ValueError):
+    """The supplied vertex set is not a clique of the graph."""
+
+
+def check_clique(g: Uccg, verts: Sequence[int]) -> int:
+    """Bitmask of ``verts`` after checking that they form a clique of ``g``."""
+    if len(set(verts)) != len(verts):
+        raise NotCliqueError("clique vertices must be distinct")
+    for u in verts:
+        if not 0 <= u < g.n:
+            raise NotCliqueError(f"vertex {u} out of range")
+    kmask = vertex_mask(verts)
+    masks = g.adj_masks
+    for u in verts:
+        if (masks[u] | 1 << u) & kmask != kmask:
+            raise NotCliqueError("vertex set is not a clique")
+    return kmask
+
+
+class ChainNotNestedError(ValueError):
+    """Chain elements are not strictly nested."""
+
+
+class ChainElementNotProperSubsetError(ValueError):
+    """A chain element is not a proper subset of the ground set."""
+
+
+def validate_chain(ground: frozenset, sets) -> list[frozenset]:
+    """The chain as frozensets after checking that it is strictly nested and
+    that every element is a proper subset of ``ground``."""
+    chain = [frozenset(s) for s in sets]
+    prev: frozenset | None = None
+    for x in chain:
+        if prev is not None and not prev < x:
+            raise ChainNotNestedError("chain elements must be strictly nested")
+        if not x < ground:
+            raise ChainElementNotProperSubsetError(
+                "chain elements must be proper subsets of the ground set"
+            )
+        prev = x
+    return chain
+
+
+def phi_chain(s, chain) -> int:
+    """Number of permutations of ``s`` with no chain element as a prefix.
+
+    Requires the chain to be strictly nested; evaluated with quadratically
+    many big-integer operations via the peel-off recurrence on the chain.
+    """
+    ground = frozenset(s)
+    validated = validate_chain(ground, chain)
+    return _phi_sizes(len(ground), [len(x) for x in validated])
+
+
+def check_blocks(n: int, blocks: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless the bitmask blocks are disjoint and cover
+    the vertices ``0..n-1``."""
+    covered = 0
+    for blk in blocks:
+        if covered & blk:
+            raise ValueError("initial blocks overlap")
+        covered |= blk
+    if covered != (1 << n) - 1:
+        raise ValueError("initial blocks do not cover the vertices")
+
+
 def perm_paths(clique, chain):
-    """Every permutation :func:`~mectools.draw_perm` can draw, with its exact
-    probability: the same step weights, exhaustive branching instead of
-    random choices."""
+    """Every permutation :func:`~mectools.sampling.draw_perm` can draw, with
+    its exact probability: the same step weights, exhaustive branching
+    instead of random choices."""
     sizes = [len(x) for x in chain]
     first_idx: dict[int, int] = {}
     for i, x in enumerate(chain):
@@ -343,7 +411,7 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
 def uccg_orient_by_ordering(g: Uccg, tau: Sequence[int]) -> Dag:
     """Orient every edge of ``g`` from the earlier to the later vertex of
     ``tau``, a permutation of the local vertices; the reference for
-    :func:`mectools.orient_by_ordering` on one component."""
+    :func:`mectools.graphs.orient_by_ordering` on one component."""
     if sorted(tau) != list(range(g.n)):
         raise ValueError("tau is not a permutation of the vertices")
     pos = [0] * g.n
@@ -358,8 +426,8 @@ def uccg_orient_by_ordering(g: Uccg, tau: Sequence[int]) -> Dag:
 def orientation_edges(g: PartialGraph, tau: Sequence[int]) -> frozenset[tuple[int, int]]:
     """``g``'s directed edges plus every undirected edge pointed from the
     earlier to the later vertex of ``tau``, a permutation of ``range(g.n)``;
-    the reference edge set for :func:`mectools.orient_by_ordering`, built
-    without :class:`Dag`, so that it exists also when it has a cycle."""
+    the reference edge set for :func:`mectools.graphs.orient_by_ordering`,
+    built without :class:`Dag`, so that it exists also when it has a cycle."""
     if sorted(tau) != list(range(g.n)):
         raise ValueError("tau is not a permutation of the vertices")
     pos = {v: i for i, v in enumerate(tau)}
@@ -475,8 +543,8 @@ class PermTable:
 
 def table_draw_perm(clique, chain, rng: random.Random) -> tuple:
     """The permutation draw as it read its step weights from a filled
-    :class:`PermTable`; the library's :func:`~mectools.draw_perm` must give
-    the same permutation and consume the same randomness."""
+    :class:`PermTable`; the library's :func:`~mectools.sampling.draw_perm`
+    must give the same permutation and consume the same randomness."""
     remaining = sorted(clique)
     table = PermTable(len(remaining), validate_chain(frozenset(remaining), chain))
     out: list = []
@@ -708,7 +776,7 @@ def list_k_first_records(g: Uccg, clique: Sequence[int], rng=None, forced=()):
 
 
 def list_components_after_clique(g: Uccg, clique: Sequence[int], rng=None) -> list[Uccg]:
-    _check_clique(g, list(clique))
+    check_clique(g, list(clique))
     _, records = list_k_first_records(g, clique, rng=rng)
     return _list_emit_components(g, records)
 
@@ -720,7 +788,7 @@ def components_after_permutation(
 ) -> list[Uccg]:
     """Components left undirected after a clique prefix consumed in the given
     order; the outcome coincides with ``components_after_clique``."""
-    _check_clique(g, ordered_clique)
+    check_clique(g, ordered_clique)
     _, records = list_k_first_records(g, ordered_clique, rng=rng, forced=ordered_clique)
     return _list_emit_components(g, records)
 
@@ -1047,8 +1115,8 @@ def reference_parse_graph(text: str | bytes) -> PartialGraph:
 
 
 def reference_undirected_components(g: PartialGraph) -> list[Uccg]:
-    """Components by a dict relabelling, each checked for sorted,
-    duplicate-free rows and then for chordality on the list engine."""
+    """Components by a dict relabelling, each checked for chordality on the
+    list engine."""
     seen = bytearray(g.n)
     out: list[Uccg] = []
     for s in range(g.n):
@@ -1066,10 +1134,7 @@ def reference_undirected_components(g: PartialGraph) -> list[Uccg]:
                     stack.append(v)
         comp.sort()
         local = {v: i for i, v in enumerate(comp)}
-        adj = [[local[w] for w in g.undirected[v]] for v in comp]
-        if any(a >= b for row in adj for a, b in zip(row, row[1:])):
-            raise ValueError("neighbor lists must be sorted and duplicate-free")
-        c = Uccg._unchecked(comp, adj)
+        c = Uccg._unchecked(comp, [[local[w] for w in g.undirected[v]] for v in comp])
         if not list_is_peo(c, list_lbfs_order(c)[::-1]):
             raise NotChordalError(comp)
         out.append(c)

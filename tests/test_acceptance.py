@@ -11,20 +11,17 @@ from fractions import Fraction
 import helpers
 from mectools import (
     Uccg,
-    clique_tree,
-    components_after_clique,
-    count_amos,
     count_cpdag,
     count_root_picking,
-    count_with_stats,
     enumerate_amos,
     gen_interval,
     gen_subtree,
-    lbfs,
-    phi_chain,
     precount,
-    sample_amo,
 )
+from mectools.chordal import clique_tree, lbfs
+from mectools.counting import count_with_stats
+from mectools.sampling import sample_amo
+from mectools.subproblems import components_after_clique
 from mectools.generators import _prufer_tree
 
 CHI2_999_53 = 90.5734
@@ -40,15 +37,15 @@ def report(num: int, description: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_worked_example_exact():
     g = helpers.three_clique_chain()
-    ok = count_amos(g) == 54
     model = precount(g)
+    ok = model.total == 54
     terms = sorted((r.phi, r.weight) for r in model.entries[g.key].records)
     ok &= terms == [(6, 18), (16, 16), (20, 20)]
-    ok &= phi_chain({2, 3, 4, 5}, [{2, 3}, {2, 3, 5}]) == 16
-    ok &= phi_chain({2, 3, 4, 5}, [{2, 3}]) == 20
-    ok &= phi_chain({1, 2, 3}, []) == 6
+    ok &= helpers.phi_chain({2, 3, 4, 5}, [{2, 3}, {2, 3, 5}]) == 16
+    ok &= helpers.phi_chain({2, 3, 4, 5}, [{2, 3}]) == 20
+    ok &= helpers.phi_chain({1, 2, 3}, []) == 6
     best = min(
-        _timed(lambda: count_amos(helpers.three_clique_chain())) for _ in range(20)
+        _timed(lambda: precount(helpers.three_clique_chain()).total) for _ in range(20)
     )
     ok &= best < 1e-3
     report(1, "worked example: count 54, terms 6*3+20*1+16*1, phi exact", ok,
@@ -72,7 +69,7 @@ def test_criterion_02_oracle_equivalence():
     for g in corpus:
         a = len(enumerate_amos(g))
         b = count_root_picking(g)
-        c = count_amos(g)
+        c = precount(g).total
         if a == b == c:
             agree += 1
     elapsed = time.perf_counter() - start
@@ -84,7 +81,7 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_separator_formula_cross_check():
     corpus = _oracle_corpus()
     bad = sum(
-        1 for g in corpus if helpers.count_by_separator_formula(g) != count_amos(g)
+        1 for g in corpus if helpers.count_by_separator_formula(g) != precount(g).total
     )
     report(3, "separator-sum formula equals the clique-tree count", bad == 0,
            f"{len(corpus) - bad}/{len(corpus)}")
@@ -109,9 +106,9 @@ def test_criterion_05_clique_tree_invariance():
     corpus = helpers.random_chordal_corpus(20, 4, 64, seed=555)
     ok = True
     for g in corpus:
-        reference = count_amos(g)
+        reference = precount(g).total
         for seed in range(10):
-            if count_amos(g, seed=seed) != reference:
+            if precount(g, seed=seed).total != reference:
                 ok = False
     report(5, "counts identical across 10 seeded clique trees for 20 graphs", ok)
 
@@ -157,7 +154,7 @@ def test_criterion_07_sampler_exact_uniformity():
     for g in instances:
         model = precount(g)
         dist = helpers.exact_sampler_distribution(g, model)
-        total = count_amos(g)
+        total = precount(g).total
         if len(dist) != total or any(p != Fraction(1, total) for p in dist.values()):
             ok = False
     report(7, "symbolic sampler distribution is exactly uniform (n<=6)", ok,
@@ -197,13 +194,13 @@ def test_criterion_10_complete_graph_and_tree_laws():
     fact = 1
     for n in range(1, 21):
         fact *= n
-        if count_amos(helpers.complete_graph(n)) != fact:
+        if precount(helpers.complete_graph(n)).total != fact:
             ok = False
     rng = random.Random(1010)
     for _ in range(10):
         n = rng.randint(2, 100)
         tree = Uccg.from_edges(range(n), _prufer_tree(n, rng))
-        if count_amos(tree) != n:
+        if precount(tree).total != n:
             ok = False
     report(10, "count(K_n)=n! for n<=20 and count(tree)=n for n<=100", ok)
 

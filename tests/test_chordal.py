@@ -19,13 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from mectools import (
-    NotChordalError,
-    Uccg,
-    clique_tree,
-    is_chordal,
-    lbfs,
-)
+from mectools import NotChordalError, Uccg, is_chordal
+from mectools.chordal import clique_tree, lbfs
 
 
 def peo_by_definition(g: Uccg, rho) -> bool:

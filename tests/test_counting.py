@@ -4,9 +4,9 @@ Core claims:
     - phi_chain evaluates the nested-prefix permutation count and agrees with
       naive enumeration everywhere
     - forbidden-prefix chains read off a clique tree are strictly nested
-    - count_amos equals exhaustive enumeration and root-picking on small
-      graphs, the separator-sum formula cross-checks it, and the result is
-      clique-tree invariant
+    - the precounted total equals exhaustive enumeration and root-picking on
+      small graphs, the separator-sum formula cross-checks it, and the result
+      is clique-tree invariant
     - the number of explored subgraphs stays within twice the clique count
 """
 
@@ -16,23 +16,17 @@ import random
 import pytest
 
 import helpers
+from helpers import ChainElementNotProperSubsetError, ChainNotNestedError, phi_chain
 from mectools import (
     NotChordalError,
     PartialGraph,
-    clique_tree,
-    count_amos,
     count_cpdag,
     count_root_picking,
-    count_with_stats,
     enumerate_amos,
-    fp_chains,
-    phi_chain,
+    precount,
 )
-from mectools.counting import (
-    ChainElementNotProperSubsetError,
-    ChainNotNestedError,
-    factorial,
-)
+from mectools.chordal import clique_tree
+from mectools.counting import count_with_stats, factorial, fp_chains
 
 
 class TestPhiChain:
@@ -149,29 +143,29 @@ class TestFpChains:
 
 class TestCountAmos:
     def test_three_clique_chain_is_54(self):
-        assert count_amos(helpers.three_clique_chain()) == 54
+        assert precount(helpers.three_clique_chain()).total == 54
 
     def test_complete_graphs(self):
         for n in range(1, 9):
-            assert count_amos(helpers.complete_graph(n)) == factorial(n)
+            assert precount(helpers.complete_graph(n)).total == factorial(n)
 
     def test_path3(self):
-        assert count_amos(helpers.path_graph(3)) == 3
+        assert precount(helpers.path_graph(3)).total == 3
 
     def test_seven_vertex_chain_frozen_oracle_value(self):
         g = helpers.clique_chain_7()
         assert len(enumerate_amos(g)) == 104
-        assert count_amos(g) == 104
+        assert precount(g).total == 104
 
     def test_oracle_equivalence_on_corpus(self):
         for g in helpers.random_chordal_corpus(40, 2, 8, seed=71, max_edges=14):
             expected = len(enumerate_amos(g))
-            assert count_amos(g) == expected
+            assert precount(g).total == expected
             assert count_root_picking(g) == expected
 
     def test_separator_formula_cross_check(self):
         for g in helpers.random_chordal_corpus(30, 2, 8, seed=73):
-            assert helpers.count_by_separator_formula(g) == count_amos(g)
+            assert helpers.count_by_separator_formula(g) == precount(g).total
 
     def test_separator_formula_terms_on_three_clique_chain(self):
         g = helpers.three_clique_chain()
@@ -191,17 +185,17 @@ class TestCountAmos:
 
     def test_clique_tree_invariance(self):
         for g in helpers.random_chordal_corpus(12, 3, 24, seed=79):
-            base = count_amos(g)
+            base = precount(g).total
             for seed in range(8):
-                assert count_amos(g, seed=seed) == base
+                assert precount(g, seed=seed).total == base
 
     def test_bounds(self):
         for g in helpers.random_chordal_corpus(25, 1, 10, seed=83):
-            c = count_amos(g)
+            c = precount(g).total
             assert g.n <= c <= factorial(g.n)
 
     def test_deep_path_does_not_overflow_stack(self):
-        assert count_amos(helpers.path_graph(600)) == 600
+        assert precount(helpers.path_graph(600)).total == 600
 
     def test_unchecked_cycle_is_rejected(self):
         # a Uccg built without validation reaches the counter unchecked; the
@@ -209,7 +203,7 @@ class TestCountAmos:
         g = helpers.unchecked_uccg(4, helpers.cycle_edges(4))
         assert enumerate_amos(g) == []
         with pytest.raises(NotChordalError):
-            count_amos(g)
+            precount(g)
 
 
 class TestCountCpdag:
@@ -238,7 +232,7 @@ class TestCountCpdag:
                     (u + shift, v + shift) for u, v in g2.edges()
                 ]
                 pg = PartialGraph.from_edges(g1.n + g2.n, edges)
-                assert count_cpdag(pg) == count_amos(g1) * count_amos(g2)
+                assert count_cpdag(pg) == precount(g1).total * precount(g2).total
 
 
 class TestCountWithStats:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import helpers
-from mectools import draw_perm, precount, undirected_components
-from mectools.sampling import _draw_labels
+from mectools import precount, undirected_components
+from mectools.sampling import _draw_labels, draw_perm
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 

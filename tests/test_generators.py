@@ -16,7 +16,8 @@ import statistics
 
 import pytest
 
-from mectools import clique_tree, gen_interval, gen_peo, gen_subtree, gen_thicken, is_chordal
+from mectools import gen_interval, gen_peo, gen_subtree, gen_thicken, is_chordal
+from mectools.chordal import clique_tree
 from mectools.generators import (
     GenerationError,
     _prufer_tree,

@@ -32,13 +32,14 @@ from mectools import (
     ParseError,
     PartialGraph,
     Uccg,
-    orient_by_ordering,
     parse_graph,
     undirected_components,
     v_structures,
 )
+from mectools.graphs import orient_by_ordering
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+UNSORTED = "neighbor lists must be sorted and duplicate-free"
 
 
 @st.composite
@@ -213,18 +214,28 @@ class TestPartialGraphInvariants:
             PartialGraph(2, ((1,), ()), ((), ()))
 
     @pytest.mark.parametrize(
-        "undirected, directed_out",
+        "build, args, message",
         [
-            (((2, 1), (0,), (0,)), ((), (), ())),
-            (((1, 1), (0,), ()), ((), (2,), ())),
-            (((), (), ()), ((2, 1), (), ())),
-            (((), (), ()), ((1, 1), (), ())),
+            (PartialGraph, (3, ((2, 1), (0,), (0,)), ((), (), ())), UNSORTED),
+            (PartialGraph, (3, ((1, 1), (0,), ()), ((), (2,), ())), UNSORTED),
+            (PartialGraph, (3, ((), (), ()), ((2, 1), (), ())), UNSORTED),
+            (PartialGraph, (3, ((), (), ()), ((1, 1), (), ())), UNSORTED),
+            # an edge list is checked before its endpoints index a row
+            (PartialGraph.from_edges, (2, [(0, 5)]), "vertex out of range"),
+            (PartialGraph.from_edges, (2, [], [(-1, 0)]), "vertex out of range"),
         ],
-        ids=["undirected-unsorted", "undirected-duplicate", "directed-unsorted", "directed-duplicate"],
+        ids=[
+            "undirected-unsorted",
+            "undirected-duplicate",
+            "directed-unsorted",
+            "directed-duplicate",
+            "from-edges-undirected-range",
+            "from-edges-directed-range",
+        ],
     )
-    def test_rejects_unsorted_or_duplicate_row(self, undirected, directed_out):
-        with pytest.raises(ValueError, match="^neighbor lists must be sorted and duplicate-free$"):
-            PartialGraph(3, undirected, directed_out)
+    def test_rejects_unsorted_or_duplicate_row(self, build, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(*args)
 
 
 class TestIsChainGraph:
@@ -294,20 +305,21 @@ class TestUccg:
             Uccg.from_edges(range(4), helpers.cycle_edges(4))
 
     @pytest.mark.parametrize(
-        "adj",
+        "build, args",
         [
-            [[1], [0, 2]],  # wrong adjacency length
-            [[1], [0, 3], [1]],  # out-of-range entry
-            [[0, 1], [0, 2], [1]],  # self-loop
-            [[1, 2], [0, 2], [1]],  # asymmetric row
-            [[2, 1], [0], [0]],  # unsorted row
-            [[1, 1], [0, 2], [1]],  # duplicate entry
+            (Uccg, ([0, 1, 2], [[1], [0, 2]])),  # wrong adjacency length
+            (Uccg, ([0, 1, 2], [[1], [0, 3], [1]])),  # out-of-range entry
+            (Uccg, ([0, 1, 2], [[0, 1], [0, 2], [1]])),  # self-loop
+            (Uccg, ([0, 1, 2], [[1, 2], [0, 2], [1]])),  # asymmetric row
+            (Uccg, ([0, 1, 2], [[2, 1], [0], [0]])),  # unsorted row
+            (Uccg, ([0, 1, 2], [[1, 1], [0, 2], [1]])),  # duplicate entry
+            (Uccg.from_edges, ((0, 1), [(0, 5)])),  # out-of-range edge endpoint
         ],
-        ids=["length", "range", "self-loop", "asymmetric", "unsorted", "duplicate"],
+        ids=["length", "range", "self-loop", "asymmetric", "unsorted", "duplicate", "from-edges-range"],
     )
-    def test_malformed_adjacency_rejected(self, adj):
+    def test_malformed_adjacency_rejected(self, build, args):
         with pytest.raises(ValueError):
-            Uccg([0, 1, 2], adj)
+            build(*args)
 
     def test_non_chordal_error_carries_labels(self):
         with pytest.raises(NotChordalError) as info:
@@ -442,6 +454,11 @@ class TestDag:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             Dag.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+
+    @pytest.mark.parametrize("edge", [(5, 0), (-1, 0)], ids=["past-n", "negative"])
+    def test_from_edges_rejects_an_endpoint_out_of_range(self, edge):
+        with pytest.raises(ValueError, match="^vertex out of range$"):
+            Dag.from_edges(2, [edge])
 
     def test_serialize_fully_directed(self):
         dag = Dag.from_edges(3, [(1, 0), (1, 2)])

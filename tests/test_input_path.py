@@ -7,7 +7,8 @@ Core claims:
     - the PartialGraph constructor accepts exactly what the pair-by-pair
       check accepts, and otherwise raises its message
     - undirected_components returns the reference's components, or raises
-      its error, message and labels
+      its error, message and labels; rows out of order never reach it, the
+      constructor rejects them
 """
 
 import re
@@ -162,9 +163,9 @@ def test_partial_graph_check_matches_reference(fields):
 
 
 @st.composite
-def component_graphs(draw):
-    """Small partial graphs, chordal or not, sometimes with unsorted rows
-    (built unchecked, since the constructor rejects them)."""
+def component_fields(draw):
+    """(n, undirected, directed_out) of small partial graphs, chordal or not,
+    sometimes with one row reversed or given a duplicate entry."""
     n = draw(st.integers(0, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     kinds = draw(st.lists(st.sampled_from("uu.d"), min_size=len(pairs), max_size=len(pairs)))
@@ -173,17 +174,23 @@ def component_graphs(draw):
         [p for p, k in zip(pairs, kinds) if k == "u"],
         [p for p, k in zip(pairs, kinds) if k == "d"],
     )
+    und = list(g.undirected)
     if n and draw(st.integers(0, 4)) == 0:
-        und = list(g.undirected)
         u = draw(st.integers(0, n - 1))
         und[u] = tuple(reversed(und[u])) + und[u][:draw(st.integers(0, 1))]
-        g = PartialGraph._unchecked(n, tuple(und), g.directed_out)
-    return g
+    return n, tuple(und), g.directed_out
 
 
 @PROPERTY
-@given(component_graphs())
-def test_components_match_reference(g):
+@given(component_fields())
+def test_components_match_reference(fields):
+    # rows out of order are the constructor's to reject, before any split
+    got = outcome(PartialGraph, *fields)
+    if got[0] != "ok":
+        assert got == outcome(helpers.check_partial_graph, *fields)
+        assert got[1] == "neighbor lists must be sorted and duplicate-free"
+        return
+    g = got[1]
     assert outcome(undirected_components, g) == outcome(helpers.reference_undirected_components, g)
 
 
@@ -233,12 +240,17 @@ def test_faulty_input_builds_nothing_of_its_vertex_count(text, message):
 
 
 def test_not_chordal_component_after_unsorted_one_is_reported_first():
-    # components are checked in order of their smallest vertex
+    # unsorted rows are rejected by the constructor, before any component
     four_cycle = PartialGraph.from_edges(7, helpers.cycle_edges(4))
     und = list(four_cycle.undirected)
     und[4], und[5] = (5, 6), (6, 4)  # not sorted, but a triangle
     und[6] = (4, 5)
-    g = PartialGraph._unchecked(7, tuple(und), four_cycle.directed_out)
+    with pytest.raises(ValueError, match="^neighbor lists must be sorted and duplicate-free$"):
+        PartialGraph(7, tuple(und), four_cycle.directed_out)
+    # components are checked in order of their smallest vertex: of two
+    # 4-cycles the first is reported
+    second = [(4 + u, 4 + v) for u, v in helpers.cycle_edges(4)]
+    g = PartialGraph.from_edges(8, helpers.cycle_edges(4) + second)
     with pytest.raises(NotChordalError) as err:
         undirected_components(g)
     assert err.value.labels == (0, 1, 2, 3)

@@ -14,15 +14,10 @@ import itertools
 import pytest
 
 import helpers
-from mectools import (
-    Dag,
-    clique_tree,
-    count_root_picking,
-    enumerate_amos,
-    orient_by_ordering,
-    v_structures,
-)
+from mectools import Dag, count_root_picking, enumerate_amos, v_structures
+from mectools.chordal import clique_tree
 from mectools.counting import factorial
+from mectools.graphs import orient_by_ordering
 from mectools.oracle import TooLargeError
 
 

