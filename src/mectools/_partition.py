@@ -49,16 +49,17 @@ def refine_traversal(
     *,
     masks: Sequence[int],
 ) -> tuple[list[int], list[int]]:
-    """Visit all vertices, always picking from the lexicographically first block.
+    """Visit every vertex of the initial blocks, always picking from the
+    lexicographically first block.
 
-    ``initial_blocks`` is the starting block sequence as vertex bitmasks,
-    disjoint and covering all ``len(adj)`` vertices, as every caller builds
-    it (one block, or a clique and the rest); empty blocks are ignored, and
-    nothing else is checked.  The pick is the lowest vertex of the front
-    block, or with ``rng`` a ``rng.choice`` over its vertices in increasing
-    order.
+    ``initial_blocks`` is the starting block sequence as disjoint vertex
+    bitmasks, as every caller builds it (one block, or a clique and the
+    rest); their union is the universe traversed, the subgraph of ``adj``
+    induced on it.  Empty blocks are ignored, and nothing else is checked.
+    The pick is the lowest vertex of the front block, or with ``rng`` a
+    ``rng.choice`` over its vertices in increasing order.
     ``masks`` are the neighborhood bitmasks of ``adj`` (see
-    :func:`adjacency_masks`).
+    :func:`adjacency_masks`); ``adj`` itself only sizes the vertex space.
 
     If ``skip_record`` (a bitmask) is not None, recording is enabled:
     whenever the visited vertex belongs to no previously recorded block and
@@ -66,11 +67,11 @@ def refine_traversal(
     bitmask.  Returns the visit order and the recorded blocks in recording
     order.
     """
-    n = len(adj)
     blocks: list[int] = []
     nxt: list[int] = []
     prv: list[int] = []
     first = -1
+    unvisited = 0
     for blk in initial_blocks:
         if not blk:
             continue
@@ -78,17 +79,17 @@ def refine_traversal(
         blocks.append(blk)
         nxt.append(-1)
         prv.append(bid - 1)
+        unvisited |= blk
         if bid:
             nxt[bid - 1] = bid
         else:
             first = bid
-    unvisited = (1 << n) - 1
-    if not n:
+    if not unvisited:
         return [], []
 
     # label the largest initial block by default, the others bit by bit
     big = max(range(len(blocks)), key=lambda b: blocks[b].bit_count())
-    vblock = [big] * n
+    vblock = [big] * len(adj)
     for bid, blk in enumerate(blocks):
         if bid != big:
             for v in mask_bits(blk):
@@ -99,9 +100,8 @@ def refine_traversal(
     recording = skip_record is not None
     done = skip_record if recording else 0  # recorded or skipped vertices
 
-    left = n
-    deg = list(map(len, adj))
-    for _ in range(n):
+    left = unvisited.bit_count()
+    for _ in range(left):
         b = first
         front = blocks[b]
         if rng is None:
@@ -127,7 +127,7 @@ def refine_traversal(
         # unvisited non-neighbors, so the blocks of the smaller side suffice
         left -= 1
         nbrs = masks[v] & unvisited
-        by_nbrs = 2 * deg[v] <= left or 2 * nbrs.bit_count() <= left
+        by_nbrs = 2 * nbrs.bit_count() <= left
         side = nbrs if by_nbrs else unvisited ^ nbrs
         while side:
             c = vblock[(side & -side).bit_length() - 1]

@@ -12,14 +12,16 @@ if TYPE_CHECKING:
     from .graphs import Uccg
 
 
-def lbfs(g: "Uccg", rng: random.Random | None = None) -> tuple[int, ...]:
-    """Lexicographic BFS visit order of ``g``, in O(|V|+|E|).
+def lbfs(g: "Uccg", rng: random.Random | None = None, sub: int | None = None) -> tuple[int, ...]:
+    """Lexicographic BFS visit order of ``g``, or of its subgraph induced on
+    the vertex mask ``sub``, in O(|V|+|E|).
 
-    Its reverse is a perfect elimination ordering whenever ``g`` is chordal.
-    Ties are broken toward the lowest local index by default; pass ``rng``
-    for randomized tie-breaking.
+    Its reverse is a perfect elimination ordering whenever that graph is
+    chordal.  Ties are broken toward the lowest local index by default; pass
+    ``rng`` for randomized tie-breaking.
     """
-    order, _ = refine_traversal(g.adj, [(1 << g.n) - 1], rng=rng, masks=g.adj_masks)
+    block = (1 << g.n) - 1 if sub is None else sub
+    order, _ = refine_traversal(g.adj, [block], rng=rng, masks=g.adj_masks)
     return tuple(order)
 
 
@@ -56,30 +58,36 @@ class CliqueTree:
     order: tuple[int, ...]
 
 
-def clique_tree(g: "Uccg", rng: random.Random | None = None) -> CliqueTree:
-    """Build a rooted clique tree from a single LBFS sweep.
+def clique_tree(
+    g: "Uccg", rng: random.Random | None = None, sub: int | None = None
+) -> CliqueTree:
+    """Build a rooted clique tree of ``g``, or of its subgraph induced on the
+    vertex mask ``sub``, from a single LBFS sweep, in ``g``'s local vertices.
 
     The sweep collects the maximal cliques and tests chordality on the way
     (see :func:`_cliques_of_sweep`); a graph that is not chordal raises
     :class:`NotChordalError`, an empty or disconnected one ``ValueError``.
     Each new clique is attached to the clique of its most recently visited
     earlier neighbor.  The default root is the clique containing the lowest
-    label; with ``rng`` both the LBFS ties and the root are randomized.
+    vertex; with ``rng`` both the LBFS ties and the root are randomized.
     Clique trees are not unique, but every quantity derived from them
     downstream is tree-invariant.
 
-    A complete graph gets its one-clique tree without building adjacency;
-    ``rng`` is advanced as the sweep would advance it (see
+    A complete graph gets its one-clique tree without a sweep; ``rng`` is
+    advanced as the sweep would advance it (see
     :func:`_skip_sweep_of_complete`).
     """
-    n = g.n
-    if n == 0:
+    if sub is None:
+        sub = (1 << g.n) - 1
+    if not sub:
         raise ValueError("empty graph has no clique tree")
-    if g._is_complete():
+    masks = g.adj_masks
+    verts = mask_bits(sub)
+    if all((masks[v] | 1 << v) & sub == sub for v in verts):
         if rng is not None:
-            _skip_sweep_of_complete(rng, n)
-        return CliqueTree((tuple(range(n)),), (0,), (None,), (0,))
-    return _clique_tree_of_sweep(g, lbfs(g, rng=rng), rng)
+            _skip_sweep_of_complete(rng, len(verts))
+        return CliqueTree((tuple(verts),), (0,), (None,), (0,))
+    return _clique_tree_of_sweep(g, lbfs(g, rng=rng, sub=sub), rng)
 
 
 def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:
@@ -98,9 +106,10 @@ def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:
 def _cliques_of_sweep(
     g: "Uccg", sweep: Sequence[int]
 ) -> tuple[list[int], list[int]] | None:
-    """The maximal cliques of ``g`` as vertex masks, collected as runs of its
-    LBFS visit order ``sweep``, and the clique each later one is attached
-    to; ``None`` if ``g`` is not chordal.
+    """The maximal cliques of the subgraph of ``g`` that its LBFS visit
+    order ``sweep`` covers, as vertex masks collected as runs of ``sweep``,
+    and the clique each later one is attached to; ``None`` if that graph is
+    not chordal.
 
     A vertex ``v`` extends the running clique iff its earlier neighbors
     ``E`` equal it: that clique is the previous vertex ``u`` with its
@@ -136,11 +145,11 @@ def _cliques_of_sweep(
 def _clique_tree_of_sweep(
     g: "Uccg", sweep: Sequence[int], rng: random.Random | None
 ) -> CliqueTree:
-    """Clique tree from the LBFS visit order ``sweep`` of ``g``; ``rng`` picks
-    the root (default: the clique containing local vertex 0)."""
+    """Clique tree from an LBFS visit order ``sweep`` in ``g``; ``rng`` picks
+    the root (default: the clique containing the lowest vertex swept)."""
     found = _cliques_of_sweep(g, sweep)
     if found is None:
-        raise NotChordalError(g.labels)
+        raise NotChordalError(map(g.labels.__getitem__, sorted(sweep)))
     cliques, attach = found
     if -1 in attach:
         raise ValueError("graph not connected")
@@ -149,7 +158,8 @@ def _clique_tree_of_sweep(
     if rng is not None:
         root = rng.randrange(k)
     else:
-        root = next(i for i, c in enumerate(cliques) if c & 1)
+        low = 1 << min(sweep)
+        root = next(i for i, c in enumerate(cliques) if c & low)
 
     tree_adj: list[list[int]] = [[] for _ in range(k)]
     for s, a in enumerate(attach, 1):

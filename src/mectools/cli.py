@@ -44,13 +44,16 @@ def _read_graph(path: str):
 
 def _split(g):
     """The undirected components of ``g``.  A component that is not chordal
-    raises first; then a graph that is not a chain graph, which no CPDAG
-    is, raises :class:`NotCpdagError`."""
+    raises first; then a graph that is not a chain graph or has an induced
+    ``a -> b - c``, neither of which a CPDAG has, raises
+    :class:`NotCpdagError`."""
     comps = undirected_components(g)
     if not g.is_chain_graph:
         raise NotCpdagError(
             "not a CPDAG: a directed edge lies on a partially directed cycle"
         )
+    if not g.is_flag_free:
+        raise NotCpdagError("not a CPDAG: an induced a -> b - c occurs")
     return comps
 
 

@@ -3,8 +3,9 @@
 The counter walks a rooted clique tree: each tree node contributes the number
 of permutations of its clique that avoid the separator chain inherited along
 the root path, times the counts of the subgraphs left undirected once the
-clique is fixed.  Explored subgraphs are memoized by their sorted global
-label tuple; counts are exact big integers (they reach n!).
+clique is fixed.  Every explored subgraph is an induced subgraph of the
+root, kept and memoized as the int mask of its vertices over the root's
+local vertices; counts are exact big integers (they reach n!).
 
 :func:`explore` runs this once and keeps every node's weight in a
 :class:`SamplerModel`: the counters read its totals, and the sampler draws
@@ -21,8 +22,9 @@ from .chordal import CliqueTree, clique_tree
 from .graphs import PartialGraph, Uccg, undirected_components
 from .subproblems import components_after_clique
 
-# key of an explored induced subgraph: its sorted global labels
-Key = Tuple[int, ...]
+# key of an explored induced subgraph: its vertex mask over the root's
+# local vertices (bit ``v`` for local vertex ``v``)
+Key = int
 
 
 _FACT = [1]
@@ -86,7 +88,8 @@ class CliqueRecord:
     """One clique-tree node of an explored subgraph.
 
     ``clique`` and ``chain`` are in global labels; ``child_keys`` are the
-    components left undirected once the clique is fixed, in recording order;
+    components left undirected once the clique is fixed, as vertex masks
+    over the root's local vertices, in recording order;
     ``weight`` is ``phi`` times the counts of those components.
     """
 
@@ -106,8 +109,9 @@ class _KeyEntry:
 
 @dataclass(frozen=True, eq=False)
 class SamplerModel:
-    """The explored model of one graph: per explored subgraph, its clique
-    records with their weights, cumulative weights and total count.
+    """The explored model of one graph: per explored subgraph, keyed by its
+    vertex mask over ``root``'s local vertices, its clique records with
+    their weights, cumulative weights and total count.
 
     Counting reads the root's total; sampling draws from the records.
     """
@@ -117,7 +121,7 @@ class SamplerModel:
 
     @property
     def root_key(self) -> Key:
-        return self.root.key
+        return (1 << self.root.n) - 1
 
     @property
     def total(self) -> int:
@@ -127,48 +131,46 @@ class SamplerModel:
 def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
     """Explore every subgraph reachable from ``g`` and evaluate its records.
 
-    Each distinct subgraph (by key) is explored once.  Uses an explicit work
-    stack: path-like graphs produce recursion depths proportional to the
-    clique count, which would overrun the interpreter stack.  A complete
-    subgraph gets its single record directly, without building its
-    adjacency.  ``seed`` randomizes clique-tree construction; the counts are
-    tree-invariant.
+    Each subgraph is the vertex mask of an induced subgraph of ``g``, and
+    each distinct one is explored once.  Uses an explicit work stack:
+    path-like graphs produce recursion depths proportional to the clique
+    count, which would overrun the interpreter stack.  ``seed`` randomizes
+    clique-tree construction; the counts are tree-invariant.
     """
     rng = random.Random(seed) if seed is not None else None
-    # key -> (clique, chain, child keys, phi) per clique-tree node, BFS order
+    to_labels = g.labels.__getitem__
+    # mask -> (clique, chain, child masks, phi) per clique-tree node, BFS order
     nodes: Dict[Key, list[tuple]] = {}
-    graphs = [g]
-    seen = {g.key}
-    while graphs:
-        cur = graphs.pop()
-        t = clique_tree(cur, rng=rng)
+    subs = [(1 << g.n) - 1]
+    seen = set(subs)
+    while subs:
+        sub = subs.pop()
+        t = clique_tree(g, rng, sub)
         if len(t.cliques) == 1:
             # a complete graph: no separators, nothing left once it is fixed
-            nodes[cur.key] = [(cur.key, (), (), factorial(cur.n))]
+            (clique,) = t.cliques
+            nodes[sub] = [(tuple(map(to_labels, clique)), (), (), factorial(len(clique)))]
             continue
         chains = fp_chains(t)
-        labels = cur.labels
         cur_nodes = []
         for idx in t.order:
             clique = t.cliques[idx]
-            child_keys = []
-            for h in components_after_clique(cur, clique):
-                hk = h.key
-                child_keys.append(hk)
-                if hk not in seen:
-                    seen.add(hk)
-                    graphs.append(h)
+            child_keys = components_after_clique(g, clique, sub)
+            for h in child_keys:
+                if h not in seen:
+                    seen.add(h)
+                    subs.append(h)
             cur_nodes.append((
-                tuple(labels[v] for v in clique),
-                tuple(tuple(labels[v] for v in s) for s in chains[idx]),
+                tuple(map(to_labels, clique)),
+                tuple(tuple(map(to_labels, s)) for s in chains[idx]),
                 tuple(child_keys),
                 _phi_sizes(len(clique), [len(s) for s in chains[idx]]),
             ))
-        nodes[cur.key] = cur_nodes
+        nodes[sub] = cur_nodes
 
     entries: Dict[Key, _KeyEntry] = {}
     # children have strictly fewer vertices, so size order is dependency order
-    for key in sorted(nodes, key=len):
+    for key in sorted(nodes, key=int.bit_count):
         records = []
         cumulative = []
         running = 0
@@ -214,5 +216,5 @@ def count_with_stats(g: Uccg, seed: int | None = None) -> CountStats:
     return CountStats(
         count=model.total,
         explored=len(model.entries),
-        max_cliques=len(model.entries[g.key].records),
+        max_cliques=len(model.entries[model.root_key].records),
     )

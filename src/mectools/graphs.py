@@ -2,8 +2,9 @@
 
 Vertices of a :class:`PartialGraph` are 0-indexed internally; the text file
 format is 1-indexed.  A :class:`Uccg` keeps a strictly increasing tuple of
-*global* vertex labels next to its local adjacency, so the sorted label tuple
-of any induced subgraph is a stable identity usable as a memoization key.
+*global* vertex labels next to its local adjacency; an induced subgraph of
+it is the int mask of its local vertices, and its adjacency the
+neighbourhood masks restricted to that mask.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import filterfalse, islice
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
-from ._partition import adjacency_masks, mask_bits
+from ._partition import adjacency_masks
 from .chordal import NotChordalError, is_chordal
 
 
@@ -123,6 +124,23 @@ class PartialGraph:
                 if not indeg[d]:
                     ready.append(d)
         return len(ready) == k
+
+    @cached_property
+    def is_flag_free(self) -> bool:
+        """True iff no induced ``a -> b - c`` (a flag) occurs: every
+        undirected neighbor of a directed edge's head is adjacent to its
+        tail.  Every CPDAG is flag-free (Andersson, Madigan & Perlman 1997,
+        condition 3).  Computed once per graph, looking only at each directed
+        edge and the neighborhoods of its two ends."""
+        und, out = self.undirected, self.directed_out
+        for a, heads in enumerate(out):
+            near = None  # a's undirected and out-neighbors, built on demand
+            for b in heads:
+                for c in und[b]:
+                    near = near or {*und[a], *heads}
+                    if c not in near and a not in out[c]:
+                        return False
+        return True
 
     @classmethod
     def from_edges(
@@ -283,28 +301,26 @@ class Uccg:
     """Undirected connected chordal graph carrying global vertex labels.
 
     Local vertices are ``0..n-1``; ``labels[i]`` is the global id of local
-    vertex ``i``.  Labels are strictly increasing, making ``labels`` a
-    canonical key for the induced subgraph.  Instances are immutable.
-
-    ``adj`` (sorted neighbor tuples) and ``adj_masks`` (neighborhood
-    bitmasks) are built at most once, on first use: an induced subgraph made
-    by :meth:`_induced` keeps only its key and a view of its parent until
-    then, so a subgraph that is only looked up by key never builds either.
+    vertex ``i``, and labels are strictly increasing.  Instances are
+    immutable.  ``adj`` holds sorted neighbor tuples; ``adj_masks``, the
+    neighborhood bitmasks, are built on first use.  Induced subgraphs are
+    not built as graphs: they are vertex masks over ``0..n-1``, and
+    ``adj_masks[v] & sub`` are the neighbors of ``v`` in subgraph ``sub``.
     """
 
-    __slots__ = ("labels", "_adj", "_masks", "_source")
+    __slots__ = ("labels", "adj", "_masks")
 
     def __init__(self, labels: Sequence[int], adj: Sequence[Sequence[int]]):
         """Checks what a Uccg adds to a graph, increasing labels and one
         component; :class:`PartialGraph` and :func:`undirected_components`
         check the rows and chordality."""
         labels = tuple(labels)
-        self._fill(labels, tuple(map(tuple, adj)), None)
+        self._fill(labels, tuple(map(tuple, adj)))
         if not _strictly_increasing(labels):
             raise ValueError("labels must be strictly increasing")
         n = len(labels)
         try:
-            comps = undirected_components(PartialGraph(n, self._adj, ((),) * n))
+            comps = undirected_components(PartialGraph(n, self.adj, ((),) * n))
         except NotChordalError as exc:
             raise NotChordalError(map(labels.__getitem__, exc.labels)) from None
         if len(comps) > 1:
@@ -315,42 +331,17 @@ class Uccg:
         """Build without validation, for a caller that checks the graph
         itself or needs one that is not connected chordal."""
         self = object.__new__(cls)
-        self._fill(tuple(labels), tuple(map(tuple, adj)), None)
+        self._fill(tuple(labels), tuple(map(tuple, adj)))
         return self
 
-    @classmethod
-    def _induced(cls, parent: "Uccg", sub: int) -> "Uccg":
-        """Subgraph of ``parent`` induced on the local vertex bitmask ``sub``,
-        which the caller guarantees to be connected (and hence chordal)."""
-        verts = mask_bits(sub)
-        self = object.__new__(cls)
-        labels = tuple(map(parent.labels.__getitem__, verts))
-        self._fill(labels, None, (parent.adj_masks, verts, sub))
-        return self
-
-    def _fill(self, labels, adj, source):
+    def _fill(self, labels, adj):
         setter = object.__setattr__
         setter(self, "labels", labels)
-        setter(self, "_adj", adj)
+        setter(self, "adj", adj)
         setter(self, "_masks", None)
-        setter(self, "_source", source)
 
     def __setattr__(self, name, value):
         raise AttributeError("Uccg is immutable")
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        adj = self._adj
-        if adj is None:
-            parent_masks, verts, sub = self._source
-            local = {v: i for i, v in enumerate(verts)}
-            adj = tuple(
-                tuple(local[w] for w in mask_bits(parent_masks[v] & sub))
-                for v in verts
-            )
-            object.__setattr__(self, "_adj", adj)
-            object.__setattr__(self, "_source", None)
-        return adj
 
     @property
     def adj_masks(self) -> tuple[int, ...]:
@@ -361,14 +352,6 @@ class Uccg:
             masks = adjacency_masks(self.adj)
             object.__setattr__(self, "_masks", masks)
         return masks
-
-    def _is_complete(self) -> bool:
-        """True iff every two vertices are adjacent; builds no adjacency."""
-        k = len(self.labels) - 1
-        if self._source is not None:
-            parent_masks, verts, sub = self._source
-            return all((parent_masks[v] & sub).bit_count() == k for v in verts)
-        return all(len(row) == k for row in self._adj)
 
     @classmethod
     def from_edges(
@@ -393,10 +376,6 @@ class Uccg:
     @property
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        return self.labels
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):

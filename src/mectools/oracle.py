@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ._partition import mask_bits
 from .graphs import Dag, Uccg
 from .subproblems import components_after_clique
 
@@ -107,19 +108,19 @@ def count_root_picking(g: Uccg) -> int:
     """Count AMOs by fixing each vertex as the unique source and recursing on
     the parts left undirected.  Independent of the clique-level counter;
     practical to roughly 25 vertices, and the recursion is at most ``g.n``
-    deep."""
-    memo: dict[tuple[int, ...], int] = {}
+    deep.  Parts are vertex masks of ``g``, memoized by mask."""
+    memo: dict[int, int] = {}
 
-    def count(h: Uccg) -> int:
-        total = memo.get(h.key)
+    def count(sub: int) -> int:
+        total = memo.get(sub)
         if total is None:
             total = 0
-            for s in range(h.n):
+            for s in mask_bits(sub):
                 prod = 1
-                for c in components_after_clique(h, (s,)):
+                for c in components_after_clique(g, (s,), sub):
                     prod *= count(c)
                 total += prod
-            memo[h.key] = total
+            memo[sub] = total
         return total
 
-    return count(g)
+    return count((1 << g.n) - 1)

@@ -4,9 +4,9 @@ Given a chordal graph and a clique K, every topological ordering that starts
 with K forces the same orientations outside K; what is left undirected splits
 into connected chordal subgraphs that can be handled independently.  One
 partition-refinement traversal seeded with the block sequence (K, V \\ K)
-finds them.  The components are returned as induced subgraphs that build
-their adjacency only when it is first used, so a caller that only needs
-their keys pays for none.
+finds them.  Subgraphs are vertex masks over one graph's local vertices, the
+root of an exploration: a component is the mask of its vertices, and its
+adjacency is the root's restricted to that mask.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from ._partition import refine_traversal, vertex_mask
 from .graphs import Uccg
 
 
-def _emit_components(g: Uccg, blocks: list[int]) -> list[Uccg]:
-    """Connected components of each recorded block, blocks in order and the
-    components of one block by increasing lowest vertex."""
+def _emit_components(g: Uccg, blocks: list[int]) -> list[int]:
+    """Connected components of each recorded block as vertex masks, blocks
+    in order and the components of one block by increasing lowest vertex."""
     masks = g.adj_masks
-    out: list[Uccg] = []
+    out: list[int] = []
     for left in blocks:
         while left:
             comp = frontier = left & -left
@@ -34,22 +34,25 @@ def _emit_components(g: Uccg, blocks: list[int]) -> list[Uccg]:
                     left ^= new
                     comp |= new
                     frontier |= new
-            out.append(Uccg._induced(g, comp))
+            out.append(comp)
     return out
 
 
-def components_after_clique(g: Uccg, clique: Sequence[int]) -> list[Uccg]:
-    """Components left undirected once the clique (in any order) is fixed first.
+def components_after_clique(
+    g: Uccg, clique: Sequence[int], sub: int | None = None
+) -> list[int]:
+    """Components left undirected once the clique (in any order) is fixed
+    first in ``g``, or in its subgraph induced on the vertex mask ``sub``,
+    as vertex masks over ``g``'s local vertices.
 
-    ``clique`` is a clique of ``g`` given as distinct local vertex ids, as
-    the clique tree and the root-picking oracle build it; it is not checked
-    again here.  The result is independent of the traversal's internal
-    tie-breaking and of the order the clique would be visited in;
-    components are returned in the order their enclosing block was
-    recorded, which is consistent with the forced edge directions between
-    them.
+    ``clique`` is a clique of that graph given as distinct local vertex ids,
+    as the clique tree and the root-picking oracle build it; it is not
+    checked again here.  The result is independent of the traversal's
+    internal tie-breaking and of the order the clique would be visited in;
+    components come in the order their enclosing block was recorded, which
+    is consistent with the forced edge directions between them.
     """
     kmask = vertex_mask(clique)
-    rest = ((1 << g.n) - 1) ^ kmask
+    rest = ((1 << g.n) - 1 if sub is None else sub) ^ kmask
     _, records = refine_traversal(g.adj, [kmask, rest], skip_record=kmask, masks=g.adj_masks)
     return _emit_components(g, records)

@@ -10,6 +10,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
+from hypothesis import strategies as st
+
 from mectools import (
     Dag,
     NotChordalError,
@@ -18,7 +20,7 @@ from mectools import (
     Uccg,
     enumerate_amos,
 )
-from mectools._partition import vertex_mask
+from mectools._partition import mask_bits, vertex_mask
 from mectools.chordal import CliqueTree, clique_tree
 from mectools.counting import _phi_sizes, factorial, fp_chains
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
@@ -82,6 +84,24 @@ _CORPUS_MODELS = (
     ("peo", lambda n: 2),
     ("thicken", lambda n: 2),
 )
+
+
+@st.composite
+def chordal_graphs(draw):
+    """A connected chordal graph on shuffled vertex ids: each vertex joins an
+    earlier vertex ``j`` and some of ``j``'s own earlier neighbours, which
+    form a clique with ``j``."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(n)))
+    earlier: list[tuple[int, ...]] = [()]
+    edges = []
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        keep = draw(st.lists(st.booleans(), min_size=len(earlier[j]), max_size=len(earlier[j])))
+        nbrs = (j,) + tuple(w for w, k in zip(earlier[j], keep) if k)
+        earlier.append(nbrs)
+        edges += [(ids[w], ids[i]) for w in nbrs]
+    return Uccg.from_edges(range(n), edges)
 
 
 def _generate(model: str, n: int, k: int, seed: int) -> Uccg:
@@ -263,7 +283,7 @@ def count_by_separator_formula(g: Uccg) -> int:
         forbidden = [set(x) for x in seps if set(x) < set(s)]
         prod = 1
         for h in components_after_clique(g, s):
-            prod *= precount(h).total
+            prod *= precount(induced_subgraph(g, labels_of(g, h))).total
         total += phi_naive(s, forbidden) * prod
     return total
 
@@ -329,15 +349,15 @@ def phi_chain(s, chain) -> int:
     return _phi_sizes(len(ground), [len(x) for x in validated])
 
 
-def check_blocks(n: int, blocks: Sequence[int]) -> None:
+def check_blocks(universe: int, blocks: Sequence[int]) -> None:
     """Raise ``ValueError`` unless the bitmask blocks are disjoint and cover
-    the vertices ``0..n-1``."""
+    exactly the vertex mask ``universe``."""
     covered = 0
     for blk in blocks:
         if covered & blk:
             raise ValueError("initial blocks overlap")
         covered |= blk
-    if covered != (1 << n) - 1:
+    if covered != universe:
         raise ValueError("initial blocks do not cover the vertices")
 
 
@@ -398,7 +418,7 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
                         stack.append((i + 1, tau + sub_tau, prob * sub_p))
 
     dist: dict[frozenset, Fraction] = {}
-    for tau_labels, prob in key_paths(g.key):
+    for tau_labels, prob in key_paths(key_of(model, g.labels)):
         tau = tuple(g.labels.index(lab) for lab in tau_labels)
         edges = uccg_orient_by_ordering(g, tau).edge_set()
         dist[edges] = dist.get(edges, Fraction(0)) + prob
@@ -433,6 +453,19 @@ def orientation_edges(g: PartialGraph, tau: Sequence[int]) -> frozenset[tuple[in
     pos = {v: i for i, v in enumerate(tau)}
     undirected = {(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.undirected_edges()}
     return frozenset(g.directed_edges()) | undirected
+
+
+def has_flag(g: PartialGraph) -> bool:
+    """True iff some induced ``a -> b - c`` occurs: the brute-force oracle of
+    :attr:`PartialGraph.is_flag_free`, over every vertex triple."""
+    undirected = {frozenset(p) for p in g.undirected_edges()}
+    adjacent = undirected | {frozenset(p) for p in g.directed_edges()}
+    return any(
+        frozenset((b, c)) in undirected and frozenset((a, c)) not in adjacent
+        for a, b in g.directed_edges()
+        for c in range(g.n)
+        if c != a
+    )
 
 
 def has_partially_directed_cycle(g: PartialGraph) -> bool:
@@ -926,7 +959,7 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
     rng = random.Random(seed) if seed is not None else None
     plans: dict = {}
     graphs = [g]
-    seen = {g.key}
+    seen = {g.labels}
     while graphs:
         cur = graphs.pop()
         t = list_clique_tree_of_sweep(cur, list_lbfs_order(cur, rng), rng)
@@ -936,9 +969,9 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
             clique = t.cliques[idx]
             children = []
             for h in list_components_after_clique(cur, clique):
-                children.append(h.key)
-                if h.key not in seen:
-                    seen.add(h.key)
+                children.append(h.labels)
+                if h.labels not in seen:
+                    seen.add(h.labels)
                     graphs.append(h)
             nodes.append((
                 phi_chain(clique, chains[idx]),
@@ -946,7 +979,7 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
                 tuple(tuple(cur.labels[v] for v in x) for x in chains[idx]),
                 tuple(children),
             ))
-        plans[cur.key] = tuple(nodes)
+        plans[cur.labels] = tuple(nodes)
     return plans
 
 
@@ -969,9 +1002,29 @@ def _connected(adj: Sequence[Sequence[int]], verts) -> bool:
 def induced_subgraph(g: Uccg, vs) -> Uccg:
     """Induced subgraph of ``g`` on the global labels ``vs``, which the caller
     guarantees to be connected."""
-    out = Uccg._induced(g, vertex_mask({g.labels.index(lab) for lab in vs}))
+    verts = sorted({g.labels.index(lab) for lab in vs})
+    local = {v: i for i, v in enumerate(verts)}
+    adj = [[local[w] for w in g.adj[v] if w in local] for v in verts]
+    out = Uccg._unchecked([g.labels[v] for v in verts], adj)
     assert _connected(out.adj, range(out.n)), "induced subgraph must be connected"
     return out
+
+
+# --- the label view of model keys -------------------------------------------
+#
+# An explored subgraph is keyed by the vertex mask of its local vertices in
+# the model's root; tests compare models through the global labels.
+
+
+def labels_of(g: Uccg, mask: int) -> tuple[int, ...]:
+    """Global labels of the vertex mask ``mask`` over ``g``'s local vertices."""
+    return tuple(map(g.labels.__getitem__, mask_bits(mask)))
+
+
+def key_of(model: SamplerModel, labels: Sequence[int]) -> int:
+    """The key of ``model``'s entry whose label view is ``labels``."""
+    (key,) = [k for k in model.entries if labels_of(model.root, k) == tuple(labels)]
+    return key
 
 
 def sample_cpdag_by_components(

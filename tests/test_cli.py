@@ -9,7 +9,9 @@ Core claims:
     - oracle enforces its size guards with exit code 3
     - bench emits one well-formed CSV row per instance and survives timeouts
     - exit codes: 0 ok, 1 input error, 2 not chordal, 3 oracle guard,
-      4 not a CPDAG (so far: not a chain graph), reported after chordality
+      4 not a CPDAG (not a chain graph, or an induced a -> b - c), reported
+      after chordality; a graph that is not a chain graph is reported as
+      such first
 """
 
 import csv
@@ -89,11 +91,45 @@ def test_not_chordal_is_reported_before_not_a_chain_graph(capsys, tmp_path, comm
     assert "chordal" in err
 
 
-def test_chain_graph_that_is_not_a_cpdag_is_still_counted(capsys, tmp_path):
-    # 1 -> 2 - 3 is a chain graph; the other CPDAG conditions are not checked
+def test_chain_graph_with_an_arrow_into_a_line_is_not_counted(capsys, tmp_path):
+    # 1 -> 2 - 3 is a chain graph, but no CPDAG has an induced a -> b - c
     f = tmp_path / "chain.graph"
     f.write_text("3 1 1\n2 3\n1 2\n")
-    assert run(capsys, "count", str(f)) == (0, "2\n", "")
+    assert run(capsys, "count", str(f)) == (
+        4, "", "error: not a CPDAG: an induced a -> b - c occurs\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["count", "sample", "oracle"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 1 1\n2 3\n1 2\n",  # 1 -> 2 - 3
+        "4 2 1\n1 2\n2 3\n4 3\n",  # the path 1 - 2 - 3 and 4 -> 3
+    ],
+    ids=["arrow-into-edge", "arrow-into-path"],
+)
+def test_induced_arrow_into_a_line_exit_4(capsys, tmp_path, command, text):
+    f = tmp_path / "flag.graph"
+    f.write_text(text)
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out) == (4, "")
+    assert err == "error: not a CPDAG: an induced a -> b - c occurs\n"
+
+
+@pytest.mark.parametrize("command", ["count", "sample", "oracle"])
+def test_faults_are_reported_in_order(capsys, tmp_path, command):
+    # a directed 3-cycle on 1, 2, 3 and 4 -> 5 - 6: not a chain graph first
+    f = tmp_path / "both.graph"
+    f.write_text("6 1 4\n5 6\n1 2\n2 3\n3 1\n4 5\n")
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out) == (4, "")
+    assert "partially directed cycle" in err
+    # with a 4-cycle component added, not chordal comes before both
+    f.write_text("10 5 4\n5 6\n7 8\n8 9\n9 10\n7 10\n1 2\n2 3\n3 1\n4 5\n")
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out) == (2, "")
+    assert "chordal" in err
 
 
 def readme_format_example() -> str:

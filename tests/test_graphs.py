@@ -11,8 +11,9 @@ Core claims:
     - orienting by an ordering keeps the directed edges, points every
       undirected edge forward, and yields an acyclic DAG with the input's
       skeleton; an ordering that is not a permutation is rejected
-    - a PartialGraph's rows are strictly increasing, and it is a chain graph
-      exactly when no partially directed cycle runs through it
+    - a PartialGraph's rows are strictly increasing, it is a chain graph
+      exactly when no partially directed cycle runs through it, and it is
+      flag-free exactly when no induced a -> b - c occurs in it
     - on a chain graph the DAG built without the acyclicity check is one the
       public check accepts; on any other graph an orientation with a cycle
       is rejected
@@ -260,6 +261,32 @@ class TestIsChainGraph:
         g = PartialGraph.from_edges(5, [(1, 2), (3, 4)], [(0, 1), (2, 3), (4, 0)])
         assert not g.is_chain_graph
         assert PartialGraph.from_edges(5, [(1, 2), (3, 4)], [(0, 1), (2, 3)]).is_chain_graph
+
+
+class TestIsFlagFree:
+    def test_every_mixed_graph_up_to_four_vertices(self):
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for kinds in itertools.product(".udr", repeat=len(pairs)):
+                g = graph_of_kinds(n, pairs, kinds)
+                assert g.is_flag_free is not helpers.has_flag(g), kinds
+
+    @PROPERTY
+    @given(mixed_graphs())
+    def test_matches_brute_force(self, g):
+        assert g.is_flag_free is not helpers.has_flag(g)
+
+    def test_arrow_into_a_line(self):
+        # 0 -> 1 - 2 with 0 and 2 nonadjacent; any edge between 0 and 2 ends it
+        assert not PartialGraph.from_edges(3, [(1, 2)], [(0, 1)]).is_flag_free
+        assert PartialGraph.from_edges(3, [(1, 2)], [(0, 1), (0, 2)]).is_flag_free
+        assert PartialGraph.from_edges(3, [(1, 2)], [(0, 1), (2, 0)]).is_flag_free
+        assert PartialGraph.from_edges(3, [(1, 2), (0, 2)], [(0, 1)]).is_flag_free
+
+    def test_library_built_cpdags_are_flag_free(self):
+        for seed in range(8):
+            g = helpers.many_component_cpdag(seed)
+            assert g.is_chain_graph and g.is_flag_free and not helpers.has_flag(g)
 
 
 class TestUndirectedComponents:

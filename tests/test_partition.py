@@ -9,13 +9,17 @@ Core claims:
     - K-first traversals visit and record identically, so the subproblem
       step emits the same components in the same order
     - the counter's exploration plans, and so the sampler models, are
-      identical with and without a seed, complete subgraphs included
-    - components that are only looked up by key never build adjacency
+      identical with and without a seed, complete subgraphs included, on
+      the corpus and on hypothesis chordal graphs
+    - exploring builds no graph besides its root: subgraphs are masks, and
+      a mask read through the root's neighborhoods is the induced subgraph
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from mectools import Uccg, chordal, counting, precount
@@ -84,15 +88,24 @@ def test_k_first_records_match_the_oracle():
 def test_components_match_the_oracle_in_order():
     for g in CORPUS:
         for clique in k_first_cliques(g):
-            got = components_after_clique(g, clique)
+            got = [
+                helpers.induced_subgraph(g, helpers.labels_of(g, h))
+                for h in components_after_clique(g, clique)
+            ]
             want = helpers.list_components_after_clique(g, clique)
             assert [(h.labels, h.adj) for h in got] == [(h.labels, h.adj) for h in want]
             assert [h.adj_masks for h in got] == [adjacency_masks(h.adj) for h in want]
 
 
 def records_of(model) -> dict:
+    """The model's records with every key in its label view."""
+    def labels(key):
+        return helpers.labels_of(model.root, key)
+
     return {
-        key: tuple((r.phi, r.clique, r.chain, r.child_keys) for r in entry.records)
+        labels(key): tuple(
+            (r.phi, r.clique, r.chain, tuple(map(labels, r.child_keys))) for r in entry.records
+        )
         for key, entry in model.entries.items()
     }
 
@@ -101,6 +114,12 @@ def test_exploration_plans_match_the_oracle():
     for g in CORPUS:
         for seed in (None, 4, 5):
             assert records_of(counting.explore(g, seed)) == helpers.list_engine_plans(g, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(helpers.chordal_graphs(), st.one_of(st.none(), st.integers(0, 2**16)))
+def test_exploration_plans_match_the_oracle_on_chordal_graphs(g, seed):
+    assert records_of(counting.explore(g, seed)) == helpers.list_engine_plans(g, seed)
 
 
 def test_seeded_models_of_a_graph_with_complete_subgraphs():
@@ -112,7 +131,7 @@ def test_seeded_models_of_a_graph_with_complete_subgraphs():
 
 def test_complete_graph_is_one_plan_node():
     g = helpers.complete_graph(7)
-    assert records_of(counting.explore(g))[g.key] == ((5040, g.labels, (), ()),)
+    assert records_of(counting.explore(g))[g.labels] == ((5040, g.labels, (), ()),)
     assert precount(g).total == 5040
 
 
@@ -143,29 +162,46 @@ def test_clique_tree_of_a_complete_graph_draws_like_its_sweep():
 
 
 def test_memo_hits_never_build_adjacency(monkeypatch):
-    emitted = []
+    # every Uccg is filled in by _fill, whichever constructor built it, so
+    # explore builds no graph besides its root: components are root masks
+    filled = []
+    real = Uccg._fill
 
-    def spy(*args, **kwargs):
-        comps = components_after_clique(*args, **kwargs)
+    def spy(self, *args):
+        filled.append(args)
+        real(self, *args)
+
+    g = gen_interval(60, 3)
+    monkeypatch.setattr(Uccg, "_fill", spy)
+    emitted = []
+    real_step = counting.components_after_clique
+
+    def step(*args):
+        comps = real_step(*args)
         emitted.extend(comps)
         return comps
 
-    monkeypatch.setattr(counting, "components_after_clique", spy)
-    g = gen_interval(60, 3)
-    entries = counting.explore(g).entries
-    built = [h for h in emitted if h._adj is not None or h._masks is not None]
-    assert len(emitted) > 2 * len(entries)
-    assert len(built) < len(entries)
-    assert {h.key for h in built} <= set(entries)
+    monkeypatch.setattr(counting, "components_after_clique", step)
+    model = counting.explore(g)
+    assert filled == [] and model.root is g
+    assert len(emitted) > 2 * len(model.entries)
+    assert set(emitted) <= model.entries.keys()
+    assert all(isinstance(h, int) for h in emitted)
 
 
 def test_lazy_component_equals_an_eager_one():
+    # a component is a mask over the root; read through the root's masks it
+    # is the eagerly built induced subgraph, completeness included
     g = helpers.clique_chain_7()
     (comp, _) = components_after_clique(g, [0, 1, 2, 3])
-    assert comp._adj is None and comp._is_complete()
-    assert comp == Uccg((4, 5), [[1], [0]])
-    assert hash(comp) == hash(Uccg((4, 5), [[1], [0]]))
-    assert not helpers.path_graph(3)._is_complete()
+    assert helpers.labels_of(g, comp) == (4, 5)
+    assert [g.adj_masks[v] & comp for v in mask_bits(comp)] == [1 << 5, 1 << 4]
+    eager = helpers.induced_subgraph(g, (4, 5))
+    assert eager == Uccg((4, 5), [[1], [0]])
+    assert hash(eager) == hash(Uccg((4, 5), [[1], [0]]))
+    assert clique_tree(g, None, comp).cliques == ((4, 5),)
+    path = helpers.path_graph(3)
+    assert len(clique_tree(path, None, (1 << path.n) - 1).cliques) == 2
 
 
 @pytest.mark.parametrize(
@@ -175,4 +211,4 @@ def test_blocks_must_partition_the_vertices(blocks):
     # the traversal trusts its blocks; the check every library-built block
     # sequence passes (see test_trusted_inputs) rejects these
     with pytest.raises(ValueError):
-        helpers.check_blocks(3, blocks)
+        helpers.check_blocks(0b111, blocks)

@@ -57,21 +57,22 @@ class TestPrecount:
     def test_three_clique_chain_weights(self):
         g = helpers.three_clique_chain()
         model = precount(g)
-        records = model.entries[g.key].records
+        records = model.entries[helpers.key_of(model, g.labels)].records
         assert sorted(r.weight for r in records) == [16, 18, 20]
         assert model.total == 54
 
     def test_complete_graph_single_record(self):
         g = helpers.complete_graph(5)
         model = precount(g)
-        (record,) = model.entries[g.key].records
+        (record,) = model.entries[helpers.key_of(model, g.labels)].records
         assert record.weight == 120
         assert record.child_keys == ()
 
     def test_path3_weights(self):
         g = helpers.path_graph(3)
         model = precount(g)
-        assert sorted(r.weight for r in model.entries[g.key].records) == [1, 2]
+        records = model.entries[helpers.key_of(model, g.labels)].records
+        assert sorted(r.weight for r in records) == [1, 2]
         assert model.total == 3
 
     def test_total_equals_count_on_corpus(self):
@@ -83,19 +84,19 @@ class TestDrawClique:
     def test_single_record_always_chosen(self):
         g = helpers.complete_graph(4)
         model = precount(g)
+        key = helpers.key_of(model, g.labels)
         rng = random.Random(0)
         for _ in range(20):
-            assert draw_clique(model, g.key, rng).clique == (0, 1, 2, 3)
+            assert draw_clique(model, key, rng).clique == (0, 1, 2, 3)
 
     def test_frequencies_match_weights(self):
         g = helpers.three_clique_chain()
         model = precount(g)
+        key = helpers.key_of(model, g.labels)
         rng = random.Random(99)
         draws = 54000
-        counts = Counter(
-            draw_clique(model, g.key, rng).clique for _ in range(draws)
-        )
-        for record in model.entries[g.key].records:
+        counts = Counter(draw_clique(model, key, rng).clique for _ in range(draws))
+        for record in model.entries[key].records:
             p = record.weight / model.total
             sigma = (p * (1 - p) / draws) ** 0.5
             assert abs(counts[record.clique] / draws - p) < 5 * sigma

@@ -24,18 +24,23 @@ def as_label_sets(comps):
     return {c.labels for c in comps}
 
 
+def mask_label_sets(g, masks):
+    return {helpers.labels_of(g, h) for h in masks}
+
+
 class TestComponentsAfterClique:
     def test_seven_vertex_chain_big_clique(self):
         g = helpers.clique_chain_7()
         comps = components_after_clique(g, [0, 1, 2, 3])
-        assert as_label_sets(comps) == {(4, 5), (6,)}
+        assert mask_label_sets(g, comps) == {(4, 5), (6,)}
 
     def test_three_clique_chain_first_clique(self):
         g = helpers.three_clique_chain()
         comps = components_after_clique(g, [0, 1, 2])
-        assert as_label_sets(comps) == {(3, 4, 5)}
+        assert mask_label_sets(g, comps) == {(3, 4, 5)}
         (path,) = comps
-        assert sorted(path.edges()) == [(0, 1), (1, 2)]
+        sub = helpers.induced_subgraph(g, helpers.labels_of(g, path))
+        assert sorted(sub.edges()) == [(0, 1), (1, 2)]
 
     def test_complete_graph_whole_clique(self):
         g = helpers.complete_graph(5)
@@ -50,13 +55,16 @@ class TestComponentsAfterClique:
     def test_matches_union_of_orientations(self):
         for g in helpers.random_chordal_corpus(30, 2, 8, seed=41, max_edges=14):
             for clique in helpers.brute_maximal_cliques(g):
-                got = {c.labels for c in components_after_clique(g, sorted(clique))}
+                got = mask_label_sets(g, components_after_clique(g, sorted(clique)))
                 assert got == helpers.union_components_oracle(g, sorted(clique))
 
     def test_outputs_partition_rest_and_are_chordal(self):
         for g in helpers.random_chordal_corpus(25, 2, 12, seed=43):
             for clique in helpers.brute_maximal_cliques(g):
-                comps = components_after_clique(g, sorted(clique))
+                comps = [
+                    helpers.induced_subgraph(g, helpers.labels_of(g, h))
+                    for h in components_after_clique(g, sorted(clique))
+                ]
                 labels = [lab for c in comps for lab in c.labels]
                 assert len(labels) == len(set(labels))
                 expected = {g.labels[v] for v in range(g.n)} - {
@@ -70,7 +78,7 @@ class TestComponentsAfterClique:
         for g in helpers.random_chordal_corpus(10, 3, 10, seed=47):
             full = (1 << g.n) - 1
             for clique in helpers.brute_maximal_cliques(g):
-                base = as_label_sets(components_after_clique(g, sorted(clique)))
+                base = mask_label_sets(g, components_after_clique(g, sorted(clique)))
                 kmask = vertex_mask(clique)
                 for seed in range(5):
                     _, records = refine_traversal(
@@ -80,7 +88,7 @@ class TestComponentsAfterClique:
                         skip_record=kmask,
                         masks=g.adj_masks,
                     )
-                    assert as_label_sets(_emit_components(g, records)) == base
+                    assert mask_label_sets(g, _emit_components(g, records)) == base
 
 
 class TestComponentsAfterPermutation:
@@ -108,7 +116,7 @@ class TestComponentsAfterPermutation:
                 for r in range(1, len(mc) + 1):
                     cliques.update(map(frozenset, itertools.combinations(sorted(mc), r)))
             for clique in cliques:
-                base = as_label_sets(components_after_clique(g, sorted(clique)))
+                base = mask_label_sets(g, components_after_clique(g, sorted(clique)))
                 for perm in itertools.permutations(sorted(clique)):
                     assert (
                         as_label_sets(helpers.components_after_permutation(g, perm)) == base

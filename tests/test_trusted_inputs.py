@@ -11,9 +11,11 @@ Core claims:
     - every record of an explored subgraph has a clique of that subgraph and
       a chain strictly nested and proper in that clique; every child key is
       an entry of the model
-    - every block sequence passed to the traversal partitions its vertices
-    - the rows of every explored, induced and split subgraph, viewed as a
-      PartialGraph, pass the PartialGraph constructor unchanged
+    - every block sequence passed to the traversal partitions the vertices
+      of an explored subgraph
+    - every explored subgraph is a vertex mask of the explored graph itself,
+      explored once, and its induced rows, like those of every split
+      component, pass the PartialGraph constructor unchanged
 """
 
 from contextlib import contextmanager
@@ -56,19 +58,23 @@ def check_explored(g: Uccg, seed) -> None:
         chordal, "refine_traversal", traversals
     ), recording(subproblems, "refine_traversal", traversals):
         model = precount(g, seed)
-    graphs = {args[0].key: args[0] for args in explored}
-    assert graphs.keys() == model.entries.keys()
+    assert all(args[0] is g for args in explored)
+    subs = [args[2] for args in explored]
+    assert len(subs) == len(set(subs)) and set(subs) == model.entries.keys()
 
     for adj, blocks, *_ in traversals:
-        helpers.check_blocks(len(adj), blocks)
+        assert adj is g.adj
+        universe = 0
+        for blk in blocks:
+            universe |= blk
+        assert universe in model.entries
+        helpers.check_blocks(universe, blocks)
 
     for key, entry in model.entries.items():
-        h = graphs[key]
+        labels = helpers.labels_of(g, key)
+        h = helpers.induced_subgraph(g, labels)
         assert_passes_constructor(h)
-        induced = helpers.induced_subgraph(g, key)
-        assert_passes_constructor(induced)
-        assert induced == h
-        local = {lab: i for i, lab in enumerate(key)}
+        local = {lab: i for i, lab in enumerate(labels)}
         for record in entry.records:
             helpers.check_clique(h, [local[lab] for lab in record.clique])
             helpers.validate_chain(frozenset(record.clique), record.chain)
@@ -91,32 +97,14 @@ def test_explored_inputs_pass_their_checks_on_the_oracle_corpora():
             check_explored(g, seed)
 
 
-@st.composite
-def chordal_graphs(draw):
-    """A connected chordal graph on shuffled vertex ids: each vertex joins an
-    earlier vertex ``j`` and some of ``j``'s own earlier neighbours, which
-    form a clique with ``j``."""
-    n = draw(st.integers(1, 12))
-    ids = draw(st.permutations(range(n)))
-    earlier: list[tuple[int, ...]] = [()]
-    edges = []
-    for i in range(1, n):
-        j = draw(st.integers(0, i - 1))
-        keep = draw(st.lists(st.booleans(), min_size=len(earlier[j]), max_size=len(earlier[j])))
-        nbrs = (j,) + tuple(w for w, k in zip(earlier[j], keep) if k)
-        earlier.append(nbrs)
-        edges += [(ids[w], ids[i]) for w in nbrs]
-    return Uccg.from_edges(range(n), edges)
-
-
 @PROPERTY
-@given(chordal_graphs(), st.one_of(st.none(), st.integers(0, 2**16)))
+@given(helpers.chordal_graphs(), st.one_of(st.none(), st.integers(0, 2**16)))
 def test_explored_inputs_pass_their_checks(g, seed):
     check_explored(g, seed)
 
 
 @PROPERTY
-@given(st.lists(chordal_graphs(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+@given(st.lists(helpers.chordal_graphs(), min_size=1, max_size=3), st.randoms(use_true_random=False))
 def test_split_components_pass_the_constructor(parts, rnd):
     # disjoint chordal parts on shuffled ids, written out, parsed and split
     n = sum(p.n for p in parts)
