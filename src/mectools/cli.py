@@ -44,9 +44,9 @@ def _read_graph(path: str):
 
 def _split(g):
     """The undirected components of ``g``.  A component that is not chordal
-    raises first; then a graph that is not a chain graph or has an induced
-    ``a -> b - c``, neither of which a CPDAG has, raises
-    :class:`NotCpdagError`."""
+    raises first; then a graph that is not a chain graph, has an induced
+    ``a -> b - c`` or has a directed edge that is not strongly protected,
+    none of which a CPDAG has, raises :class:`NotCpdagError`."""
     comps = undirected_components(g)
     if not g.is_chain_graph:
         raise NotCpdagError(
@@ -54,6 +54,8 @@ def _split(g):
         )
     if not g.is_flag_free:
         raise NotCpdagError("not a CPDAG: an induced a -> b - c occurs")
+    if not g.is_cpdag:
+        raise NotCpdagError("not a CPDAG: a directed edge is not strongly protected")
     return comps
 
 
@@ -164,7 +166,7 @@ def cmd_oracle(args) -> int:
                 )
                 return EXIT_ORACLE_GUARD
             total *= oracle.count_root_picking(comp)
-    print(total)
+    print(_decimal(total))
     return EXIT_OK
 
 

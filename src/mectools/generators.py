@@ -12,10 +12,9 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import insort
-from typing import Sequence
 
 from .chordal import is_chordal
-from .graphs import Uccg
+from .graphs import Uccg, _component_roots, _rows
 
 _MAX_ATTEMPTS = 1000
 
@@ -47,27 +46,6 @@ def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     w = heapq.heappop(leaves)
     edges.append((u, w))
     return edges
-
-
-def _edges_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    nbr: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        u = stack.pop()
-        for v in nbr[u]:
-            if not seen[v]:
-                seen[v] = 1
-                reached += 1
-                stack.append(v)
-    return reached == n
 
 
 def _subtree_intersection_edges(
@@ -110,9 +88,9 @@ def gen_subtree(n: int, k: int, seed: int) -> Uccg:
     """
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        edges = _subtree_intersection_edges(n, k, rng)
-        if _edges_connected(n, edges):
-            return Uccg.from_edges(range(n), edges)
+        adj = _rows(n, _subtree_intersection_edges(n, k, rng), True)
+        if not any(_component_roots(adj)):  # every vertex's root is 0
+            return Uccg(range(n), adj)
     raise GenerationError(f"no connected subtree-intersection graph (n={n}, k={k})")
 
 
@@ -139,8 +117,9 @@ def gen_interval(n: int, seed: int) -> Uccg:
                 if intervals[vj][0] > hi:
                     break
                 edges.append((vi, vj) if vi < vj else (vj, vi))
-        if _edges_connected(n, edges):
-            return Uccg.from_edges(range(n), edges)
+        adj = _rows(n, edges, True)
+        if not any(_component_roots(adj)):
+            return Uccg(range(n), adj)
     raise GenerationError(f"no connected interval graph (n={n})")
 
 

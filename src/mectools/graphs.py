@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, islice
+from itertools import combinations, filterfalse, islice
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -94,36 +94,14 @@ class PartialGraph:
         out = self.directed_out
         if not any(out):
             return True
-        und = self.undirected
-        comp = [-1] * self.n  # vertex -> its undirected component
-        k = 0
-        for s in range(self.n):
-            if comp[s] >= 0:
-                continue
-            comp[s] = k
-            stack = [s]
-            while stack:
-                for v in und[stack.pop()]:
-                    if comp[v] < 0:
-                        comp[v] = k
-                        stack.append(v)
-            k += 1
-        heads: list[list[int]] = [[] for _ in range(k)]
-        indeg = [0] * k
+        root = _component_roots(self.undirected)
+        # an arrow between components joins their smallest vertices; one
+        # inside a component is a loop
+        heads: list[list[int]] = [[] for _ in out]
         for u, row in enumerate(out):
-            cu = comp[u]
-            for v in row:
-                heads[cu].append(comp[v])
-                indeg[comp[v]] += 1
-        # Kahn's algorithm on the components, where an edge inside one is a
-        # loop that keeps it from ever being ready; the list grows as it is read
-        ready = [c for c in range(k) if not indeg[c]]
-        for c in ready:
-            for d in heads[c]:
-                indeg[d] -= 1
-                if not indeg[d]:
-                    ready.append(d)
-        return len(ready) == k
+            if row:
+                heads[root[u]] += map(root.__getitem__, row)
+        return _is_acyclic(heads)
 
     @cached_property
     def is_flag_free(self) -> bool:
@@ -142,6 +120,42 @@ class PartialGraph:
                         return False
         return True
 
+    @cached_property
+    def is_cpdag(self) -> bool:
+        """True iff the graph is a flag-free chain graph whose every directed
+        edge ``a -> b`` is strongly protected: it lies in an induced
+        ``c -> a -> b``, ``a -> b <- c`` or ``a -> c -> b``, or in an induced
+        ``a - c1 -> b`` with ``a - c2 -> b``, ``c1`` and ``c2`` nonadjacent.
+        With chordal components these are all of the conditions Andersson,
+        Madigan & Perlman (1997) give for a CPDAG.  Computed once per graph,
+        looking only at each directed edge and the neighborhoods of its two
+        ends."""
+        if not (self.is_chain_graph and self.is_flag_free):
+            return False
+        und, out = self.undirected, self.directed_out
+        parents: list[list[int]] = [[] for _ in out]
+        for a, heads in enumerate(out):
+            for b in heads:
+                parents[b].append(a)
+        near: dict[int, set[int]] = {}  # vertex -> its neighbors, built on demand
+
+        def adjacent(u: int, v: int) -> bool:
+            if u not in near:
+                near[u] = {*und[u], *out[u], *parents[u]}
+            return v in near[u]
+
+        def protected(a: int, b: int) -> bool:
+            into_b = parents[b]
+            lines = [c for c in into_b if c in und[a]]
+            return (
+                any(not adjacent(b, c) for c in parents[a])
+                or any(c != a and not adjacent(a, c) for c in into_b)
+                or any(c in out[a] for c in into_b)
+                or any(not adjacent(c, d) for c, d in combinations(lines, 2))
+            )
+
+        return all(protected(a, b) for a, heads in enumerate(out) for b in heads)
+
     @classmethod
     def from_edges(
         cls,
@@ -149,22 +163,7 @@ class PartialGraph:
         undirected_edges: Iterable[tuple[int, int]] = (),
         directed_edges: Iterable[tuple[int, int]] = (),
     ) -> "PartialGraph":
-        und: list[set[int]] = [set() for _ in range(n)]
-        out: list[set[int]] = [set() for _ in range(n)]
-        for u, v in undirected_edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("vertex out of range")
-            und[u].add(v)
-            und[v].add(u)
-        for u, v in directed_edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("vertex out of range")
-            out[u].add(v)
-        return cls(
-            n,
-            tuple(tuple(sorted(s)) for s in und),
-            tuple(tuple(sorted(s)) for s in out),
-        )
+        return cls(n, _rows(n, undirected_edges, True), _rows(n, directed_edges, False))
 
     def undirected_edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -186,12 +185,13 @@ class PartialGraph:
         return sum(len(a) for a in self.directed_out)
 
     def serialize(self) -> str:
-        """Render in the text file format (1-indexed, undirected edges with u<v)."""
+        """Render in the text file format (1-indexed, undirected edges with
+        u<v); the rows are sorted, so the edges come out sorted."""
         lines = [f"{self.n} {self.num_undirected} {self.num_directed}"]
-        for u, v in sorted(self.undirected_edges()):
-            lines.append(f"{u + 1} {v + 1}")
-        for u, v in sorted(self.directed_edges()):
-            lines.append(f"{u + 1} {v + 1}")
+        for u, row in enumerate(self.undirected):
+            lines.extend(f"{u + 1} {v + 1}" for v in row if u < v)
+        for u, row in enumerate(self.directed_out):
+            lines.extend(f"{u + 1} {v + 1}" for v in row)
         return "\n".join(lines) + "\n"
 
 
@@ -297,6 +297,7 @@ def parse_graph(text: str | bytes) -> PartialGraph:
     return PartialGraph._unchecked(n, undirected, directed_out)
 
 
+@dataclass(frozen=True, repr=False)
 class Uccg:
     """Undirected connected chordal graph carrying global vertex labels.
 
@@ -308,14 +309,16 @@ class Uccg:
     ``adj_masks[v] & sub`` are the neighbors of ``v`` in subgraph ``sub``.
     """
 
-    __slots__ = ("labels", "adj", "_masks")
+    labels: tuple[int, ...]
+    adj: tuple[tuple[int, ...], ...]
 
-    def __init__(self, labels: Sequence[int], adj: Sequence[Sequence[int]]):
-        """Checks what a Uccg adds to a graph, increasing labels and one
-        component; :class:`PartialGraph` and :func:`undirected_components`
-        check the rows and chordality."""
-        labels = tuple(labels)
-        self._fill(labels, tuple(map(tuple, adj)))
+    def __post_init__(self):
+        """Stores both fields as tuples, then checks what a Uccg adds to a
+        graph, increasing labels and one component; :class:`PartialGraph`
+        and :func:`undirected_components` check the rows and chordality."""
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "adj", tuple(map(tuple, self.adj)))
         if not _strictly_increasing(labels):
             raise ValueError("labels must be strictly increasing")
         n = len(labels)
@@ -331,27 +334,15 @@ class Uccg:
         """Build without validation, for a caller that checks the graph
         itself or needs one that is not connected chordal."""
         self = object.__new__(cls)
-        self._fill(tuple(labels), tuple(map(tuple, adj)))
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
         return self
 
-    def _fill(self, labels, adj):
-        setter = object.__setattr__
-        setter(self, "labels", labels)
-        setter(self, "adj", adj)
-        setter(self, "_masks", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Uccg is immutable")
-
-    @property
+    @cached_property
     def adj_masks(self) -> tuple[int, ...]:
         """Neighborhood of every local vertex as a bitmask (bit ``w`` for
         neighbor ``w``)."""
-        masks = self._masks
-        if masks is None:
-            masks = adjacency_masks(self.adj)
-            object.__setattr__(self, "_masks", masks)
-        return masks
+        return adjacency_masks(self.adj)
 
     @classmethod
     def from_edges(
@@ -360,14 +351,7 @@ class Uccg:
         edges: Iterable[tuple[int, int]],
     ) -> "Uccg":
         """Build from local edge pairs over ``range(len(labels))``."""
-        nbr: list[set[int]] = [set() for _ in labels]
-        n = len(nbr)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("vertex out of range")
-            nbr[u].add(v)
-            nbr[v].add(u)
-        return cls(labels, [sorted(s) for s in nbr])
+        return cls(labels, _rows(len(labels), edges, True))
 
     @property
     def n(self) -> int:
@@ -387,16 +371,6 @@ class Uccg:
         """View as a fully undirected PartialGraph on the local vertex space."""
         return PartialGraph._unchecked(self.n, self.adj, ((),) * self.n)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Uccg)
-            and self.labels == other.labels
-            and self.adj == other.adj
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.adj))
-
     def __repr__(self):
         return f"Uccg(n={self.n}, m={self.m}, labels={self.labels})"
 
@@ -414,24 +388,16 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
     them so), and the search makes it connected; what is left to check, per
     component in order, is that it is chordal.
     """
-    n = g.n
     und = g.undirected
-    seen = bytearray(n)
-    local = [0] * n  # global -> local index within the current component
+    members: dict[int, list[int]] = {}  # smallest vertex -> the component
+    for v, s in enumerate(_component_roots(und)):
+        if s == v:
+            members[v] = [v]
+        else:
+            members[s].append(v)
+    local = [0] * g.n  # global -> local index within the current component
     out: list[Uccg] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = 1
-        stack = [s]
-        while stack:
-            for v in und[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = 1
-                    comp.append(v)
-                    stack.append(v)
-        comp.sort()
+    for comp in members.values():
         for i, v in enumerate(comp):
             local[v] = i
         to_local = local.__getitem__
@@ -440,6 +406,53 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
             raise NotChordalError(comp)
         out.append(c)
     return out
+
+
+def _component_roots(und: Sequence[Sequence[int]]) -> list[int]:
+    """The smallest vertex of every vertex's component in the undirected
+    graph with neighbor rows ``und``, from one depth-first walk."""
+    root = [-1] * len(und)
+    for s in range(len(und)):
+        if root[s] < 0:
+            root[s] = s
+            stack = [s]
+            while stack:
+                for v in und[stack.pop()]:
+                    if root[v] < 0:
+                        root[v] = s
+                        stack.append(v)
+    return root
+
+
+def _is_acyclic(heads: Sequence[Sequence[int]]) -> bool:
+    """True iff the digraph on ``range(len(heads))`` with head rows
+    ``heads`` has no directed cycle, by Kahn's algorithm; a loop ``u -> u``
+    keeps ``u`` from ever being ready."""
+    indeg = [0] * len(heads)
+    for row in heads:
+        for v in row:
+            indeg[v] += 1
+    ready = [u for u, d in enumerate(indeg) if not d]
+    for u in ready:  # the list grows as it is read
+        for v in heads[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
+    return len(ready) == len(heads)
+
+
+def _rows(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool) -> tuple[tuple[int, ...], ...]:
+    """Sorted, duplicate-free neighbor rows over ``range(n)`` from the edge
+    pairs ``u, v``: ``v`` joins row ``u``, and ``u`` row ``v`` when
+    ``symmetric``.  An endpoint out of range raises ``ValueError``."""
+    rows: list[set[int]] = [set() for _ in range(n)]
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("vertex out of range")
+        rows[u].add(v)
+        if symmetric:
+            rows[v].add(u)
+    return tuple(tuple(sorted(row)) for row in rows)
 
 
 def _are_components_of(g: PartialGraph, comps: Sequence[Uccg]) -> bool:
@@ -475,26 +488,15 @@ class Dag:
     def __post_init__(self):
         if len(self.out_edges) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        indeg = [0] * self.n
-        for u in range(self.n):
+        for u, row in enumerate(self.out_edges):
             prev = -1
-            for v in self.out_edges[u]:
+            for v in row:
                 if v <= prev:
                     raise ValueError("head lists must be sorted and duplicate-free")
                 prev = v
                 if v == u or not 0 <= v < self.n:
                     raise ValueError("invalid edge")
-                indeg[v] += 1
-        queue = [u for u in range(self.n) if indeg[u] == 0]
-        visited = 0
-        while queue:
-            u = queue.pop()
-            visited += 1
-            for v in self.out_edges[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if visited != self.n:
+        if not _is_acyclic(self.out_edges):
             raise ValueError("graph contains a directed cycle")
 
     @classmethod
@@ -509,12 +511,7 @@ class Dag:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Dag":
-        out: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("vertex out of range")
-            out[u].add(v)
-        return cls(n, tuple(tuple(sorted(s)) for s in out))
+        return cls(n, _rows(n, edges, False))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -534,10 +531,7 @@ class Dag:
         return parents
 
     def serialize(self) -> str:
-        lines = [f"{self.n} 0 {sum(len(a) for a in self.out_edges)}"]
-        for u, v in self.edges():  # in order: head lists are sorted
-            lines.append(f"{u + 1} {v + 1}")
-        return "\n".join(lines) + "\n"
+        return PartialGraph._unchecked(self.n, ((),) * self.n, self.out_edges).serialize()
 
 
 def orient_by_ordering(g: PartialGraph, tau: Sequence[int]) -> Dag:

@@ -19,6 +19,7 @@ from mectools import (
     PartialGraph,
     Uccg,
     enumerate_amos,
+    v_structures,
 )
 from mectools._partition import mask_bits, vertex_mask
 from mectools.chordal import CliqueTree, clique_tree
@@ -509,6 +510,26 @@ def kahn_acyclic(n: int, edges) -> bool:
             if indeg[v] == 0:
                 ready.append(v)
     return seen == n
+
+
+def cpdags_on_skeleton(n: int, skeleton: Sequence[tuple[int, int]]) -> set[PartialGraph]:
+    """The CPDAG of every Markov equivalence class of DAGs on ``range(n)``
+    whose skeleton is the edge list ``skeleton``, by brute force: the acyclic
+    orientations of the skeleton, grouped by their v-structures (Verma &
+    Pearl), with an edge directed in a group's CPDAG iff every member of the
+    group orients it the same way.  Exponential in the number of edges."""
+    groups: dict[frozenset, list[frozenset]] = {}
+    for flips in itertools.product((False, True), repeat=len(skeleton)):
+        arcs = [(v, u) if f else (u, v) for (u, v), f in zip(skeleton, flips)]
+        if kahn_acyclic(n, arcs):
+            key = frozenset(v_structures(Dag.from_edges(n, arcs)))
+            groups.setdefault(key, []).append(frozenset(arcs))
+    cpdags = set()
+    for members in groups.values():
+        fixed = frozenset.intersection(*members)
+        loose = [(u, v) for u, v in skeleton if (u, v) not in fixed and (v, u) not in fixed]
+        cpdags.add(PartialGraph.from_edges(n, loose, fixed))
+    return cpdags
 
 
 def topological_orderings_of_amo(g: Uccg, dag: Dag) -> list[tuple[int, ...]]:

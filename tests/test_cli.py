@@ -9,9 +9,10 @@ Core claims:
     - oracle enforces its size guards with exit code 3
     - bench emits one well-formed CSV row per instance and survives timeouts
     - exit codes: 0 ok, 1 input error, 2 not chordal, 3 oracle guard,
-      4 not a CPDAG (not a chain graph, or an induced a -> b - c), reported
-      after chordality; a graph that is not a chain graph is reported as
-      such first
+      4 not a CPDAG (not a chain graph, an induced a -> b - c, or a directed
+      edge not strongly protected), reported after chordality and in that
+      order
+    - oracle, like count, prints counts beyond the int-to-str digit limit
 """
 
 import csv
@@ -115,6 +116,23 @@ def test_induced_arrow_into_a_line_exit_4(capsys, tmp_path, command, text):
     code, out, err = run(capsys, command, str(f))
     assert (code, out) == (4, "")
     assert err == "error: not a CPDAG: an induced a -> b - c occurs\n"
+
+
+@pytest.mark.parametrize("command", ["count", "sample", "oracle"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 0 1\n1 2\n",  # the class of 1 -> 2 has 2 members
+        "3 0 2\n1 2\n2 3\n",  # the class of 1 -> 2 -> 3 has 3
+    ],
+    ids=["one-arrow", "chain"],
+)
+def test_arrow_not_strongly_protected_exit_4(capsys, tmp_path, command, text):
+    f = tmp_path / "arrow.graph"
+    f.write_text(text)
+    assert run(capsys, command, str(f)) == (
+        4, "", "error: not a CPDAG: a directed edge is not strongly protected\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["count", "sample", "oracle"])
@@ -377,6 +395,16 @@ class TestOracle:
         f.write_text(helpers.path_graph(30).as_partial_graph().serialize())
         code, _, _ = run(capsys, "oracle", str(f), "--method", "rootpick")
         assert code == 3
+
+    def test_prints_beyond_the_int_to_str_digit_limit(self, capsys, tmp_path):
+        # 14300 disjoint edges: a class of 2^14300 DAGs, 4305 digits
+        pairs = 14300
+        lines = [f"{2 * pairs} {pairs} 0"] + [f"{2 * i + 1} {2 * i + 2}" for i in range(pairs)]
+        f = tmp_path / "edges.graph"
+        f.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "oracle", str(f))
+        assert (code, err) == (0, "")
+        assert len(out.strip()) == 4305 and out == run(capsys, "count", str(f))[1]
 
     def test_agrees_with_count(self, capsys, tmp_path):
         for i, g in enumerate(helpers.random_chordal_corpus(5, 2, 7, seed=139, max_edges=12)):

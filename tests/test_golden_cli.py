@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import helpers  # noqa: E402
 from mectools.cli import main  # noqa: E402
+from mectools.graphs import parse_graph  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
@@ -100,6 +101,13 @@ def test_cli_output_matches_the_golden_digests():
     got = compute()
     assert sorted(got) == sorted(want)
     assert [case for case in want if got[case] != want[case]] == []
+
+
+def test_every_golden_input_that_parses_is_a_cpdag(tmp_path):
+    paths = {argv[1] for argv in cases(str(tmp_path)).values() if argv[0] == "count"}
+    for path in paths - {MISSING, os.path.join(str(tmp_path), "malformed.graph")}:
+        with open(path, encoding="utf-8") as fh:
+            assert parse_graph(fh.read()).is_cpdag, path
 
 
 if __name__ == "__main__":

@@ -12,13 +12,18 @@ Core claims:
       undirected edge forward, and yields an acyclic DAG with the input's
       skeleton; an ordering that is not a permutation is rejected
     - a PartialGraph's rows are strictly increasing, it is a chain graph
-      exactly when no partially directed cycle runs through it, and it is
-      flag-free exactly when no induced a -> b - c occurs in it
+      exactly when no partially directed cycle runs through it, it is
+      flag-free exactly when no induced a -> b - c occurs in it, and it
+      passes is_cpdag with chordal components exactly when it is the CPDAG
+      of a Markov equivalence class
     - on a chain graph the DAG built without the acyclicity check is one the
       public check accepts; on any other graph an orientation with a cycle
       is rejected
+    - a Dag is rejected exactly when it has a directed cycle, and it writes
+      the text a PartialGraph with the same arrows writes
 """
 
+import functools
 import itertools
 import random
 
@@ -115,6 +120,58 @@ def graph_of_kinds(n, pairs, kinds):
         [p for p, k in zip(pairs, kinds) if k == "u"],
         [(u, v) if k == "d" else (v, u) for (u, v), k in zip(pairs, kinds) if k in "dr"],
     )
+
+
+@st.composite
+def digraphs(draw):
+    """Any directed graph on up to seven vertices, 2-cycles included, as its
+    vertex count and sorted head rows."""
+    n = draw(st.integers(0, 7))
+    arcs = [(u, v) for u, v in itertools.permutations(range(n), 2) if draw(st.booleans())]
+    return n, tuple(tuple(v for u, v in arcs if u == w) for w in range(n))
+
+
+FIVE = list(itertools.combinations(range(5), 2))
+
+
+@functools.lru_cache(maxsize=None)
+def cpdags_on(n, skeleton):
+    return helpers.cpdags_on_skeleton(n, skeleton)
+
+
+@st.composite
+def five_vertex_graphs(draw):
+    """A partial graph on five vertices: any one, or the CPDAG of a class on
+    a drawn skeleton, with at most one vertex pair changed (a near miss)."""
+    kinds = draw(st.lists(st.sampled_from(".udr"), min_size=len(FIVE), max_size=len(FIVE)))
+    if draw(st.booleans()):
+        return graph_of_kinds(5, FIVE, kinds)
+    skeleton = tuple(p for p, k in zip(FIVE, kinds) if k != ".")
+    g = draw(st.sampled_from(sorted(cpdags_on(5, skeleton), key=PartialGraph.serialize)))
+    if draw(st.booleans()):
+        u, v = draw(st.sampled_from(FIVE))
+        undirected = set(g.undirected_edges()) - {(u, v)}
+        directed = set(g.directed_edges()) - {(u, v), (v, u)}
+        kind = draw(st.sampled_from(".udr"))
+        undirected |= {(u, v)} if kind == "u" else set()
+        directed |= {(u, v)} if kind == "d" else {(v, u)} if kind == "r" else set()
+        g = PartialGraph.from_edges(5, undirected, directed)
+    return g
+
+
+def skeleton_of(g):
+    """The adjacent pairs ``(u, v)``, ``u < v``, of ``g`` in sorted order."""
+    directed = ((min(e), max(e)) for e in g.directed_edges())
+    return tuple(sorted({*g.undirected_edges(), *directed}))
+
+
+def accepted_as_cpdag(g):
+    """What the command line counts: is_cpdag and chordal components."""
+    try:
+        undirected_components(g)
+    except NotChordalError:
+        return False
+    return g.is_cpdag
 
 
 @st.composite
@@ -287,6 +344,52 @@ class TestIsFlagFree:
         for seed in range(8):
             g = helpers.many_component_cpdag(seed)
             assert g.is_chain_graph and g.is_flag_free and not helpers.has_flag(g)
+
+
+class TestIsCpdag:
+    def test_every_mixed_graph_up_to_four_vertices(self):
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for kinds in itertools.product(".udr", repeat=len(pairs)):
+                g = graph_of_kinds(n, pairs, kinds)
+                assert accepted_as_cpdag(g) is (g in cpdags_on(n, skeleton_of(g))), kinds
+
+    @PROPERTY
+    @given(five_vertex_graphs())
+    def test_matches_brute_force_on_five_vertices(self, g):
+        assert accepted_as_cpdag(g) is (g in cpdags_on(5, skeleton_of(g)))
+
+    @pytest.mark.parametrize(
+        "n, undirected, directed",
+        [
+            (4, [], [(2, 0), (3, 0), (0, 1)]),  # 2 -> 0 -> 1
+            (3, [], [(0, 1), (2, 1)]),  # 0 -> 1 <- 2
+            (4, [], [(0, 2), (3, 2), (2, 1), (0, 1)]),  # 0 -> 2 -> 1
+            (4, [(0, 2), (0, 3)], [(2, 1), (3, 1), (0, 1)]),  # 0 - 2 -> 1, 0 - 3 -> 1
+        ],
+        ids=["parent-of-tail", "collider", "path-of-two", "two-lines"],
+    )
+    def test_each_configuration_protects_an_arrow(self, n, undirected, directed):
+        g = PartialGraph.from_edges(n, undirected, directed)
+        assert g.is_cpdag and g in cpdags_on(n, skeleton_of(g))
+
+    @pytest.mark.parametrize(
+        "n, undirected, directed",
+        [
+            (2, [], [(0, 1)]),
+            (3, [], [(0, 1), (1, 2)]),  # a chain, no collider
+            (3, [], [(2, 0), (0, 1), (2, 1)]),  # a transitive triangle
+            (4, [(0, 2), (0, 3), (2, 3)], [(2, 1), (3, 1), (0, 1)]),  # 2 and 3 adjacent
+        ],
+        ids=["one-arrow", "chain", "triangle", "two-adjacent-lines"],
+    )
+    def test_arrow_not_strongly_protected(self, n, undirected, directed):
+        g = PartialGraph.from_edges(n, undirected, directed)
+        assert g.is_chain_graph and g.is_flag_free and not g.is_cpdag
+
+    def test_library_built_cpdags_pass(self):
+        for seed in range(8):
+            assert helpers.many_component_cpdag(seed).is_cpdag
 
 
 class TestUndirectedComponents:
@@ -486,6 +589,18 @@ class TestDag:
     def test_from_edges_rejects_an_endpoint_out_of_range(self, edge):
         with pytest.raises(ValueError, match="^vertex out of range$"):
             Dag.from_edges(2, [edge])
+
+    @PROPERTY
+    @given(digraphs())
+    def test_rejects_exactly_the_cyclic_digraphs(self, case):
+        n, rows = case
+        edges = [(u, v) for u, row in enumerate(rows) for v in row]
+        if helpers.kahn_acyclic(n, edges):
+            dag = Dag(n, rows)
+            assert dag.serialize() == PartialGraph(n, ((),) * n, rows).serialize()
+        else:
+            with pytest.raises(ValueError, match="cycle"):
+                Dag(n, rows)
 
     def test_serialize_fully_directed(self):
         dag = Dag.from_edges(3, [(1, 0), (1, 2)])

@@ -162,17 +162,22 @@ def test_clique_tree_of_a_complete_graph_draws_like_its_sweep():
 
 
 def test_memo_hits_never_build_adjacency(monkeypatch):
-    # every Uccg is filled in by _fill, whichever constructor built it, so
+    # a Uccg is built checked, through __post_init__, or by _unchecked, so
     # explore builds no graph besides its root: components are root masks
     filled = []
-    real = Uccg._fill
+    real_check, real_unchecked = Uccg.__post_init__, Uccg._unchecked.__func__
 
-    def spy(self, *args):
+    def check(self):
+        filled.append(self)
+        real_check(self)
+
+    def unchecked(cls, *args):
         filled.append(args)
-        real(self, *args)
+        return real_unchecked(cls, *args)
 
     g = gen_interval(60, 3)
-    monkeypatch.setattr(Uccg, "_fill", spy)
+    monkeypatch.setattr(Uccg, "__post_init__", check)
+    monkeypatch.setattr(Uccg, "_unchecked", classmethod(unchecked))
     emitted = []
     real_step = counting.components_after_clique
 
