@@ -21,11 +21,6 @@ from typing import Sequence
 _shift = (1).__lshift__
 
 
-def vertex_mask(vertices) -> int:
-    """Bitmask of a collection of distinct vertex ids."""
-    return sum(map(_shift, vertices))
-
-
 def adjacency_masks(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Neighborhood bitmask of every vertex of a list adjacency."""
     return tuple(sum(map(_shift, row)) for row in adj)

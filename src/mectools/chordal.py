@@ -45,16 +45,16 @@ def is_chordal(g: "Uccg") -> bool:
 class CliqueTree:
     """Rooted clique tree of a chordal graph.
 
-    ``cliques`` holds the maximal cliques as sorted tuples of local vertices;
-    ``parent[i] == i`` exactly at the root; ``separators[i]`` is the
-    intersection of clique ``i`` with its parent clique (``None`` at the
-    root).  ``order`` lists the cliques in BFS order from the root, which is
-    ``order[0]``, the children of a clique by increasing index.
+    ``cliques`` holds the maximal cliques as masks of local vertices;
+    ``parent[i] == i`` exactly at the root; ``separators[i]`` is the mask
+    ``cliques[i] & cliques[parent[i]]`` (``None`` at the root).  ``order``
+    lists the cliques in BFS order from the root, which is ``order[0]``, the
+    children of a clique by increasing index.
     """
 
-    cliques: tuple[tuple[int, ...], ...]
+    cliques: tuple[int, ...]
     parent: tuple[int, ...]
-    separators: tuple[tuple[int, ...] | None, ...]
+    separators: tuple[int | None, ...]
     order: tuple[int, ...]
 
 
@@ -68,7 +68,7 @@ def clique_tree(
     (see :func:`_cliques_of_sweep`); a graph that is not chordal raises
     :class:`NotChordalError`, an empty or disconnected one ``ValueError``.
     Each new clique is attached to the clique of its most recently visited
-    earlier neighbor.  The default root is the clique containing the lowest
+    earlier neighbor.  The default root is clique 0, holding the lowest
     vertex; with ``rng`` both the LBFS ties and the root are randomized.
     Clique trees are not unique, but every quantity derived from them
     downstream is tree-invariant.
@@ -86,7 +86,7 @@ def clique_tree(
     if all((masks[v] | 1 << v) & sub == sub for v in verts):
         if rng is not None:
             _skip_sweep_of_complete(rng, len(verts))
-        return CliqueTree((tuple(verts),), (0,), (None,), (0,))
+        return CliqueTree((sub,), (0,), (None,), (0,))
     return _clique_tree_of_sweep(g, lbfs(g, rng=rng, sub=sub), rng)
 
 
@@ -146,7 +146,7 @@ def _clique_tree_of_sweep(
     g: "Uccg", sweep: Sequence[int], rng: random.Random | None
 ) -> CliqueTree:
     """Clique tree from an LBFS visit order ``sweep`` in ``g``; ``rng`` picks
-    the root (default: the clique containing the lowest vertex swept)."""
+    the root (default: clique 0, the first swept)."""
     found = _cliques_of_sweep(g, sweep)
     if found is None:
         raise NotChordalError(map(g.labels.__getitem__, sorted(sweep)))
@@ -155,11 +155,7 @@ def _clique_tree_of_sweep(
         raise ValueError("graph not connected")
 
     k = len(cliques)
-    if rng is not None:
-        root = rng.randrange(k)
-    else:
-        low = 1 << min(sweep)
-        root = next(i for i, c in enumerate(cliques) if c & low)
+    root = 0 if rng is None else rng.randrange(k)
 
     tree_adj: list[list[int]] = [[] for _ in range(k)]
     for s, a in enumerate(attach, 1):
@@ -176,8 +172,6 @@ def _clique_tree_of_sweep(
                 bfs.append(y)
 
     separators = tuple(
-        None if x == root else tuple(mask_bits(c & cliques[parent[x]]))
-        for x, c in enumerate(cliques)
+        None if x == root else c & cliques[parent[x]] for x, c in enumerate(cliques)
     )
-    clique_tuples = tuple(tuple(mask_bits(c)) for c in cliques)
-    return CliqueTree(clique_tuples, tuple(parent), separators, tuple(bfs))
+    return CliqueTree(tuple(cliques), tuple(parent), separators, tuple(bfs))

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import counting, generators, oracle, sampling
 from .chordal import NotChordalError, clique_tree
-from .graphs import NotCpdagError, ParseError, parse_graph, undirected_components
+from .graphs import NotCpdagError, ParseError, _split, parse_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -40,23 +40,6 @@ class _Parser(argparse.ArgumentParser):
 def _read_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
-
-
-def _split(g):
-    """The undirected components of ``g``.  A component that is not chordal
-    raises first; then a graph that is not a chain graph, has an induced
-    ``a -> b - c`` or has a directed edge that is not strongly protected,
-    none of which a CPDAG has, raises :class:`NotCpdagError`."""
-    comps = undirected_components(g)
-    if not g.is_chain_graph:
-        raise NotCpdagError(
-            "not a CPDAG: a directed edge lies on a partially directed cycle"
-        )
-    if not g.is_flag_free:
-        raise NotCpdagError("not a CPDAG: an induced a -> b - c occurs")
-    if not g.is_cpdag:
-        raise NotCpdagError("not a CPDAG: a directed edge is not strongly protected")
-    return comps
 
 
 def _decimal(x: int) -> str:
@@ -334,11 +317,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    # the commands raise their input faults; each maps to its exit code here
+    # the commands raise their input faults, a generator that gives up and
+    # an input too large to hold; each maps to its exit code here
     try:
         return args.func(args)
-    except (OSError, ParseError, UnicodeDecodeError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError, generators.GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
     except NotChordalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,19 +7,22 @@ clique is fixed.  Every explored subgraph is an induced subgraph of the
 root, kept and memoized as the int mask of its vertices over the root's
 local vertices; counts are exact big integers (they reach n!).
 
-:func:`explore` runs this once and keeps every node's weight in a
-:class:`SamplerModel`: the counters read its totals, and the sampler draws
-from its records.
+:func:`explore` runs this once and keeps every node as one record, in the
+root's local vertices, in a :class:`SamplerModel`: the counters read its
+totals, and the sampler draws from its records.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
+from math import prod
 from typing import Dict, Sequence, Tuple
 
+from ._partition import mask_bits
 from .chordal import CliqueTree, clique_tree
-from .graphs import PartialGraph, Uccg, undirected_components
+from .graphs import PartialGraph, Uccg, _split
 from .subproblems import components_after_clique
 
 # key of an explored induced subgraph: its vertex mask over the root's
@@ -62,22 +65,21 @@ def _phi_sizes(total: int, sizes: Sequence[int]) -> int:
 Chain = Tuple[Tuple[int, ...], ...]
 
 
-def fp_chains(t: CliqueTree) -> tuple[Chain, ...]:
-    """Per-node forbidden-prefix chains of a rooted clique tree.
+def fp_chains(t: CliqueTree) -> tuple[tuple[int, ...], ...]:
+    """Per-node forbidden-prefix chains of a rooted clique tree, as vertex
+    masks.
 
     Node ``v`` collects the separators along the root-to-``v`` path that are
     subsets of its clique, in path order; these are automatically nested.
-    Sets are in local vertex ids, the root gets the empty chain.
+    The root gets the empty chain.
     """
-    k = len(t.cliques)
-    chains: list[Chain] = [()] * k
-    clique_sets = [frozenset(c) for c in t.cliques]
+    chains: list[tuple[int, ...]] = [()] * len(t.cliques)
     for x in t.order[1:]:
-        cs = clique_sets[x]
-        kept = [s for s in chains[t.parent[x]] if cs.issuperset(s)]
+        c = t.cliques[x]
+        kept = [s for s in chains[t.parent[x]] if s & c == s]
+        # the kept sets lie in the parent's clique too, so in the separator
         sep = t.separators[x]
-        assert sep is not None
-        if not (kept and len(kept[-1]) == len(sep)):
+        if not (kept and kept[-1] == sep):
             kept.append(sep)
         chains[x] = tuple(kept)
     return tuple(chains)
@@ -87,21 +89,24 @@ def fp_chains(t: CliqueTree) -> tuple[Chain, ...]:
 class CliqueRecord:
     """One clique-tree node of an explored subgraph.
 
-    ``clique`` and ``chain`` are in global labels; ``child_keys`` are the
-    components left undirected once the clique is fixed, as vertex masks
-    over the root's local vertices, in recording order;
-    ``weight`` is ``phi`` times the counts of those components.
+    ``clique`` and ``chain`` (its forbidden prefix sets) are sorted tuples of
+    the root's local vertices; ``child_keys`` are the components left
+    undirected once the clique is fixed, as vertex masks over the same
+    vertices, in recording order; ``phi`` counts the clique's permutations
+    that avoid the chain.
     """
 
     clique: tuple[int, ...]
     chain: Chain
     child_keys: tuple[Key, ...]
     phi: int
-    weight: int
 
 
 @dataclass(frozen=True)
 class _KeyEntry:
+    """One explored subgraph: step ``i`` of ``cumulative`` is record ``i``'s
+    weight, its ``phi`` times the totals of its child keys."""
+
     records: tuple[CliqueRecord, ...]
     cumulative: tuple[int, ...]
     total: int
@@ -111,7 +116,7 @@ class _KeyEntry:
 class SamplerModel:
     """The explored model of one graph: per explored subgraph, keyed by its
     vertex mask over ``root``'s local vertices, its clique records with
-    their weights, cumulative weights and total count.
+    their cumulative weights and total count.
 
     Counting reads the root's total; sampling draws from the records.
     """
@@ -138,62 +143,53 @@ def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
     clique-tree construction; the counts are tree-invariant.
     """
     rng = random.Random(seed) if seed is not None else None
-    to_labels = g.labels.__getitem__
-    # mask -> (clique, chain, child masks, phi) per clique-tree node, BFS order
-    nodes: Dict[Key, list[tuple]] = {}
+    # mask -> its records, one per clique-tree node in BFS order
+    records_of: Dict[Key, tuple[CliqueRecord, ...]] = {}
     subs = [(1 << g.n) - 1]
     seen = set(subs)
     while subs:
         sub = subs.pop()
         t = clique_tree(g, rng, sub)
-        if len(t.cliques) == 1:
-            # a complete graph: no separators, nothing left once it is fixed
-            (clique,) = t.cliques
-            nodes[sub] = [(tuple(map(to_labels, clique)), (), (), factorial(len(clique)))]
-            continue
         chains = fp_chains(t)
-        cur_nodes = []
+        records = []
         for idx in t.order:
             clique = t.cliques[idx]
-            child_keys = components_after_clique(g, clique, sub)
+            # a complete subgraph leaves nothing once its clique is fixed
+            child_keys = () if clique == sub else tuple(components_after_clique(g, clique, sub))
             for h in child_keys:
                 if h not in seen:
                     seen.add(h)
                     subs.append(h)
-            cur_nodes.append((
-                tuple(map(to_labels, clique)),
-                tuple(tuple(map(to_labels, s)) for s in chains[idx]),
-                tuple(child_keys),
-                _phi_sizes(len(clique), [len(s) for s in chains[idx]]),
+            chain = chains[idx]
+            records.append(CliqueRecord(
+                tuple(mask_bits(clique)),
+                tuple(tuple(mask_bits(s)) for s in chain),
+                child_keys,
+                _phi_sizes(clique.bit_count(), [s.bit_count() for s in chain]),
             ))
-        nodes[sub] = cur_nodes
+        records_of[sub] = tuple(records)
 
     entries: Dict[Key, _KeyEntry] = {}
     # children have strictly fewer vertices, so size order is dependency order
-    for key in sorted(nodes, key=int.bit_count):
-        records = []
-        cumulative = []
-        running = 0
-        for clique, chain, child_keys, phi in nodes[key]:
-            weight = phi
-            for child in child_keys:
-                weight *= entries[child].total
-            running += weight
-            records.append(CliqueRecord(clique, chain, child_keys, phi, weight))
-            cumulative.append(running)
-        entries[key] = _KeyEntry(tuple(records), tuple(cumulative), running)
+    for key in sorted(records_of, key=int.bit_count):
+        records = records_of[key]
+        cumulative = tuple(accumulate(
+            prod((entries[child].total for child in r.child_keys), start=r.phi) for r in records
+        ))
+        entries[key] = _KeyEntry(records, cumulative, cumulative[-1])
     return SamplerModel(g, entries)
 
 
 def count_cpdag(g: PartialGraph) -> int:
     """Size of the Markov equivalence class represented by a CPDAG.
 
-    Product over the undirected components; a fully directed input counts 1.
-    Raises :class:`~mectools.chordal.NotChordalError` if a component is not
-    chordal.
+    Product over the undirected components.  Raises
+    :class:`~mectools.chordal.NotChordalError` if a component is not
+    chordal, then :class:`~mectools.graphs.NotCpdagError` if ``g`` is not a
+    CPDAG.
     """
     total = 1
-    for comp in undirected_components(g):
+    for comp in _split(g):
         total *= explore(comp).total
     return total
 

@@ -408,6 +408,32 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
     return out
 
 
+def _split(g: PartialGraph) -> list[Uccg]:
+    """The undirected components of a CPDAG ``g``.  A component that is not
+    chordal raises first; then a ``g`` that is not a CPDAG raises
+    :class:`NotCpdagError` (see :func:`_require_cpdag`)."""
+    comps = undirected_components(g)
+    _require_cpdag(g)
+    return comps
+
+
+def _require_cpdag(g: PartialGraph) -> None:
+    """Raise :class:`NotCpdagError` unless ``g`` passes
+    :attr:`PartialGraph.is_cpdag`, naming the first condition it fails: a
+    directed edge on a partially directed cycle, an induced ``a -> b - c``,
+    or a directed edge that is not strongly protected.  A graph that passes
+    costs one cached lookup."""
+    if g.is_cpdag:
+        return
+    if not g.is_chain_graph:
+        raise NotCpdagError(
+            "not a CPDAG: a directed edge lies on a partially directed cycle"
+        )
+    if not g.is_flag_free:
+        raise NotCpdagError("not a CPDAG: an induced a -> b - c occurs")
+    raise NotCpdagError("not a CPDAG: a directed edge is not strongly protected")
+
+
 def _component_roots(und: Sequence[Sequence[int]]) -> list[int]:
     """The smallest vertex of every vertex's component in the undirected
     graph with neighbor rows ``und``, from one depth-first walk."""

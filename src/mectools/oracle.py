@@ -117,7 +117,7 @@ def count_root_picking(g: Uccg) -> int:
             total = 0
             for s in mask_bits(sub):
                 prod = 1
-                for c in components_after_clique(g, (s,), sub):
+                for c in components_after_clique(g, 1 << s, sub):
                     prod *= count(c)
                 total += prod
             memo[sub] = total

@@ -2,16 +2,16 @@
 
 The sampler reads the model that the counter builds
 (:func:`~mectools.counting.explore`, exported here as ``precount``): per
-explored subgraph, each clique-tree node's weight (its permutation count
-times the counts of its components).  A sample walks these records: draw a
-clique proportional to its weight, draw an admissible permutation of it,
-recurse on the components.  All weights are exact big integers; clique draws use cumulative
+explored subgraph, the clique-tree nodes' records and running weight sums
+(a weight is a node's permutation count times the counts of its components).
+A sample walks these records: draw a clique proportional to its weight, draw
+an admissible permutation of it, recurse on the components.  All weights are exact big integers; clique draws use cumulative
 sums with binary search rather than a real-valued alias table, which would
 lose exactness to rounding.  Random numbers come from a caller-supplied
 ``random.Random`` (Mersenne Twister), so fixed seeds reproduce exact sample
 sequences.  Every draw is a topological ordering, one drawn per undirected
-component and concatenated; :func:`~mectools.graphs.orient_by_ordering` turns
-it into the DAG.
+component in its local vertices, relabelled and concatenated;
+:func:`~mectools.graphs.orient_by_ordering` turns it into the DAG.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .counting import Chain, CliqueRecord, Key, SamplerModel, _phi_sizes, explore as precount
-from .graphs import Dag, PartialGraph, Uccg, _are_components_of, orient_by_ordering
+from .graphs import Dag, PartialGraph, Uccg, _are_components_of, _require_cpdag, orient_by_ordering
 
 
 class ModelMismatchError(ValueError):
@@ -113,9 +113,9 @@ def draw_perm(clique: Iterable[int], chain: Chain, rng: random.Random) -> tuple[
     return tuple(out)
 
 
-def _draw_labels(model: SamplerModel, rng: random.Random) -> list[int]:
-    """A uniformly drawn topological ordering of the model's graph, in
-    global labels.
+def _draw_order(model: SamplerModel, rng: random.Random) -> list[int]:
+    """A uniformly drawn topological ordering of the model's graph, in its
+    root's local vertices.
 
     Assembles it clique by clique; components are appended in their
     recorded order, which respects the edge directions forced between them.
@@ -135,9 +135,7 @@ def sample_amo(g: Uccg, model: SamplerModel, rng: random.Random) -> Dag:
     local vertices."""
     if model.root is not g and model.root != g:
         raise ModelMismatchError("model was precomputed for a different graph")
-    local = {lab: i for i, lab in enumerate(g.labels)}
-    tau = [local[lab] for lab in _draw_labels(model, rng)]
-    return orient_by_ordering(g.as_partial_graph(), tau)
+    return orient_by_ordering(g.as_partial_graph(), _draw_order(model, rng))
 
 
 def sample_cpdag(
@@ -153,8 +151,10 @@ def sample_cpdag(
     in model order, go to :func:`~mectools.graphs.orient_by_ordering`.  The
     components are the models' roots, checked against ``g``.  A caller that
     passes ``_components``, the split it built the models from, has each
-    model checked against its component only.
+    model checked against its component only.  A ``g`` that is not a CPDAG
+    raises :class:`~mectools.graphs.NotCpdagError` first.
     """
+    _require_cpdag(g)
     if _components is None:
         ok = _are_components_of(g, [m.root for m in models])
     else:
@@ -166,5 +166,5 @@ def sample_cpdag(
         raise ModelMismatchError("models do not match the undirected components")
     tau: list[int] = []
     for model in models:
-        tau += _draw_labels(model, rng)
+        tau += map(model.root.labels.__getitem__, _draw_order(model, rng))
     return orient_by_ordering(g, tau)

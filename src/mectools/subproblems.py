@@ -11,9 +11,7 @@ adjacency is the root's restricted to that mask.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ._partition import refine_traversal, vertex_mask
+from ._partition import refine_traversal
 from .graphs import Uccg
 
 
@@ -38,21 +36,18 @@ def _emit_components(g: Uccg, blocks: list[int]) -> list[int]:
     return out
 
 
-def components_after_clique(
-    g: Uccg, clique: Sequence[int], sub: int | None = None
-) -> list[int]:
+def components_after_clique(g: Uccg, clique: int, sub: int | None = None) -> list[int]:
     """Components left undirected once the clique (in any order) is fixed
     first in ``g``, or in its subgraph induced on the vertex mask ``sub``,
     as vertex masks over ``g``'s local vertices.
 
-    ``clique`` is a clique of that graph given as distinct local vertex ids,
-    as the clique tree and the root-picking oracle build it; it is not
-    checked again here.  The result is independent of the traversal's
-    internal tie-breaking and of the order the clique would be visited in;
+    ``clique`` is the vertex mask of a clique of that graph, as the clique
+    tree and the root-picking oracle build it; it is not checked again
+    here.  The result is independent of the traversal's internal
+    tie-breaking and of the order the clique would be visited in;
     components come in the order their enclosing block was recorded, which
     is consistent with the forced edge directions between them.
     """
-    kmask = vertex_mask(clique)
-    rest = ((1 << g.n) - 1 if sub is None else sub) ^ kmask
-    _, records = refine_traversal(g.adj, [kmask, rest], skip_record=kmask, masks=g.adj_masks)
+    rest = ((1 << g.n) - 1 if sub is None else sub) ^ clique
+    _, records = refine_traversal(g.adj, [clique, rest], skip_record=clique, masks=g.adj_masks)
     return _emit_components(g, records)

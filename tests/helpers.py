@@ -21,13 +21,18 @@ from mectools import (
     enumerate_amos,
     v_structures,
 )
-from mectools._partition import mask_bits, vertex_mask
+from mectools._partition import mask_bits
 from mectools.chordal import CliqueTree, clique_tree
 from mectools.counting import _phi_sizes, factorial, fp_chains
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.oracle import TooLargeError
-from mectools.sampling import SamplerModel, _draw_labels, perm_step_weights, precount
+from mectools.sampling import SamplerModel, _draw_order, perm_step_weights, precount
 from mectools.subproblems import components_after_clique
+
+
+def vertex_mask(vertices) -> int:
+    """Bitmask of a collection of distinct vertex ids."""
+    return sum(1 << v for v in vertices)
 
 
 def path_graph(n: int) -> Uccg:
@@ -139,19 +144,25 @@ def random_chordal_corpus(
             continue
         if max_clique is not None:
             t = clique_tree(g)
-            if max(len(c) for c in t.cliques) > max_clique:
+            if max(c.bit_count() for c in t.cliques) > max_clique:
                 continue
         out.append(g)
     return out
 
 
+def clique_tuples(t: CliqueTree) -> list[tuple[int, ...]]:
+    """The tree's cliques as sorted local vertex tuples, in clique order."""
+    return [tuple(mask_bits(c)) for c in t.cliques]
+
+
 def minimal_separators(t: CliqueTree) -> list[tuple[int, ...]]:
-    """The per-edge clique intersections of the tree, as local vertex tuples.
+    """The per-edge clique intersections of the tree, as sorted local vertex
+    tuples.
 
     Returned as a multiset (one entry per tree edge); the deduplicated set is
     exactly the set of minimal separators of the underlying graph.
     """
-    return [sep for sep in t.separators if sep is not None]
+    return [tuple(mask_bits(sep)) for sep in t.separators if sep is not None]
 
 
 def brute_minimal_separators(g: Uccg) -> set[frozenset[int]]:
@@ -281,11 +292,11 @@ def count_by_separator_formula(g: Uccg) -> int:
     seps = {s for s in t.separators if s is not None}
     total = 0
     for s in cliques | seps:
-        forbidden = [set(x) for x in seps if set(x) < set(s)]
+        forbidden = [set(mask_bits(x)) for x in seps if x & s == x != s]
         prod = 1
         for h in components_after_clique(g, s):
             prod *= precount(induced_subgraph(g, labels_of(g, h))).total
-        total += phi_naive(s, forbidden) * prod
+        total += phi_naive(mask_bits(s), forbidden) * prod
     return total
 
 
@@ -404,10 +415,10 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
 
     def key_paths(key):
         entry = model.entries[key]
-        for record in entry.records:
-            if record.weight == 0:
+        for record, weight in zip(entry.records, record_weights(entry)):
+            if weight == 0:
                 continue
-            p_rec = Fraction(record.weight, entry.total)
+            p_rec = Fraction(weight, entry.total)
             for perm, p_perm in perm_paths(record.clique, record.chain):
                 stack = [(0, perm, p_rec * p_perm)]
                 while stack:
@@ -419,8 +430,7 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
                         stack.append((i + 1, tau + sub_tau, prob * sub_p))
 
     dist: dict[frozenset, Fraction] = {}
-    for tau_labels, prob in key_paths(key_of(model, g.labels)):
-        tau = tuple(g.labels.index(lab) for lab in tau_labels)
+    for tau, prob in key_paths(key_of(model, g.labels)):
         edges = uccg_orient_by_ordering(g, tau).edge_set()
         dist[edges] = dist.get(edges, Fraction(0)) + prob
     return dist
@@ -630,9 +640,9 @@ def table_draw_perm(clique, chain, rng: random.Random) -> tuple:
     return tuple(out)
 
 
-def table_draw_labels(model: SamplerModel, rng: random.Random) -> list[int]:
-    """A model draw in global labels whose permutations come from
-    :func:`table_draw_perm`."""
+def table_draw_order(model: SamplerModel, rng: random.Random) -> list[int]:
+    """A model draw in its root's local vertices whose permutations come
+    from :func:`table_draw_perm`."""
     tau: list[int] = []
     stack = [model.root_key]
     while stack:
@@ -969,7 +979,12 @@ def list_clique_tree_of_sweep(
         tree_order.extend(kids[tree_order[i]])
         i += 1
 
-    return CliqueTree(clique_tuples, tuple(parent), tuple(separators), tuple(tree_order))
+    return CliqueTree(
+        tuple(map(vertex_mask, clique_tuples)),
+        tuple(parent),
+        tuple(None if s is None else vertex_mask(s) for s in separators),
+        tuple(tree_order),
+    )
 
 
 def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
@@ -987,7 +1002,8 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
         chains = fp_chains(t)
         nodes = []
         for idx in t.order:
-            clique = t.cliques[idx]
+            clique = mask_bits(t.cliques[idx])
+            chain = [mask_bits(x) for x in chains[idx]]
             children = []
             for h in list_components_after_clique(cur, clique):
                 children.append(h.labels)
@@ -995,9 +1011,9 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
                     seen.add(h.labels)
                     graphs.append(h)
             nodes.append((
-                phi_chain(clique, chains[idx]),
+                phi_chain(clique, chain),
                 tuple(cur.labels[v] for v in clique),
-                tuple(tuple(cur.labels[v] for v in x) for x in chains[idx]),
+                tuple(tuple(cur.labels[v] for v in x) for x in chain),
                 tuple(children),
             ))
         plans[cur.labels] = tuple(nodes)
@@ -1042,6 +1058,12 @@ def labels_of(g: Uccg, mask: int) -> tuple[int, ...]:
     return tuple(map(g.labels.__getitem__, mask_bits(mask)))
 
 
+def record_weights(entry) -> list[int]:
+    """Each record's weight, ``phi`` times its child keys' totals: the steps
+    of the entry's ``cumulative``."""
+    return [b - a for a, b in zip((0,) + entry.cumulative, entry.cumulative)]
+
+
 def key_of(model: SamplerModel, labels: Sequence[int]) -> int:
     """The key of ``model``'s entry whose label view is ``labels``."""
     (key,) = [k for k in model.entries if labels_of(model.root, k) == tuple(labels)]
@@ -1056,8 +1078,7 @@ def sample_cpdag_by_components(
     out: list[set[int]] = [set(a) for a in g.directed_out]
     for comp, model in zip(comps, models):
         labels = comp.labels
-        tau = [labels.index(lab) for lab in _draw_labels(model, rng)]
-        for u, v in uccg_orient_by_ordering(comp, tau).edges():
+        for u, v in uccg_orient_by_ordering(comp, _draw_order(model, rng)).edges():
             out[labels[u]].add(labels[v])
     return Dag(g.n, tuple(tuple(sorted(s)) for s in out))
 

@@ -8,7 +8,8 @@ Core claims:
     - gen writes a parseable connected chordal graph and reports shape stats
     - oracle enforces its size guards with exit code 3
     - bench emits one well-formed CSV row per instance and survives timeouts
-    - exit codes: 0 ok, 1 input error, 2 not chordal, 3 oracle guard,
+    - exit codes: 0 ok, 1 input error (an input too large to hold and a
+      generator that gives up included), 2 not chordal, 3 oracle guard,
       4 not a CPDAG (not a chain graph, an induced a -> b - c, or a directed
       edge not strongly protected), reported after chordality and in that
       order
@@ -26,6 +27,7 @@ import pytest
 
 import helpers
 from mectools import PartialGraph, parse_graph, precount, sample_cpdag, undirected_components
+from mectools import cli
 from mectools.cli import main
 
 
@@ -54,6 +56,21 @@ def square(tmp_path):
     path = tmp_path / "square.graph"
     path.write_text("4 4 0\n1 2\n2 3\n3 4\n1 4\n")
     return str(path)
+
+
+@pytest.mark.parametrize("command", ["count", "sample", "oracle"])
+def test_input_too_large_to_hold_exit_1(capsys, monkeypatch, tmp_path, command):
+    # a header of 10^12 vertices makes the parser's rows exceed memory; the
+    # parser is replaced by one that raises as it would, allocating nothing
+    def parse(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_graph", parse)
+    path = tmp_path / "huge.graph"
+    path.write_text("1000000000000 0 0\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("command", ["count", "sample", "oracle"])
@@ -371,6 +388,12 @@ class TestGen:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_generator_that_gives_up_exit_1(self, capsys):
+        # subtrees of one node each rarely make a connected graph on 50 vertices
+        code, out, err = run(capsys, "gen", "--model", "subtree", "--n", "50", "--k", "1")
+        assert code == 1 and out == ""
+        assert err == "error: no connected subtree-intersection graph (n=50, k=1)\n"
+
 
 class TestOracle:
     def test_rootpick_chain54(self, capsys, chain54):
@@ -473,6 +496,13 @@ class TestBench:
     def test_unknown_model_exit_1(self, capsys):
         code, _, _ = run(capsys, "bench", "--model", "nosuch", "--sizes", "8")
         assert code == 1
+
+    def test_generator_that_gives_up_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--model", "subtree", "--sizes", "50", "--k-policy", "1"
+        )
+        assert code == 1 and out.count("\n") == 1 and out.startswith("model,n,k,")
+        assert err == "error: no connected subtree-intersection graph (n=50, k=1)\n"
 
     def test_bad_sizes_exit_1(self, capsys):
         code, _, _ = run(capsys, "bench", "--model", "peo", "--sizes", "abc")

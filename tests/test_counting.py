@@ -11,20 +11,27 @@ Core claims:
 """
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import ChainElementNotProperSubsetError, ChainNotNestedError, phi_chain
 from mectools import (
     NotChordalError,
+    NotCpdagError,
     PartialGraph,
+    Uccg,
     count_cpdag,
     count_root_picking,
     enumerate_amos,
     precount,
+    undirected_components,
 )
+from mectools._partition import mask_bits
 from mectools.chordal import clique_tree
 from mectools.counting import count_with_stats, factorial, fp_chains
 
@@ -107,10 +114,11 @@ class TestFpChains:
         g = helpers.three_clique_chain()
         t = clique_tree(g)
         chains = fp_chains(t)
-        by_clique = {t.cliques[i]: chains[i] for i in range(len(t.cliques))}
-        assert by_clique[(0, 1, 2)] == ()
-        assert by_clique[(1, 2, 3, 4)] == ((1, 2),)
-        assert by_clique[(1, 2, 4, 5)] == ((1, 2), (1, 2, 4))
+        by_clique = dict(zip(t.cliques, chains))
+        m = helpers.vertex_mask
+        assert by_clique[m((0, 1, 2))] == ()
+        assert by_clique[m((1, 2, 3, 4))] == (m((1, 2)),)
+        assert by_clique[m((1, 2, 4, 5))] == (m((1, 2)), m((1, 2, 4)))
 
     def test_single_node_tree(self):
         t = clique_tree(helpers.complete_graph(4))
@@ -122,22 +130,23 @@ class TestFpChains:
         g = helpers.path_graph(4)
         t = clique_tree(g)
         chains = fp_chains(t)
-        by_clique = {t.cliques[i]: chains[i] for i in range(len(t.cliques))}
-        assert by_clique[(0, 1)] == ()
-        assert by_clique[(1, 2)] == ((1,),)
-        assert by_clique[(2, 3)] == ((2,),)
+        by_clique = dict(zip(t.cliques, chains))
+        m = helpers.vertex_mask
+        assert by_clique[m((0, 1))] == ()
+        assert by_clique[m((1, 2))] == (m((1,)),)
+        assert by_clique[m((2, 3))] == (m((2,)),)
 
     def test_chains_always_strictly_nested(self):
         for g in helpers.random_chordal_corpus(30, 2, 14, seed=67):
             for rng in (None, random.Random(3)):
                 t = clique_tree(g, rng=rng)
                 for i, chain in enumerate(fp_chains(t)):
-                    clique = set(t.cliques[i])
+                    clique = set(mask_bits(t.cliques[i]))
                     prev = None
-                    for s in chain:
-                        assert set(s) < clique
+                    for s in map(set, map(mask_bits, chain)):
+                        assert s < clique
                         if prev is not None:
-                            assert set(prev) < set(s)
+                            assert prev < s
                         prev = s
 
 
@@ -170,10 +179,10 @@ class TestCountAmos:
     def test_separator_formula_terms_on_three_clique_chain(self):
         g = helpers.three_clique_chain()
         t = clique_tree(g)
-        seps = {s for s in t.separators if s is not None}
+        seps = {tuple(mask_bits(s)) for s in t.separators if s is not None}
         phis = {
             s: helpers.phi_naive(s, [set(x) for x in seps if set(x) < set(s)])
-            for s in set(t.cliques) | seps
+            for s in set(helpers.clique_tuples(t)) | seps
         }
         assert phis == {
             (1, 2): 2,
@@ -209,14 +218,35 @@ class TestCountAmos:
 class TestCountCpdag:
     def test_mixed_graph_counts_undirected_part(self):
         g = helpers.three_clique_chain()
-        pg = PartialGraph.from_edges(
-            8, list(g.edges()), [(6, 7)]
-        )
+        # the collider 5 -> 7 <- 6 protects both arrows
+        pg = PartialGraph.from_edges(8, list(g.edges()), [(5, 7), (6, 7)])
         assert count_cpdag(pg) == 54
+        # the lone arrow 6 -> 7 is not strongly protected
+        lone = PartialGraph.from_edges(8, list(g.edges()), [(6, 7)])
+        with pytest.raises(NotCpdagError, match="not strongly protected"):
+            count_cpdag(lone)
 
     def test_fully_directed(self):
-        pg = PartialGraph.from_edges(4, [], [(0, 1), (1, 2), (2, 3)])
+        # a collider and an arrow out of it, each strongly protected
+        pg = PartialGraph.from_edges(4, [], [(0, 2), (1, 2), (2, 3)])
         assert count_cpdag(pg) == 1
+        path = PartialGraph.from_edges(4, [], [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(NotCpdagError, match="not strongly protected"):
+            count_cpdag(path)
+
+    def test_rejects_every_kind_of_non_cpdag_in_order(self):
+        cases = {
+            "partially directed cycle": PartialGraph.from_edges(3, [], [(0, 1), (1, 2), (2, 0)]),
+            "induced a -> b - c": PartialGraph.from_edges(3, [(1, 2)], [(0, 1)]),
+            "not strongly protected": PartialGraph.from_edges(2, [], [(0, 1)]),
+        }
+        for reason, pg in cases.items():
+            with pytest.raises(NotCpdagError, match=reason):
+                count_cpdag(pg)
+        # a component that is not chordal is reported before the arrows
+        cycle = PartialGraph.from_edges(5, helpers.cycle_edges(4), [(0, 4)])
+        with pytest.raises(NotChordalError):
+            count_cpdag(cycle)
 
     def test_two_disjoint_triangles(self):
         pg = PartialGraph.from_edges(
@@ -251,3 +281,59 @@ class TestCountWithStats:
         for g in helpers.random_chordal_corpus(40, 2, 16, seed=101):
             stats = count_with_stats(g)
             assert stats.explored <= 2 * stats.max_cliques - 1
+
+
+def spanning_tree(g) -> list[tuple[int, int]]:
+    """The edges of a depth-first spanning tree of the connected graph ``g``."""
+    seen = {0}
+    stack = [0]
+    edges = []
+    while stack:
+        u = stack.pop()
+        for v in g.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                edges.append((u, v))
+                stack.append(v)
+    return edges
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(helpers.chordal_graphs(), st.lists(st.integers(0, 2**16), min_size=2, max_size=2))
+def test_model_totals_match_the_oracles_on_chordal_graphs(g, seeds):
+    model = precount(g)
+    total = model.total
+    assert total == count_root_picking(g)
+    if g.m <= 24:
+        assert total == len(enumerate_amos(g))
+    assert all(precount(g, seed).total == total for seed in seeds)
+    # each record's weight, phi times its children's totals, is one step of
+    # its entry's cumulative sums, which end at the entry's total
+    for entry in model.entries.values():
+        steps = [
+            math.prod((model.entries[c].total for c in r.child_keys), start=r.phi)
+            for r in entry.records
+        ]
+        assert helpers.record_weights(entry) == steps
+        assert entry.cumulative[-1] == entry.total
+    assert precount(helpers.complete_graph(g.n)).total == factorial(g.n)
+    assert precount(Uccg.from_edges(range(g.n), spanning_tree(g))).total == g.n
+
+
+def test_records_are_root_local_on_relabelled_components():
+    # components of a many-component CPDAG keep their global labels, which
+    # are not 0..n-1; every record lies inside its key's root-local mask
+    checked = 0
+    for seed in range(4):
+        for comp in undirected_components(helpers.many_component_cpdag(seed)):
+            if comp.labels == tuple(range(comp.n)):
+                continue
+            for key, entry in precount(comp).entries.items():
+                for r in entry.records:
+                    clique = helpers.vertex_mask(r.clique)
+                    assert clique & key == clique and list(r.clique) == mask_bits(clique)
+                    for x in r.chain:
+                        s = helpers.vertex_mask(x)
+                        assert s & clique == s and list(x) == mask_bits(s)
+                    checked += 1
+    assert checked > 100

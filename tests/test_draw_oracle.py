@@ -1,7 +1,7 @@
 """Permutation draws from chain sizes against the table-based draw.
 
 Core claims:
-    - a model draw equals the table-based draw (``helpers.table_draw_labels``)
+    - a model draw equals the table-based draw (``helpers.table_draw_order``)
       on small instances of the benchmark workloads: same ordering, same
       randomness consumed
     - ``draw_perm`` equals ``helpers.table_draw_perm`` on nested chains of
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import helpers
 from mectools import precount, undirected_components
-from mectools.sampling import _draw_labels, draw_perm
+from mectools.sampling import _draw_order, draw_perm
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -45,7 +45,7 @@ def test_model_draws_match_the_table_oracle_on_workload_corpora():
             fast, slow = random.Random(seed), random.Random(seed)
             for _ in range(3):
                 for model in models:
-                    assert _draw_labels(model, fast) == helpers.table_draw_labels(model, slow)
+                    assert _draw_order(model, fast) == helpers.table_draw_order(model, slow)
             assert fast.random() == slow.random()
 
 

@@ -160,7 +160,7 @@ class TestOrderingProperties:
         # prefixes); the orderings that begin with a maximal clique do.
         for g in self.corpus():
             t = clique_tree(g)
-            cliques = {frozenset(c) for c in t.cliques}
+            cliques = set(map(frozenset, helpers.clique_tuples(t)))
             candidates = set(cliques)
             candidates.update(map(frozenset, helpers.minimal_separators(t)))
             for dag in enumerate_amos(g):

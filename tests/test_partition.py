@@ -25,7 +25,7 @@ import helpers
 from mectools import Uccg, chordal, counting, precount
 from mectools.chordal import clique_tree, lbfs
 from mectools.subproblems import components_after_clique
-from mectools._partition import adjacency_masks, mask_bits, refine_traversal, vertex_mask
+from mectools._partition import adjacency_masks, mask_bits, refine_traversal
 from mectools.generators import _prufer_tree, gen_interval, gen_peo, gen_subtree
 
 
@@ -66,15 +66,15 @@ def k_first_cliques(g: Uccg) -> list[tuple[int, ...]]:
     """Every maximal clique and separator of a clique tree, and one vertex."""
     t = clique_tree(g)
     out = set(t.cliques) | {s for s in t.separators if s}
-    out.add((g.n // 2,))
-    return sorted(out)
+    out.add(1 << g.n // 2)
+    return [tuple(mask_bits(c)) for c in sorted(out)]
 
 
 def test_k_first_records_match_the_oracle():
     for g in CORPUS:
         full = (1 << g.n) - 1
         for clique in k_first_cliques(g):
-            kmask = vertex_mask(clique)
+            kmask = helpers.vertex_mask(clique)
             for seed in (None, 0, 1):
                 rng = random.Random(seed) if seed is not None else None
                 order, records = refine_traversal(
@@ -90,7 +90,7 @@ def test_components_match_the_oracle_in_order():
         for clique in k_first_cliques(g):
             got = [
                 helpers.induced_subgraph(g, helpers.labels_of(g, h))
-                for h in components_after_clique(g, clique)
+                for h in components_after_clique(g, helpers.vertex_mask(clique))
             ]
             want = helpers.list_components_after_clique(g, clique)
             assert [(h.labels, h.adj) for h in got] == [(h.labels, h.adj) for h in want]
@@ -98,13 +98,22 @@ def test_components_match_the_oracle_in_order():
 
 
 def records_of(model) -> dict:
-    """The model's records with every key in its label view."""
+    """The model's records with every vertex, vertex set and key in its
+    label view."""
+    label = model.root.labels.__getitem__
+
     def labels(key):
         return helpers.labels_of(model.root, key)
 
     return {
         labels(key): tuple(
-            (r.phi, r.clique, r.chain, tuple(map(labels, r.child_keys))) for r in entry.records
+            (
+                r.phi,
+                tuple(map(label, r.clique)),
+                tuple(tuple(map(label, x)) for x in r.chain),
+                tuple(map(labels, r.child_keys)),
+            )
+            for r in entry.records
         )
         for key, entry in model.entries.items()
     }
@@ -198,13 +207,13 @@ def test_lazy_component_equals_an_eager_one():
     # a component is a mask over the root; read through the root's masks it
     # is the eagerly built induced subgraph, completeness included
     g = helpers.clique_chain_7()
-    (comp, _) = components_after_clique(g, [0, 1, 2, 3])
+    (comp, _) = components_after_clique(g, 0b1111)
     assert helpers.labels_of(g, comp) == (4, 5)
     assert [g.adj_masks[v] & comp for v in mask_bits(comp)] == [1 << 5, 1 << 4]
     eager = helpers.induced_subgraph(g, (4, 5))
     assert eager == Uccg((4, 5), [[1], [0]])
     assert hash(eager) == hash(Uccg((4, 5), [[1], [0]]))
-    assert clique_tree(g, None, comp).cliques == ((4, 5),)
+    assert clique_tree(g, None, comp).cliques == (comp,)
     path = helpers.path_graph(3)
     assert len(clique_tree(path, None, (1 << path.n) - 1).cliques) == 2
 

@@ -26,6 +26,7 @@ import pytest
 
 import helpers
 from mectools import (
+    NotCpdagError,
     PartialGraph,
     count_root_picking,
     enumerate_amos,
@@ -57,22 +58,23 @@ class TestPrecount:
     def test_three_clique_chain_weights(self):
         g = helpers.three_clique_chain()
         model = precount(g)
-        records = model.entries[helpers.key_of(model, g.labels)].records
-        assert sorted(r.weight for r in records) == [16, 18, 20]
+        entry = model.entries[helpers.key_of(model, g.labels)]
+        assert sorted(helpers.record_weights(entry)) == [16, 18, 20]
         assert model.total == 54
 
     def test_complete_graph_single_record(self):
         g = helpers.complete_graph(5)
         model = precount(g)
-        (record,) = model.entries[helpers.key_of(model, g.labels)].records
-        assert record.weight == 120
+        entry = model.entries[helpers.key_of(model, g.labels)]
+        (record,) = entry.records
+        assert helpers.record_weights(entry) == [120]
         assert record.child_keys == ()
 
     def test_path3_weights(self):
         g = helpers.path_graph(3)
         model = precount(g)
-        records = model.entries[helpers.key_of(model, g.labels)].records
-        assert sorted(r.weight for r in records) == [1, 2]
+        entry = model.entries[helpers.key_of(model, g.labels)]
+        assert sorted(helpers.record_weights(entry)) == [1, 2]
         assert model.total == 3
 
     def test_total_equals_count_on_corpus(self):
@@ -96,8 +98,9 @@ class TestDrawClique:
         rng = random.Random(99)
         draws = 54000
         counts = Counter(draw_clique(model, key, rng).clique for _ in range(draws))
-        for record in model.entries[key].records:
-            p = record.weight / model.total
+        entry = model.entries[key]
+        for record, weight in zip(entry.records, helpers.record_weights(entry)):
+            p = weight / model.total
             sigma = (p * (1 - p) / draws) ** 0.5
             assert abs(counts[record.clique] / draws - p) < 5 * sigma
 
@@ -232,18 +235,23 @@ class TestSampleCpdag:
         assert dag.edge_set() == {(0, 1), (2, 1)}
 
     def test_directed_edges_kept_undirected_oriented(self):
-        pg = PartialGraph.from_edges(4, [(2, 3)], [(0, 1)])
+        # the collider 0 -> 1 <- 4 beside the undirected edge 2 - 3
+        pg = PartialGraph.from_edges(5, [(2, 3)], [(0, 1), (4, 1)])
         models = models_of(pg)
         rng = random.Random(8)
         seen = Counter()
         for _ in range(2000):
             dag = sample_cpdag(pg, models, rng)
-            assert (0, 1) in dag.edge_set()
+            assert {(0, 1), (4, 1)} <= dag.edge_set()
             seen[dag.edge_set()] += 1
         assert_acyclic(pg.n, seen)
         assert len(seen) == 2
         for c in seen.values():
             assert abs(c / 2000 - 0.5) < 0.06
+        # the lone arrow 0 -> 1 is in no CPDAG
+        lone = PartialGraph.from_edges(4, [(2, 3)], [(0, 1)])
+        with pytest.raises(NotCpdagError, match="not strongly protected"):
+            sample_cpdag(lone, models_of(lone), rng)
 
     def test_two_triangles_36_equally_likely(self):
         pg = PartialGraph.from_edges(
@@ -283,11 +291,16 @@ class TestSampleCpdag:
     def test_components_that_miss_vertices_are_rejected(self):
         # a trusted split is checked against its models only; the ordering
         # it yields then misses vertices, which orient_by_ordering rejects
-        pg = PartialGraph.from_edges(5, [(0, 1), (3, 4)], [(1, 2)])
+        pg = PartialGraph.from_edges(5, [(0, 1), (3, 4)], [(1, 2), (3, 2)])
         comps = undirected_components(pg)
         models = [precount(c) for c in comps]
         with pytest.raises(ValueError, match="permutation"):
             sample_cpdag(pg, models[:-1], random.Random(0), _components=comps[:-1])
+        # without the arrow 3 -> 2, 1 -> 2 is not strongly protected, which
+        # is checked before the split
+        lone = PartialGraph.from_edges(5, [(0, 1), (3, 4)], [(1, 2)])
+        with pytest.raises(NotCpdagError):
+            sample_cpdag(lone, models[:-1], random.Random(0), _components=comps[:-1])
 
 
 def test_one_dag_draw_equals_the_per_component_assembly():
@@ -308,9 +321,9 @@ def test_one_dag_draw_equals_the_per_component_assembly():
 
 
 def test_default_path_rejects_models_of_other_components():
-    # components {0, 1, 2}, {3, 4} and the singleton {5}
-    pg = PartialGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)], [(2, 5)])
-    path = PartialGraph.from_edges(6, [(0, 1), (1, 2), (3, 4)], [(2, 5)])
+    # components {0, 1, 2}, {3, 4} and the singleton {5}, the collider 2 -> 5 <- 3
+    pg = PartialGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)], [(2, 5), (3, 5)])
+    path = PartialGraph.from_edges(6, [(0, 1), (1, 2), (3, 4)], [(2, 5), (3, 5)])
     models = models_of(pg)
     many = helpers.many_component_cpdag(5)
     cases = {
@@ -329,3 +342,8 @@ def test_default_path_rejects_models_of_other_components():
             sample_cpdag(other, models, random.Random(0))
     with pytest.raises(ModelMismatchError):
         sample_cpdag(many, models_of(helpers.many_component_cpdag(6)), random.Random(0))
+    # the lone arrow 2 -> 5 makes the graph no CPDAG, whatever the models
+    lone = PartialGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)], [(2, 5)])
+    for wrong in [models, *cases.values()]:
+        with pytest.raises(NotCpdagError):
+            sample_cpdag(lone, wrong, random.Random(0))

@@ -16,7 +16,7 @@ import pytest
 
 import helpers
 from mectools import is_chordal
-from mectools._partition import refine_traversal, vertex_mask
+from mectools._partition import refine_traversal
 from mectools.subproblems import _emit_components, components_after_clique
 
 
@@ -31,12 +31,12 @@ def mask_label_sets(g, masks):
 class TestComponentsAfterClique:
     def test_seven_vertex_chain_big_clique(self):
         g = helpers.clique_chain_7()
-        comps = components_after_clique(g, [0, 1, 2, 3])
+        comps = components_after_clique(g, 0b1111)
         assert mask_label_sets(g, comps) == {(4, 5), (6,)}
 
     def test_three_clique_chain_first_clique(self):
         g = helpers.three_clique_chain()
-        comps = components_after_clique(g, [0, 1, 2])
+        comps = components_after_clique(g, 0b111)
         assert mask_label_sets(g, comps) == {(3, 4, 5)}
         (path,) = comps
         sub = helpers.induced_subgraph(g, helpers.labels_of(g, path))
@@ -44,7 +44,7 @@ class TestComponentsAfterClique:
 
     def test_complete_graph_whole_clique(self):
         g = helpers.complete_graph(5)
-        assert components_after_clique(g, range(5)) == []
+        assert components_after_clique(g, 0b11111) == []
 
     def test_not_a_clique(self):
         # the step trusts its clique; the check every library-built clique
@@ -55,7 +55,7 @@ class TestComponentsAfterClique:
     def test_matches_union_of_orientations(self):
         for g in helpers.random_chordal_corpus(30, 2, 8, seed=41, max_edges=14):
             for clique in helpers.brute_maximal_cliques(g):
-                got = mask_label_sets(g, components_after_clique(g, sorted(clique)))
+                got = mask_label_sets(g, components_after_clique(g, helpers.vertex_mask(clique)))
                 assert got == helpers.union_components_oracle(g, sorted(clique))
 
     def test_outputs_partition_rest_and_are_chordal(self):
@@ -63,7 +63,7 @@ class TestComponentsAfterClique:
             for clique in helpers.brute_maximal_cliques(g):
                 comps = [
                     helpers.induced_subgraph(g, helpers.labels_of(g, h))
-                    for h in components_after_clique(g, sorted(clique))
+                    for h in components_after_clique(g, helpers.vertex_mask(clique))
                 ]
                 labels = [lab for c in comps for lab in c.labels]
                 assert len(labels) == len(set(labels))
@@ -78,8 +78,8 @@ class TestComponentsAfterClique:
         for g in helpers.random_chordal_corpus(10, 3, 10, seed=47):
             full = (1 << g.n) - 1
             for clique in helpers.brute_maximal_cliques(g):
-                base = mask_label_sets(g, components_after_clique(g, sorted(clique)))
-                kmask = vertex_mask(clique)
+                base = mask_label_sets(g, components_after_clique(g, helpers.vertex_mask(clique)))
+                kmask = helpers.vertex_mask(clique)
                 for seed in range(5):
                     _, records = refine_traversal(
                         g.adj,
@@ -116,7 +116,7 @@ class TestComponentsAfterPermutation:
                 for r in range(1, len(mc) + 1):
                     cliques.update(map(frozenset, itertools.combinations(sorted(mc), r)))
             for clique in cliques:
-                base = mask_label_sets(g, components_after_clique(g, sorted(clique)))
+                base = mask_label_sets(g, components_after_clique(g, helpers.vertex_mask(clique)))
                 for perm in itertools.permutations(sorted(clique)):
                     assert (
                         as_label_sets(helpers.components_after_permutation(g, perm)) == base

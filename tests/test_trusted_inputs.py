@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import helpers
 from mectools import PartialGraph, Uccg, parse_graph, precount, undirected_components
 from mectools import chordal, counting, subproblems
+from mectools._partition import mask_bits
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -71,12 +72,12 @@ def check_explored(g: Uccg, seed) -> None:
         helpers.check_blocks(universe, blocks)
 
     for key, entry in model.entries.items():
-        labels = helpers.labels_of(g, key)
-        h = helpers.induced_subgraph(g, labels)
+        h = helpers.induced_subgraph(g, helpers.labels_of(g, key))
         assert_passes_constructor(h)
-        local = {lab: i for i, lab in enumerate(labels)}
+        # records are in the root's local vertices; h numbers the key's bits
+        local = {v: i for i, v in enumerate(mask_bits(key))}
         for record in entry.records:
-            helpers.check_clique(h, [local[lab] for lab in record.clique])
+            helpers.check_clique(h, [local[v] for v in record.clique])
             helpers.validate_chain(frozenset(record.clique), record.chain)
             assert all(child in model.entries for child in record.child_keys)
 
