@@ -154,7 +154,8 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    """Sizes of a comma list or a doubling range ``a..b``; all must be positive."""
+    """Sizes of a comma list or a doubling range ``a..b``; there must be at
+    least one, and all must be positive."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
@@ -165,10 +166,10 @@ def _parse_sizes(text: str) -> list[int]:
         while n <= hi:
             out.append(n)
             n *= 2
-        return out
-    out = [int(part) for part in text.split(",") if part]
-    if any(n < 1 for n in out):
-        raise ValueError("sizes must be positive")
+    else:
+        out = [int(part) for part in text.split(",") if part]
+    if not out or any(n < 1 for n in out):
+        raise ValueError("need at least one size, and all positive")
     return out
 
 
@@ -238,18 +239,21 @@ def cmd_bench(args) -> int:
         print(f"error: bad --k-policy '{args.k_policy}'", file=sys.stderr)
         return EXIT_INPUT
     writer = csv.writer(sys.stdout)
-    writer.writerow(
-        [
-            "model", "n", "k", "rep", "seed", "edges", "cliques",
-            "density", "count_digits", "time_ms", "status",
-        ]
-    )
     instance = 0
     for n, k in zip(sizes, ks):
         for rep in range(args.reps):
             seed = args.seed + instance
-            instance += 1
             g = _GEN[args.model](n, k, seed)
+            if instance == 0:
+                # only once an instance exists: a generator that gives up
+                # on the first one leaves stdout empty
+                writer.writerow(
+                    [
+                        "model", "n", "k", "rep", "seed", "edges", "cliques",
+                        "density", "count_digits", "time_ms", "status",
+                    ]
+                )
+            instance += 1
             t = clique_tree(g)
             pg = g.as_partial_graph()
             elapsed, value = _count_with_timeout(pg, args.timeout)

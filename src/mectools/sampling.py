@@ -35,81 +35,51 @@ def draw_clique(model: SamplerModel, key: Key, rng: random.Random) -> CliqueReco
     return entry.records[bisect_right(entry.cumulative, r)]
 
 
-def perm_step_weights(
-    remaining: Sequence[int],
-    suffix: int,
-    drawn: int,
-    sizes: Sequence[int],
-    first_idx: dict[int, int],
-) -> list[tuple[int, int, int]]:
-    """Weights for the next permutation element.
-
-    Returns (vertex, weight, next suffix) per remaining vertex: the weight is
-    the number of admissible completions if the vertex is placed next.  A
-    vertex inside some chain set shrinks the active suffix to the smallest set
-    containing it (``first_idx``); a vertex outside all of them clears the
-    chain.  ``sizes`` are the chain set sizes before ``drawn`` vertices were
-    placed.  A weight depends only on the suffix the vertex leaves active, so
-    at most ``len(sizes) - suffix + 1`` values are computed.
-    """
-    ell = len(sizes)
-    rest = len(remaining) - 1
-    left = [s - drawn - 1 for s in sizes]
-    by_suffix = [_phi_sizes(rest, left[j:]) for j in range(suffix, ell + 1)]
-    out = []
-    for v in remaining:
-        j = first_idx.get(v, ell)
-        if j < suffix:
-            j = suffix
-        out.append((v, by_suffix[j - suffix], j))
-    return out
-
-
 def draw_perm(clique: Iterable[int], chain: Chain, rng: random.Random) -> tuple[int, ...]:
     """Uniform permutation of ``clique`` having no chain element as a prefix.
 
     The chain must be strictly nested and consist of proper subsets of the
     clique (then at least one admissible permutation exists), as
     :func:`~mectools.counting.fp_chains` builds it; it is not checked again
-    here.  Each position is drawn with exact integer weights proportional to
-    the number of completions, computed from the chain sizes.
+    here.  A placed vertex leaves the chain active from the smallest active
+    set that holds it (a vertex in no active set clears the chain), so each
+    position is drawn with exact integer weights, the numbers of completions,
+    which depend only on that suffix and the chain sizes.
     """
     remaining = sorted(clique)
     if not chain:  # every order is admissible
         rng.shuffle(remaining)
         return tuple(remaining)
+    ell = len(chain)
     sizes = [len(x) for x in chain]
-    first_idx: dict[int, int] = {}
-    for i, x in enumerate(chain):
-        for v in x:
-            first_idx.setdefault(v, i)
-
+    smallest = dict.fromkeys(remaining, ell)
+    for i in range(ell - 1, -1, -1):
+        smallest.update(dict.fromkeys(chain[i], i))
     out: list[int] = []
     suffix = 0
-    drawn = 0
-    ell = len(sizes)
     # φ of the remaining vertices under the active chain suffix: the whole
     # chain first, then the weight of each vertex drawn
     phi = _phi_sizes(len(remaining), sizes)
-    while remaining:
-        if suffix >= ell:
-            rng.shuffle(remaining)
-            out.extend(remaining)
-            break
-        weighted = perm_step_weights(remaining, suffix, drawn, sizes, first_idx)
-        total = sum(w for _, w, _ in weighted)
+    while suffix < ell:
+        left = [s - len(out) - 1 for s in sizes]
+        by_suffix = [_phi_sizes(len(remaining) - 1, left[j:]) for j in range(suffix, ell + 1)]
+        # a vertex's weight, indexed by the smallest set that holds it (ell
+        # if none); a set before the active suffix counts as its first
+        weight = by_suffix[:1] * suffix + by_suffix
+        r = rng.randrange(phi)
+        total = 0
+        pick = -1
+        for pos, v in enumerate(remaining):
+            total += weight[smallest[v]]
+            if pick < 0 and r < total:
+                pick = pos
         assert total == phi and total > 0
-        r = rng.randrange(total)
-        acc = 0
-        for pos, (v, w, nxt) in enumerate(weighted):
-            acc += w
-            if r < acc:
-                break
+        v = remaining.pop(pick)
         out.append(v)
-        remaining.pop(pos)
-        suffix = nxt
-        drawn += 1
-        phi = w
+        phi = weight[smallest[v]]
+        suffix = max(suffix, smallest[v])
+    rng.shuffle(remaining)
+    out.extend(remaining)
     return tuple(out)
 
 

@@ -26,7 +26,7 @@ from mectools.chordal import CliqueTree, clique_tree
 from mectools.counting import _phi_sizes, factorial, fp_chains
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.oracle import TooLargeError
-from mectools.sampling import SamplerModel, _draw_order, perm_step_weights, precount
+from mectools.sampling import SamplerModel, _draw_order, precount
 from mectools.subproblems import components_after_clique
 
 
@@ -375,14 +375,10 @@ def check_blocks(universe: int, blocks: Sequence[int]) -> None:
 
 def perm_paths(clique, chain):
     """Every permutation :func:`~mectools.sampling.draw_perm` can draw, with
-    its exact probability: the same step weights, exhaustive branching
-    instead of random choices."""
-    sizes = [len(x) for x in chain]
-    first_idx: dict[int, int] = {}
-    for i, x in enumerate(chain):
-        for v in x:
-            first_idx.setdefault(v, i)
-    ell = len(sizes)
+    its exact probability: the step weights of a :class:`PermTable`,
+    exhaustive branching instead of random choices."""
+    table = PermTable(len(clique), chain)
+    ell = table.ell
 
     def rec(remaining, suffix, drawn, prob):
         if not remaining:
@@ -393,9 +389,10 @@ def perm_paths(clique, chain):
             for p in itertools.permutations(remaining):
                 yield p, share
             return
-        weighted = perm_step_weights(remaining, suffix, drawn, sizes, first_idx)
-        total = sum(w for _, w, _ in weighted)
-        for v, w, nxt in weighted:
+        total = table.rows[suffix][drawn]
+        for v in remaining:
+            nxt = max(table.first_idx.get(v, ell), suffix)
+            w = table.rows[nxt][drawn + 1]
             if w == 0:
                 continue
             rest = [x for x in remaining if x != v]

@@ -501,7 +501,7 @@ class TestBench:
         code, out, err = run(
             capsys, "bench", "--model", "subtree", "--sizes", "50", "--k-policy", "1"
         )
-        assert code == 1 and out.count("\n") == 1 and out.startswith("model,n,k,")
+        assert code == 1 and out == ""
         assert err == "error: no connected subtree-intersection graph (n=50, k=1)\n"
 
     def test_bad_sizes_exit_1(self, capsys):
@@ -516,7 +516,7 @@ class TestBench:
             assert code == 1 and out == ""
             assert err == f"error: bad --k-policy '{policy}'\n"
 
-    @pytest.mark.parametrize("sizes", ["0..4", "-2..8", "8,0"])
+    @pytest.mark.parametrize("sizes", ["0..4", "-2..8", "8,0", "", ",", "4..2"])
     def test_nonpositive_sizes_exit_1(self, capsys, sizes):
         code, out, err = run(capsys, "bench", "--model", "peo", f"--sizes={sizes}")
         assert code == 1 and out == ""

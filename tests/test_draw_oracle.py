@@ -4,8 +4,9 @@ Core claims:
     - a model draw equals the table-based draw (``helpers.table_draw_order``)
       on small instances of the benchmark workloads: same ordering, same
       randomness consumed
-    - ``draw_perm`` equals ``helpers.table_draw_perm`` on nested chains of
-      every length up to ``k - 1``
+    - ``draw_perm`` equals ``helpers.table_draw_perm`` on cliques of every
+      size ``k`` from 1 to 12 and nested chains of every length up to
+      ``k - 1``
     - on small cliques with long chains, the step weights give every
       admissible permutation probability exactly 1/phi
 """
@@ -50,19 +51,19 @@ def test_model_draws_match_the_table_oracle_on_workload_corpora():
 
 
 def test_draw_perm_matches_the_table_oracle_on_long_nested_chains():
-    k = 12
     rng = random.Random(2023)
-    for length in range(k):
-        for _ in range(6):
-            clique = rng.sample(range(1000), k)
-            chain = nested_chain(rng, clique, length)
-            seed = rng.randrange(2**31)
-            fast, slow = random.Random(seed), random.Random(seed)
-            for _ in range(5):
-                perm = draw_perm(clique, chain, fast)
-                assert perm == helpers.table_draw_perm(clique, chain, slow)
-                assert all(set(perm[: len(x)]) != set(x) for x in chain)
-            assert fast.random() == slow.random()
+    for k in range(1, 13):
+        for length in range(k):
+            for _ in range(6):
+                clique = rng.sample(range(1000), k)
+                chain = nested_chain(rng, clique, length)
+                seed = rng.randrange(2**31)
+                fast, slow = random.Random(seed), random.Random(seed)
+                for _ in range(5):
+                    perm = draw_perm(clique, chain, fast)
+                    assert perm == helpers.table_draw_perm(clique, chain, slow)
+                    assert all(set(perm[: len(x)]) != set(x) for x in chain)
+                assert fast.random() == slow.random()
 
 
 def test_step_weights_are_exactly_uniform_on_long_chains():
