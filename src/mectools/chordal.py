@@ -59,7 +59,10 @@ class CliqueTree:
 
 
 def clique_tree(
-    g: "Uccg", rng: random.Random | None = None, sub: int | None = None
+    g: "Uccg",
+    rng: random.Random | None = None,
+    sub: int | None = None,
+    sweep: Sequence[int] | None = None,
 ) -> CliqueTree:
     """Build a rooted clique tree of ``g``, or of its subgraph induced on the
     vertex mask ``sub``, from a single LBFS sweep, in ``g``'s local vertices.
@@ -75,19 +78,23 @@ def clique_tree(
 
     A complete graph gets its one-clique tree without a sweep; ``rng`` is
     advanced as the sweep would advance it (see
-    :func:`_skip_sweep_of_complete`).
+    :func:`_skip_sweep_of_complete`).  Without ``rng``, a caller that has
+    already run ``lbfs(g, sub=sub)`` on a subgraph that is not complete
+    passes it as ``sweep``, and the tree is built from it.
     """
     if sub is None:
         sub = (1 << g.n) - 1
     if not sub:
         raise ValueError("empty graph has no clique tree")
-    masks = g.adj_masks
-    verts = mask_bits(sub)
-    if all((masks[v] | 1 << v) & sub == sub for v in verts):
-        if rng is not None:
-            _skip_sweep_of_complete(rng, len(verts))
-        return CliqueTree((sub,), (0,), (None,), (0,))
-    return _clique_tree_of_sweep(g, lbfs(g, rng=rng, sub=sub), rng)
+    if sweep is None:
+        masks = g.adj_masks
+        verts = mask_bits(sub)
+        if all((masks[v] | 1 << v) & sub == sub for v in verts):
+            if rng is not None:
+                _skip_sweep_of_complete(rng, len(verts))
+            return CliqueTree((sub,), (0,), (None,), (0,))
+        sweep = lbfs(g, rng=rng, sub=sub)
+    return _clique_tree_of_sweep(g, sweep, rng)
 
 
 def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:

@@ -23,7 +23,7 @@ from typing import Dict, Sequence, Tuple
 from ._partition import mask_bits
 from .chordal import CliqueTree, clique_tree
 from .graphs import PartialGraph, Uccg, _split
-from .subproblems import components_after_clique
+from .subproblems import components_after_clique, tree_regions
 
 # key of an explored induced subgraph: its vertex mask over the root's
 # local vertices (bit ``v`` for local vertex ``v``)
@@ -145,17 +145,22 @@ def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
     rng = random.Random(seed) if seed is not None else None
     # mask -> its records, one per clique-tree node in BFS order
     records_of: Dict[Key, tuple[CliqueRecord, ...]] = {}
+    # mask of a child that is not complete -> its unseeded LBFS order
+    sweeps: Dict[Key, tuple[int, ...]] = {}
     subs = [(1 << g.n) - 1]
     seen = set(subs)
     while subs:
         sub = subs.pop()
-        t = clique_tree(g, rng, sub)
+        t = clique_tree(g, rng, sub, sweeps.get(sub) if rng is None else None)
+        # a complete subgraph leaves nothing once its clique is fixed
+        regions = tree_regions(g, t, sweeps) if len(t.cliques) > 1 else None
         chains = fp_chains(t)
         records = []
         for idx in t.order:
             clique = t.cliques[idx]
-            # a complete subgraph leaves nothing once its clique is fixed
-            child_keys = () if clique == sub else tuple(components_after_clique(g, clique, sub))
+            child_keys = (
+                () if regions is None else tuple(components_after_clique(clique, regions[idx]))
+            )
             for h in child_keys:
                 if h not in seen:
                     seen.add(h)

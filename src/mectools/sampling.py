@@ -94,6 +94,12 @@ def _draw_order(model: SamplerModel, rng: random.Random) -> list[int]:
     stack: list[Key] = [model.root_key]
     while stack:
         key = stack.pop()
+        if not key & (key - 1):
+            # one vertex: draw_clique's draw from a one-record entry of total
+            # 1, kept for the stream; its one-item shuffle draws nothing
+            rng.randrange(1)
+            tau.append(key.bit_length() - 1)
+            continue
         record = draw_clique(model, key, rng)
         tau.extend(draw_perm(record.clique, record.chain, rng))
         stack.extend(reversed(record.child_keys))

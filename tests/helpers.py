@@ -27,7 +27,7 @@ from mectools.counting import _phi_sizes, factorial, fp_chains
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.oracle import TooLargeError
 from mectools.sampling import SamplerModel, _draw_order, precount
-from mectools.subproblems import components_after_clique
+from mectools.subproblems import components_by_traversal
 
 
 def vertex_mask(vertices) -> int:
@@ -148,6 +148,18 @@ def random_chordal_corpus(
                 continue
         out.append(g)
     return out
+
+
+def oracle_corpus():
+    """The fixed graphs and the small random chordal corpora that the
+    explored inputs are checked on."""
+    yield three_clique_chain()
+    yield clique_chain_7()
+    yield diamond_with_chord()
+    yield path_graph(6)
+    yield complete_graph(5)
+    yield from random_chordal_corpus(30, 2, 8, seed=71, max_edges=14)
+    yield from random_chordal_corpus(12, 3, 24, seed=79)
 
 
 def clique_tuples(t: CliqueTree) -> list[tuple[int, ...]]:
@@ -294,7 +306,7 @@ def count_by_separator_formula(g: Uccg) -> int:
     for s in cliques | seps:
         forbidden = [set(mask_bits(x)) for x in seps if x & s == x != s]
         prod = 1
-        for h in components_after_clique(g, s):
+        for h in components_by_traversal(g, s):
             prod *= precount(induced_subgraph(g, labels_of(g, h))).total
         total += phi_naive(mask_bits(s), forbidden) * prod
     return total
@@ -302,7 +314,7 @@ def count_by_separator_formula(g: Uccg) -> int:
 
 # --- checks of data the library builds for its internal steps -------------
 #
-# ``components_after_clique``, ``draw_perm`` and ``refine_traversal`` trust
+# ``components_by_traversal``, ``draw_perm`` and ``refine_traversal`` trust
 # their input: every caller in the library builds it correctly.  These
 # checks are the oracles the tests hold that input to.
 
@@ -848,7 +860,7 @@ def components_after_permutation(
     rng: random.Random | None = None,
 ) -> list[Uccg]:
     """Components left undirected after a clique prefix consumed in the given
-    order; the outcome coincides with ``components_after_clique``."""
+    order; the outcome coincides with ``components_by_traversal``."""
     check_clique(g, ordered_clique)
     _, records = list_k_first_records(g, ordered_clique, rng=rng, forced=ordered_clique)
     return _list_emit_components(g, records)

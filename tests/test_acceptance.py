@@ -21,7 +21,7 @@ from mectools import (
 from mectools.chordal import clique_tree, lbfs
 from mectools.counting import count_with_stats
 from mectools.sampling import sample_amo
-from mectools.subproblems import components_after_clique
+from mectools.subproblems import components_by_traversal
 from mectools.generators import _prufer_tree
 
 CHI2_999_53 = 90.5734
@@ -124,7 +124,7 @@ def test_criterion_06_permutation_independence():
             for r in range(1, len(mc) + 1):
                 cliques.update(map(frozenset, itertools.combinations(sorted(mc), r)))
         for clique in cliques:
-            base = {helpers.labels_of(g, c) for c in components_after_clique(g, helpers.vertex_mask(clique))}
+            base = {helpers.labels_of(g, c) for c in components_by_traversal(g, helpers.vertex_mask(clique))}
             for perm in itertools.permutations(sorted(clique)):
                 got = {c.labels for c in helpers.components_after_permutation(g, perm)}
                 checked += 1

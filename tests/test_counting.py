@@ -8,6 +8,8 @@ Core claims:
       small graphs, the separator-sum formula cross-checks it, and the result
       is clique-tree invariant
     - the number of explored subgraphs stays within twice the clique count
+    - two cliques sharing a separator have He, Jia & Yu's closed-form count,
+      at sizes out of the oracles' reach
 """
 
 import itertools
@@ -337,3 +339,41 @@ def test_records_are_root_local_on_relabelled_components():
                         assert s & clique == s and list(x) == mask_bits(s)
                     checked += 1
     assert checked > 100
+
+
+def two_cliques(a: int, b: int, s: int) -> Uccg:
+    """K_a on ``0..a-1`` and K_b on ``a-s..a+b-s-1``, sharing ``s`` vertices."""
+    edges = itertools.chain(
+        itertools.combinations(range(a), 2), itertools.combinations(range(a - s, a + b - s), 2)
+    )
+    return Uccg.from_edges(range(a + b - s), set(edges))
+
+
+def two_cliques_closed_form(a: int, b: int, s: int) -> int:
+    """He, Jia & Yu (JMLR 2015): the AMOs of K_a and K_b sharing s vertices."""
+    f = factorial
+    return f(a) * f(b - s) + (f(b) - f(s) * f(b - s)) * f(a - s)
+
+
+def test_two_cliques_closed_form_holds_where_the_oracle_reaches():
+    for a in range(2, 7):
+        for b in range(2, 7):
+            for s in range(1, min(a, b)):
+                assert count_root_picking(two_cliques(a, b, s)) == two_cliques_closed_form(a, b, s)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 60), st.integers(2, 60), st.data())
+def test_two_cliques_sharing_a_separator_match_the_closed_form(a, b, data):
+    s = data.draw(st.integers(1, min(a, b) - 1))
+    want = two_cliques_closed_form(a, b, s)
+    assert precount(two_cliques(a, b, s)).total == want
+    assert precount(two_cliques(b, a, s), seed=s).total == want
+
+
+def test_complete_graph_minus_an_edge_matches_the_closed_form():
+    # K_n minus one edge is two K_{n-1} sharing n - 2 vertices
+    for n in (3, 10, 40, 120):
+        g = Uccg.from_edges(range(n), set(itertools.combinations(range(n), 2)) - {(0, n - 1)})
+        assert precount(g).total == two_cliques_closed_form(n - 1, n - 1, n - 2)
+        assert precount(g).total == 2 * factorial(n - 1) - factorial(n - 2)

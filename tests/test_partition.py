@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import helpers
 from mectools import Uccg, chordal, counting, precount
 from mectools.chordal import clique_tree, lbfs
-from mectools.subproblems import components_after_clique
+from mectools.subproblems import components_by_traversal
 from mectools._partition import adjacency_masks, mask_bits, refine_traversal
 from mectools.generators import _prufer_tree, gen_interval, gen_peo, gen_subtree
 
@@ -90,7 +90,7 @@ def test_components_match_the_oracle_in_order():
         for clique in k_first_cliques(g):
             got = [
                 helpers.induced_subgraph(g, helpers.labels_of(g, h))
-                for h in components_after_clique(g, helpers.vertex_mask(clique))
+                for h in components_by_traversal(g, helpers.vertex_mask(clique))
             ]
             want = helpers.list_components_after_clique(g, clique)
             assert [(h.labels, h.adj) for h in got] == [(h.labels, h.adj) for h in want]
@@ -207,7 +207,7 @@ def test_lazy_component_equals_an_eager_one():
     # a component is a mask over the root; read through the root's masks it
     # is the eagerly built induced subgraph, completeness included
     g = helpers.clique_chain_7()
-    (comp, _) = components_after_clique(g, 0b1111)
+    (comp, _) = components_by_traversal(g, 0b1111)
     assert helpers.labels_of(g, comp) == (4, 5)
     assert [g.adj_masks[v] & comp for v in mask_bits(comp)] == [1 << 5, 1 << 4]
     eager = helpers.induced_subgraph(g, (4, 5))

@@ -7,17 +7,29 @@ Core claims:
       orientations (small graphs)
     - outputs are disjoint connected chordal graphs covering V minus the
       clique
+    - the components read off a clique tree are the traversal's, in its
+      order, for every node of every clique tree an exploration builds,
+      seeded or not
+    - an unseeded exploration sweeps each subgraph that is not complete once
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from mectools import is_chordal
+from mectools import Uccg, chordal, gen_interval, gen_peo, gen_subtree, is_chordal, precount
 from mectools._partition import refine_traversal
-from mectools.subproblems import _emit_components, components_after_clique
+from mectools.chordal import clique_tree
+from mectools.subproblems import (
+    _emit_components,
+    components_after_clique,
+    components_by_traversal,
+    tree_regions,
+)
 
 
 def as_label_sets(comps):
@@ -31,12 +43,12 @@ def mask_label_sets(g, masks):
 class TestComponentsAfterClique:
     def test_seven_vertex_chain_big_clique(self):
         g = helpers.clique_chain_7()
-        comps = components_after_clique(g, 0b1111)
+        comps = components_by_traversal(g, 0b1111)
         assert mask_label_sets(g, comps) == {(4, 5), (6,)}
 
     def test_three_clique_chain_first_clique(self):
         g = helpers.three_clique_chain()
-        comps = components_after_clique(g, 0b111)
+        comps = components_by_traversal(g, 0b111)
         assert mask_label_sets(g, comps) == {(3, 4, 5)}
         (path,) = comps
         sub = helpers.induced_subgraph(g, helpers.labels_of(g, path))
@@ -44,7 +56,7 @@ class TestComponentsAfterClique:
 
     def test_complete_graph_whole_clique(self):
         g = helpers.complete_graph(5)
-        assert components_after_clique(g, 0b11111) == []
+        assert components_by_traversal(g, 0b11111) == []
 
     def test_not_a_clique(self):
         # the step trusts its clique; the check every library-built clique
@@ -55,7 +67,7 @@ class TestComponentsAfterClique:
     def test_matches_union_of_orientations(self):
         for g in helpers.random_chordal_corpus(30, 2, 8, seed=41, max_edges=14):
             for clique in helpers.brute_maximal_cliques(g):
-                got = mask_label_sets(g, components_after_clique(g, helpers.vertex_mask(clique)))
+                got = mask_label_sets(g, components_by_traversal(g, helpers.vertex_mask(clique)))
                 assert got == helpers.union_components_oracle(g, sorted(clique))
 
     def test_outputs_partition_rest_and_are_chordal(self):
@@ -63,7 +75,7 @@ class TestComponentsAfterClique:
             for clique in helpers.brute_maximal_cliques(g):
                 comps = [
                     helpers.induced_subgraph(g, helpers.labels_of(g, h))
-                    for h in components_after_clique(g, helpers.vertex_mask(clique))
+                    for h in components_by_traversal(g, helpers.vertex_mask(clique))
                 ]
                 labels = [lab for c in comps for lab in c.labels]
                 assert len(labels) == len(set(labels))
@@ -78,7 +90,7 @@ class TestComponentsAfterClique:
         for g in helpers.random_chordal_corpus(10, 3, 10, seed=47):
             full = (1 << g.n) - 1
             for clique in helpers.brute_maximal_cliques(g):
-                base = mask_label_sets(g, components_after_clique(g, helpers.vertex_mask(clique)))
+                base = mask_label_sets(g, components_by_traversal(g, helpers.vertex_mask(clique)))
                 kmask = helpers.vertex_mask(clique)
                 for seed in range(5):
                     _, records = refine_traversal(
@@ -116,7 +128,7 @@ class TestComponentsAfterPermutation:
                 for r in range(1, len(mc) + 1):
                     cliques.update(map(frozenset, itertools.combinations(sorted(mc), r)))
             for clique in cliques:
-                base = mask_label_sets(g, components_after_clique(g, helpers.vertex_mask(clique)))
+                base = mask_label_sets(g, components_by_traversal(g, helpers.vertex_mask(clique)))
                 for perm in itertools.permutations(sorted(clique)):
                     assert (
                         as_label_sets(helpers.components_after_permutation(g, perm)) == base
@@ -125,3 +137,78 @@ class TestComponentsAfterPermutation:
     def test_not_a_clique(self):
         with pytest.raises(helpers.NotCliqueError):
             helpers.components_after_permutation(helpers.path_graph(4), (0, 3))
+
+
+def assert_child_keys_match_the_traversal(g, seed) -> int:
+    """Every record of every subgraph explored from ``g`` holds, in order,
+    the components the traversal finds after its clique; returns how many
+    records were read off a clique tree."""
+    read = 0
+    for key, entry in precount(g, seed).entries.items():
+        for r in entry.records:
+            want = components_by_traversal(g, helpers.vertex_mask(r.clique), key)
+            assert r.child_keys == tuple(want)
+            read += len(entry.records) > 1
+    return read
+
+
+class TestChildKeysFromTheTree:
+    def test_every_record_matches_the_traversal_on_the_oracle_corpus(self):
+        read = 0
+        for g in helpers.oracle_corpus():
+            for seed in (None, 0, 1):
+                read += assert_child_keys_match_the_traversal(g, seed)
+        assert read > 400
+
+    def test_every_record_matches_the_traversal_on_generated_graphs(self):
+        graphs = [gen_interval(80, 1), gen_subtree(60, 4, 2), gen_peo(80, 3, 3), gen_peo(60, 1, 4)]
+        read = 0
+        for g in graphs:
+            for seed in (None, 5):
+                read += assert_child_keys_match_the_traversal(g, seed)
+        assert read > 300
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(helpers.chordal_graphs(), st.one_of(st.none(), st.integers(0, 2**16)))
+    def test_every_record_matches_the_traversal(self, g, seed):
+        assert_child_keys_match_the_traversal(g, seed)
+
+    def test_every_node_of_a_seeded_tree_matches_the_traversal(self):
+        # nodes of whole-graph trees, rooted and swept at random, beyond
+        # those an exploration happens to build
+        for g in helpers.random_chordal_corpus(20, 4, 30, seed=83):
+            for seed in range(3):
+                t = clique_tree(g, random.Random(seed))
+                if len(t.cliques) == 1:
+                    continue
+                heads = tree_regions(g, t, {})
+                for clique, near in zip(t.cliques, heads):
+                    want = components_by_traversal(g, clique)
+                    assert components_after_clique(clique, near) == want
+
+    def test_blocks_of_equal_labels_come_by_lowest_vertex(self):
+        # the star K_{1,4} on centre 2: fixing the edge {2, 0} leaves the
+        # three leaves, one block of label {2}, by increasing vertex
+        g = Uccg.from_edges(range(5), [(2, 0), (2, 1), (2, 3), (2, 4)])
+        t = clique_tree(g)
+        heads = tree_regions(g, t, {})
+        node = t.cliques.index(0b00101)
+        assert components_after_clique(0b00101, heads[node]) == [0b00010, 0b01000, 0b10000]
+
+
+def test_an_unseeded_exploration_sweeps_each_subgraph_that_is_not_complete_once():
+    for g in [gen_interval(40, 1), gen_subtree(60, 4, 2), *helpers.oracle_corpus()]:
+        calls = []
+        real = chordal.refine_traversal
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        chordal.refine_traversal = spy
+        try:
+            model = precount(g)
+        finally:
+            chordal.refine_traversal = real
+        swept = [blocks[0] for blocks in calls]
+        assert sorted(swept) == sorted(k for k, e in model.entries.items() if len(e.records) > 1)

@@ -1,7 +1,7 @@
 """The data the library builds for its internal steps passes the checks
 those steps no longer run.
 
-``components_after_clique`` trusts its clique, ``draw_perm`` its chain,
+``components_after_clique`` trusts its clique tree, ``draw_perm`` its chain,
 ``draw_clique`` its key, ``refine_traversal`` its initial blocks and
 ``undirected_components`` the row order of its graph.  Here every input of
 that kind, built while exploring a graph with and without a seed, is held to
@@ -82,18 +82,8 @@ def check_explored(g: Uccg, seed) -> None:
             assert all(child in model.entries for child in record.child_keys)
 
 
-def oracle_corpus():
-    yield helpers.three_clique_chain()
-    yield helpers.clique_chain_7()
-    yield helpers.diamond_with_chord()
-    yield helpers.path_graph(6)
-    yield helpers.complete_graph(5)
-    yield from helpers.random_chordal_corpus(30, 2, 8, seed=71, max_edges=14)
-    yield from helpers.random_chordal_corpus(12, 3, 24, seed=79)
-
-
 def test_explored_inputs_pass_their_checks_on_the_oracle_corpora():
-    for g in oracle_corpus():
+    for g in helpers.oracle_corpus():
         for seed in (None, 0, 1):
             check_explored(g, seed)
 
