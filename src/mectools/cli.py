@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 input/usage error, 2 input not chordal, 3 oracle
 size guard, 4 input not a CPDAG.  Results go to stdout; diagnostics to
-stderr.
+stderr.  ``bench`` times each count against a deadline that the counter
+checks, so it runs on any thread and leaves signal handlers and interval
+timers alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import argparse
 import csv
 import math
 import random
-import signal
 import sys
 import time
 from typing import Sequence
@@ -66,10 +67,11 @@ def cmd_count(args) -> int:
     explored = 0
     cliques = 0
     for comp in _split(g):
-        stats = counting.count_with_stats(comp)
-        total *= stats.count
-        explored += stats.explored
-        cliques += stats.max_cliques
+        model = counting.explore(comp)
+        total *= model.total
+        explored += len(model.entries)
+        cliques += len(model.entries[model.root_key].records)
+        del model  # one model alive at a time
     print(_decimal(total))
     if args.stats:
         print(f"explored={explored}", file=sys.stderr)
@@ -186,31 +188,18 @@ def _resolve_k(policy: str, n: int) -> int:
     return k
 
 
-class _Timeout(Exception):
-    pass
-
-
 def _count_with_timeout(g, budget: float) -> tuple[float, int | None]:
-    """Wall time of count_cpdag under a real-time alarm; None count on timeout."""
-
-    def handler(signum, frame):
-        raise _Timeout
-
-    old = signal.signal(signal.SIGALRM, handler)
-    start = time.perf_counter()
-    # the alarm is armed and disarmed inside the try, so an alarm that lands
-    # at either end is a timeout too
+    """Wall time of counting ``g``, and the count, or None once it ran past
+    ``budget`` seconds."""
+    start = time.monotonic()
+    deadline = start + budget
+    value = 1
     try:
-        try:
-            signal.setitimer(signal.ITIMER_REAL, budget)
-            value = counting.count_cpdag(g)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-    except _Timeout:
+        for comp in _split(g):
+            value *= counting.explore(comp, deadline=deadline).total
+    except TimeoutError:
         value = None
-    finally:
-        signal.signal(signal.SIGALRM, old)
-    return time.perf_counter() - start, value
+    return time.monotonic() - start, value
 
 
 def cmd_bench(args) -> int:
@@ -225,8 +214,6 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         print("error: --reps must be positive", file=sys.stderr)
         return EXIT_INPUT
-    # setitimer reads 0 as "no alarm", fails on negative values and NaN, and
-    # overflows past about 9.2e9 seconds (int64 nanoseconds)
     if not args.timeout > 0:
         print("error: --timeout must be positive", file=sys.stderr)
         return EXIT_INPUT

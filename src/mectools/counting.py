@@ -15,6 +15,7 @@ totals, and the sampler draws from its records.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
@@ -133,14 +134,17 @@ class SamplerModel:
         return self.entries[self.root_key].total
 
 
-def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
+def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> SamplerModel:
     """Explore every subgraph reachable from ``g`` and evaluate its records.
 
     Each subgraph is the vertex mask of an induced subgraph of ``g``, and
     each distinct one is explored once.  Uses an explicit work stack:
     path-like graphs produce recursion depths proportional to the clique
     count, which would overrun the interpreter stack.  ``seed`` randomizes
-    clique-tree construction; the counts are tree-invariant.
+    clique-tree construction; the counts are tree-invariant.  ``deadline``,
+    a :func:`time.monotonic` reading, is checked before each clique record
+    (never when None); once it has passed, :class:`TimeoutError` says how
+    far the run got.
     """
     rng = random.Random(seed) if seed is not None else None
     # mask -> its records, one per clique-tree node in BFS order
@@ -157,6 +161,9 @@ def explore(g: Uccg, seed: int | None = None) -> SamplerModel:
         chains = fp_chains(t)
         records = []
         for idx in t.order:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError(f"deadline passed with {len(records_of)} subgraphs explored "
+                                   f"and {len(records)} of {len(t.cliques)} records of the next done")
             clique = t.cliques[idx]
             child_keys = (
                 () if regions is None else tuple(components_after_clique(clique, regions[idx]))

@@ -550,12 +550,6 @@ class Dag:
     def skeleton(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) if u < v else (v, u) for u, v in self.edges())
 
-    def in_neighbors(self) -> list[list[int]]:
-        parents: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges():
-            parents[v].append(u)
-        return parents
-
     def serialize(self) -> str:
         return PartialGraph._unchecked(self.n, ((),) * self.n, self.out_edges).serialize()
 

@@ -27,14 +27,13 @@ def v_structures(dag: Dag, adjacency: Sequence[Sequence[int]] | None = None) -> 
     ``adjacency`` defaults to the DAG's own skeleton; pass the skeleton of a
     larger partially directed graph to evaluate v-structures in its sense.
     """
+    parents: list[list[int]] = [[] for _ in range(dag.n)]
+    for u, v in dag.edges():
+        parents[v].append(u)
     if adjacency is None:
-        nbr = [set() for _ in range(dag.n)]
-        for u, v in dag.edges():
-            nbr[u].add(v)
-            nbr[v].add(u)
+        nbr = [set(ps).union(dag.out_edges[b]) for b, ps in enumerate(parents)]
     else:
         nbr = [set(a) for a in adjacency]
-    parents = dag.in_neighbors()
     out: set[tuple[int, int, int]] = set()
     for b in range(dag.n):
         ps = parents[b]

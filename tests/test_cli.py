@@ -7,7 +7,9 @@ Core claims:
     - sample emits valid, seed-deterministic DAG files
     - gen writes a parseable connected chordal graph and reports shape stats
     - oracle enforces its size guards with exit code 3
-    - bench emits one well-formed CSV row per instance and survives timeouts
+    - bench emits one well-formed CSV row per instance and survives timeouts,
+      on any thread, leaving the caller's interval timer and SIGALRM handler
+      alone
     - exit codes: 0 ok, 1 input error (an input too large to hold and a
       generator that gives up included), 2 not chordal, 3 oracle guard,
       4 not a CPDAG (not a chain graph, an induced a -> b - c, or a directed
@@ -21,6 +23,8 @@ import io
 import itertools
 import math
 import random
+import signal
+import threading
 from pathlib import Path
 
 import pytest
@@ -482,7 +486,8 @@ class TestBench:
 
     @pytest.mark.parametrize("timeout", ["1e-6", "1e-5"])
     def test_alarm_at_either_end_of_a_count_is_a_timeout(self, capsys, timeout):
-        # an alarm this short can land while it is armed or disarmed
+        # a deadline this short can pass before the first clique record is
+        # checked, or not until the last one is done
         code, out, err = run(
             capsys, "bench", "--model", "subtree", "--sizes", "2,3",
             "--reps", "5", "--timeout", timeout,
@@ -492,6 +497,38 @@ class TestBench:
         assert rows[0] == self.HEADER
         assert len(rows) == 1 + 10
         assert {row[10] for row in rows[1:]} <= {"ok", "timeout"}
+
+    @pytest.mark.parametrize("timeout, status", [("60", "ok"), ("0.001", "timeout")])
+    def test_bench_runs_off_the_main_thread(self, capsys, timeout, status):
+        argv = ["bench", "--model", "interval", "--sizes", "64", "--timeout", timeout, "--seed", "2"]
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(argv)))
+        thread.start()
+        thread.join()
+        assert codes == [0]
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[10] for row in rows[1:]] == [status]
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timers here")
+    def test_a_callers_timer_and_handler_survive_bench(self, capsys):
+        def handler(signum, frame):
+            pass
+
+        old = signal.signal(signal.SIGALRM, handler)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 600.0, 300.0)
+            code, out, _ = run(
+                capsys, "bench", "--model", "interval", "--sizes", "64",
+                "--timeout", "0.001", "--seed", "2",
+            )
+            remaining, interval = signal.getitimer(signal.ITIMER_REAL)
+            assert signal.getsignal(signal.SIGALRM) is handler
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, old)
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1][10] == "timeout"
+        assert 590.0 < remaining <= 600.0 and interval == 300.0
 
     def test_unknown_model_exit_1(self, capsys):
         code, _, _ = run(capsys, "bench", "--model", "nosuch", "--sizes", "8")

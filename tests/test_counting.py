@@ -10,11 +10,15 @@ Core claims:
     - the number of explored subgraphs stays within twice the clique count
     - two cliques sharing a separator have He, Jia & Yu's closed-form count,
       at sizes out of the oracles' reach
+    - explore reads the clock once before each clique record when given a
+      deadline, and never without one; a far deadline changes no record
 """
 
 import itertools
 import math
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +37,11 @@ from mectools import (
     precount,
     undirected_components,
 )
+from mectools import counting
 from mectools._partition import mask_bits
 from mectools.chordal import clique_tree
-from mectools.counting import count_with_stats, factorial, fp_chains
+from mectools.counting import count_with_stats, explore, factorial, fp_chains
+from mectools.generators import gen_peo
 
 
 class TestPhiChain:
@@ -283,6 +289,63 @@ class TestCountWithStats:
         for g in helpers.random_chordal_corpus(40, 2, 16, seed=101):
             stats = count_with_stats(g)
             assert stats.explored <= 2 * stats.max_cliques - 1
+
+
+class TestDeadline:
+    @staticmethod
+    def fake_clock(monkeypatch) -> list:
+        """Make ``time.monotonic`` read 1, 2, 3, ... and log each reading."""
+        calls = []
+
+        def clock():
+            calls.append(None)
+            return float(len(calls))
+
+        monkeypatch.setattr(counting.time, "monotonic", clock)
+        return calls
+
+    @pytest.mark.parametrize("allowed", [0, 5, 166])
+    def test_a_deadline_stops_after_the_records_the_clock_allows(self, monkeypatch, allowed):
+        g = gen_peo(200, 1, 1)  # a root of 167 cliques
+        calls = self.fake_clock(monkeypatch)
+        with pytest.raises(TimeoutError) as exc:
+            explore(g, deadline=allowed)
+        assert len(calls) == allowed + 1
+        assert str(exc.value) == (
+            f"deadline passed with 0 subgraphs explored and {allowed} of 167 records of the next done"
+        )
+
+    def test_the_clock_is_read_once_per_record(self, monkeypatch):
+        g = gen_peo(200, 1, 1)
+        model = explore(g)
+        records = sum(len(entry.records) for entry in model.entries.values())
+        calls = self.fake_clock(monkeypatch)
+        assert explore(g, deadline=records).entries == model.entries
+        assert len(calls) == records
+        calls.clear()
+        # one reading short: the last record of the last subgraph is not done
+        with pytest.raises(TimeoutError) as exc:
+            explore(g, deadline=records - 1)
+        assert len(calls) == records
+        found = re.fullmatch(
+            r"deadline passed with (\d+) subgraphs explored and (\d+) of (\d+) records of the next done",
+            str(exc.value),
+        )
+        explored, done, of = map(int, found.groups())
+        assert (explored, done) == (len(model.entries) - 1, of - 1)
+
+    def test_without_a_deadline_the_clock_is_never_read(self, monkeypatch):
+        calls = self.fake_clock(monkeypatch)
+        for g in [gen_peo(200, 1, 1), *helpers.random_chordal_corpus(20, 2, 16, seed=7)]:
+            explore(g)
+            explore(g, seed=3)
+        assert calls == []
+
+    def test_a_far_deadline_changes_no_record(self):
+        far = time.monotonic() + 1e6
+        for g in [gen_peo(200, 1, 1), *helpers.random_chordal_corpus(20, 2, 16, seed=7)]:
+            assert explore(g, deadline=far).entries == explore(g).entries
+            assert explore(g, 3, far).entries == explore(g, 3).entries
 
 
 def spanning_tree(g) -> list[tuple[int, int]]:
