@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 input/usage error, 2 input not chordal, 3 oracle
 size guard, 4 input not a CPDAG.  Results go to stdout; diagnostics to
-stderr.  ``bench`` times each count against a deadline that the counter
-checks, so it runs on any thread and leaves signal handlers and interval
-timers alone.
+stderr.  The commands raise their faults, and ``main`` alone prints the
+``error:`` line and picks the exit code.  ``bench`` times each count against
+a deadline that the counter checks, so it runs on any thread and leaves
+signal handlers and interval timers alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import math
 import random
 import sys
@@ -30,12 +32,13 @@ EXIT_NOT_CPDAG = 4
 MAX_TIMEOUT_S = 1e9  # largest bench --timeout, in seconds
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the interface reserves 2 for
-    # non-chordal inputs, so remap, keeping argparse's usage and error lines
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+class _OptionError(ValueError):
+    """An option value out of its range; exits 1."""
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise _OptionError(message)
 
 
 def _read_graph(path: str):
@@ -44,17 +47,9 @@ def _read_graph(path: str):
 
 
 def _decimal(x: int) -> str:
-    """Exact decimal digits of ``x``, also beyond the interpreter's default
-    limit on int-to-str conversion (4300 digits)."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        return str(x)
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    """Exact decimal digits of ``x``; ``Decimal`` is not subject to the limit on
+    int-to-str conversion (4300 digits by default), so no setting changes."""
+    return str(decimal.Decimal(x))
 
 
 def _density(n: int, edges: int) -> float:
@@ -82,9 +77,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.samples < 0:
-        print("error: --samples must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
+    _check(args.samples >= 0, "--samples must be nonnegative")
     g = _read_graph(args.file)
     comps = _split(g)
     models = [sampling.precount(c) for c in comps]
@@ -107,12 +100,8 @@ _GEN = {
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        print("error: --n must be positive", file=sys.stderr)
-        return EXIT_INPUT
-    if args.k < 1:
-        print("error: --k must be positive", file=sys.stderr)
-        return EXIT_INPUT
+    _check(args.n >= 1, "--n must be positive")
+    _check(args.k >= 1, "--k must be positive")
     g = _GEN[args.model](args.n, args.k, args.seed)
     text = g.as_partial_graph().serialize()
     if args.output:
@@ -134,22 +123,8 @@ def cmd_oracle(args) -> int:
     total = 1
     for comp in _split(g):
         if args.method == "enumerate":
-            if comp.m > 24:
-                print(
-                    f"error: component with {comp.m} edges exceeds the "
-                    "enumeration limit of 24",
-                    file=sys.stderr,
-                )
-                return EXIT_ORACLE_GUARD
             total *= len(oracle.enumerate_amos(comp))
         else:
-            if comp.n > 25:
-                print(
-                    f"error: component with {comp.n} vertices exceeds the "
-                    "root-picking limit of 25",
-                    file=sys.stderr,
-                )
-                return EXIT_ORACLE_GUARD
             total *= oracle.count_root_picking(comp)
     print(_decimal(total))
     return EXIT_OK
@@ -203,28 +178,18 @@ def _count_with_timeout(g, budget: float) -> tuple[float, int | None]:
 
 
 def cmd_bench(args) -> int:
-    if args.model not in _GEN:
-        print(f"error: unknown model '{args.model}'", file=sys.stderr)
-        return EXIT_INPUT
+    _check(args.model in _GEN, f"unknown model '{args.model}'")
     try:
         sizes = _parse_sizes(args.sizes)
     except ValueError:
-        print(f"error: bad --sizes '{args.sizes}'", file=sys.stderr)
-        return EXIT_INPUT
-    if args.reps < 1:
-        print("error: --reps must be positive", file=sys.stderr)
-        return EXIT_INPUT
-    if not args.timeout > 0:
-        print("error: --timeout must be positive", file=sys.stderr)
-        return EXIT_INPUT
-    if not args.timeout <= MAX_TIMEOUT_S:
-        print("error: --timeout must be at most 1e9 seconds", file=sys.stderr)
-        return EXIT_INPUT
+        raise _OptionError(f"bad --sizes '{args.sizes}'") from None
+    _check(args.reps >= 1, "--reps must be positive")
+    _check(args.timeout > 0, "--timeout must be positive")
+    _check(args.timeout <= MAX_TIMEOUT_S, "--timeout must be at most 1e9 seconds")
     try:
         ks = [_resolve_k(args.k_policy, n) for n in sizes]
     except ValueError:
-        print(f"error: bad --k-policy '{args.k_policy}'", file=sys.stderr)
-        return EXIT_INPUT
+        raise _OptionError(f"bad --k-policy '{args.k_policy}'") from None
     writer = csv.writer(sys.stdout)
     instance = 0
     for n, k in zip(sizes, ks):
@@ -264,7 +229,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mectools", description=__doc__)
+    parser = argparse.ArgumentParser(prog="mectools", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count the DAGs of the equivalence class")
@@ -307,12 +272,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    # the commands raise their input faults, a generator that gives up and
-    # an input too large to hold; each maps to its exit code here
+        # argparse prints a usage error and exits 2, which the interface
+        # reserves for non-chordal inputs; --help exits 0
+        return EXIT_INPUT if exc.code else EXIT_OK
+    # the commands raise every fault, an option out of range and an input too
+    # large to hold or to brute-force included; each maps to its code here
     try:
         return args.func(args)
-    except (OSError, ParseError, UnicodeDecodeError, generators.GenerationError) as exc:
+    except (_OptionError, OSError, ParseError, UnicodeDecodeError, generators.GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:
@@ -324,6 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotCpdagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CPDAG
+    except oracle.TooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ORACLE_GUARD
 
 
 if __name__ == "__main__":

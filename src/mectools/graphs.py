@@ -165,12 +165,6 @@ class PartialGraph:
     ) -> "PartialGraph":
         return cls(n, _rows(n, undirected_edges, True), _rows(n, directed_edges, False))
 
-    def undirected_edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.undirected[u]:
-                if u < v:
-                    yield (u, v)
-
     def directed_edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self.directed_out[u]:

@@ -2,7 +2,8 @@
 and source-picking recursion.
 
 Everything here favors being obviously correct over being fast; hard size
-guards keep the enumerations within reach.
+guards keep the enumerations within reach: past them, ``enumerate_amos`` and
+``count_root_picking`` raise ``TooLargeError``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def enumerate_amos(g: Uccg) -> list[Dag]:
     edges = sorted(g.edges())
     m = len(edges)
     if m > 24:
-        raise TooLargeError("enumeration is limited to 24 edges")
+        raise TooLargeError(f"component with {m} edges exceeds the enumeration limit of 24")
     adj_mask = [0] * n
     for u, v in edges:
         adj_mask[u] |= 1 << v
@@ -109,8 +110,10 @@ def enumerate_amos(g: Uccg) -> list[Dag]:
 def count_root_picking(g: Uccg) -> int:
     """Count AMOs by fixing each vertex as the unique source and recursing on
     the parts left undirected.  Independent of the clique-level counter;
-    practical to roughly 25 vertices, and the recursion is at most ``g.n``
-    deep.  Parts are vertex masks of ``g``, memoized by mask."""
+    limited to 25 vertices, and the recursion is at most ``g.n`` deep.
+    Parts are vertex masks of ``g``, memoized by mask."""
+    if g.n > 25:
+        raise TooLargeError(f"component with {g.n} vertices exceeds the root-picking limit of 25")
     memo: dict[int, int] = {}
 
     def count(sub: int) -> int:

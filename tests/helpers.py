@@ -43,6 +43,11 @@ def complete_graph(n: int) -> Uccg:
     return Uccg.from_edges(range(n), itertools.combinations(range(n), 2))
 
 
+def undirected_pairs(g: PartialGraph) -> list[tuple[int, int]]:
+    """The undirected edges ``(u, v)``, ``u < v``, of ``g`` in sorted order."""
+    return [(u, v) for u, row in enumerate(g.undirected) for v in row if u < v]
+
+
 def cycle_edges(n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
@@ -471,14 +476,14 @@ def orientation_edges(g: PartialGraph, tau: Sequence[int]) -> frozenset[tuple[in
     if sorted(tau) != list(range(g.n)):
         raise ValueError("tau is not a permutation of the vertices")
     pos = {v: i for i, v in enumerate(tau)}
-    undirected = {(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.undirected_edges()}
+    undirected = {(u, v) if pos[u] < pos[v] else (v, u) for u, v in undirected_pairs(g)}
     return frozenset(g.directed_edges()) | undirected
 
 
 def has_flag(g: PartialGraph) -> bool:
     """True iff some induced ``a -> b - c`` occurs: the brute-force oracle of
     :attr:`PartialGraph.is_flag_free`, over every vertex triple."""
-    undirected = {frozenset(p) for p in g.undirected_edges()}
+    undirected = {frozenset(p) for p in undirected_pairs(g)}
     adjacent = undirected | {frozenset(p) for p in g.directed_edges()}
     return any(
         frozenset((b, c)) in undirected and frozenset((a, c)) not in adjacent

@@ -15,7 +15,11 @@ Core claims:
       4 not a CPDAG (not a chain graph, an induced a -> b - c, or a directed
       edge not strongly protected), reported after chordality and in that
       order
-    - oracle, like count, prints counts beyond the int-to-str digit limit
+    - oracle, like count, prints counts beyond the int-to-str digit limit,
+      and neither changes that process-wide limit
+    - an option out of range and an oracle size guard each give their exit
+      code, one exact error line on stderr and nothing on stdout; the options
+      are checked in a fixed order, before any input is read
 """
 
 import csv
@@ -24,6 +28,7 @@ import itertools
 import math
 import random
 import signal
+import sys
 import threading
 from pathlib import Path
 
@@ -171,6 +176,33 @@ def test_faults_are_reported_in_order(capsys, tmp_path, command):
     assert "chordal" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["gen", "--model", "peo", "--n", "0"], 1, "--n must be positive"),
+        (["gen", "--model", "peo", "--n", "0", "--k", "0"], 1, "--n must be positive"),
+        (["sample", "{missing}", "--samples", "-2"], 1, "--samples must be nonnegative"),
+        (["bench", "--model", "nosuch", "--sizes", "8"], 1, "unknown model 'nosuch'"),
+        (["bench", "--model", "nosuch", "--sizes", "abc"], 1, "unknown model 'nosuch'"),
+        (["bench", "--model", "peo", "--sizes", "8", "--reps", "0", "--timeout", "0",
+          "--k-policy", "x"], 1, "--reps must be positive"),
+        (["oracle", "{path30}", "--method", "enumerate"], 3,
+         "component with 29 edges exceeds the enumeration limit of 24"),
+        (["oracle", "{path30}", "--method", "rootpick"], 3,
+         "component with 30 vertices exceeds the root-picking limit of 25"),
+    ],
+    ids=["gen-n-zero", "gen-n-before-k", "sample-before-reading", "bench-unknown-model",
+         "bench-model-before-sizes", "bench-reps-before-timeout", "oracle-enumerate-guard",
+         "oracle-rootpick-guard"],
+)
+def test_option_fault_exit_code_and_bytes(capsys, tmp_path, argv, code, error):
+    path30 = tmp_path / "path30.graph"
+    path30.write_text(helpers.path_graph(30).as_partial_graph().serialize())
+    files = {"path30": str(path30), "missing": str(tmp_path / "missing.graph")}
+    argv = [arg.format(**files) for arg in argv]
+    assert run(capsys, *argv) == (code, "", f"error: {error}\n")
+
+
 def readme_format_example() -> str:
     """The graph file in the README's "Graph file format" section."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -183,7 +215,7 @@ def brute_force_class(g: PartialGraph) -> list[frozenset]:
     exactly those of ``g``'s directed edges, found by trying every
     orientation.  If ``g`` is a CPDAG, these are the members of its class
     (Verma & Pearl: same skeleton, same v-structures)."""
-    pairs = list(g.undirected_edges()) + list(g.directed_edges())
+    pairs = helpers.undirected_pairs(g) + list(g.directed_edges())
     adjacent = {frozenset(p) for p in pairs}
 
     def v_structures(edges):
@@ -211,7 +243,7 @@ class TestCount:
         # member: its directed edges are kept, its undirected ones vary
         for u, v in g.directed_edges():
             assert all((u, v) in m for m in members)
-        for u, v in g.undirected_edges():
+        for u, v in helpers.undirected_pairs(g):
             assert any((u, v) in m for m in members)
             assert any((v, u) in m for m in members)
         f = tmp_path / "example.graph"
@@ -410,20 +442,13 @@ class TestOracle:
         assert code == 0
         assert out == "3\n"
 
-    def test_enumerate_guard_exit_3(self, capsys, tmp_path):
-        f = tmp_path / "big.graph"
-        f.write_text(helpers.path_graph(30).as_partial_graph().serialize())
-        code, _, err = run(capsys, "oracle", str(f), "--method", "enumerate")
-        assert code == 3
-        assert "limit" in err
+    def test_prints_beyond_the_int_to_str_digit_limit(self, capsys, monkeypatch, tmp_path):
+        # the digits come out without lifting the process-wide limit, which
+        # another thread may rely on
+        def set_limit(maxdigits):
+            raise AssertionError("the int-to-str digit limit was changed")
 
-    def test_rootpick_guard_exit_3(self, capsys, tmp_path):
-        f = tmp_path / "big.graph"
-        f.write_text(helpers.path_graph(30).as_partial_graph().serialize())
-        code, _, _ = run(capsys, "oracle", str(f), "--method", "rootpick")
-        assert code == 3
-
-    def test_prints_beyond_the_int_to_str_digit_limit(self, capsys, tmp_path):
+        monkeypatch.setattr(sys, "set_int_max_str_digits", set_limit, raising=False)
         # 14300 disjoint edges: a class of 2^14300 DAGs, 4305 digits
         pairs = 14300
         lines = [f"{2 * pairs} {pairs} 0"] + [f"{2 * i + 1} {2 * i + 2}" for i in range(pairs)]
@@ -530,10 +555,6 @@ class TestBench:
         assert list(csv.reader(io.StringIO(out)))[1][10] == "timeout"
         assert 590.0 < remaining <= 600.0 and interval == 300.0
 
-    def test_unknown_model_exit_1(self, capsys):
-        code, _, _ = run(capsys, "bench", "--model", "nosuch", "--sizes", "8")
-        assert code == 1
-
     def test_generator_that_gives_up_exit_1(self, capsys):
         code, out, err = run(
             capsys, "bench", "--model", "subtree", "--sizes", "50", "--k-policy", "1"
@@ -542,8 +563,9 @@ class TestBench:
         assert err == "error: no connected subtree-intersection graph (n=50, k=1)\n"
 
     def test_bad_sizes_exit_1(self, capsys):
-        code, _, _ = run(capsys, "bench", "--model", "peo", "--sizes", "abc")
-        assert code == 1
+        assert run(capsys, "bench", "--model", "peo", "--sizes", "abc") == (
+            1, "", "error: bad --sizes 'abc'\n"
+        )
 
     def test_nonpositive_k_policy_exit_1(self, capsys):
         for policy in ("0", "abc"):

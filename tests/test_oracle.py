@@ -4,6 +4,8 @@ Core claims:
     - enumeration yields exactly the acyclic, v-structure-free orientations
     - every enumerated orientation has exactly one source
     - root-picking agrees with enumeration
+    - enumeration refuses more than 24 edges and root-picking more than 25
+      vertices, with the messages the command line prints
     - linear extension enumeration supports the ordering-level properties:
       reverses are elimination orderings, some ordering starts with a maximal
       clique, and all orderings share a separator-or-clique prefix
@@ -70,11 +72,22 @@ class TestEnumerateAmos:
         assert len({d.edge_set() for d in a}) == len(a)
 
     def test_size_guard(self):
-        with pytest.raises(TooLargeError):
-            enumerate_amos(helpers.complete_graph(8))  # 28 edges
+        # the command line prints this message after "error: " and exits 3
+        with pytest.raises(
+            TooLargeError, match="^component with 28 edges exceeds the enumeration limit of 24$"
+        ):
+            enumerate_amos(helpers.complete_graph(8))
 
 
 class TestCountRootPicking:
+    def test_size_guard(self):
+        assert count_root_picking(helpers.path_graph(25)) == 25
+        # the command line prints this message after "error: " and exits 3
+        with pytest.raises(
+            TooLargeError, match="^component with 26 vertices exceeds the root-picking limit of 25$"
+        ):
+            count_root_picking(helpers.path_graph(26))
+
     def test_complete_graphs(self):
         for n in range(1, 8):
             assert count_root_picking(helpers.complete_graph(n)) == factorial(n)
