@@ -18,11 +18,17 @@ def lbfs(g: "Uccg", rng: random.Random | None = None, sub: int | None = None) ->
 
     Its reverse is a perfect elimination ordering whenever that graph is
     chordal.  Ties are broken toward the lowest local index by default; pass
-    ``rng`` for randomized tie-breaking.
+    ``rng`` for randomized tie-breaking.  Without ``rng`` the order is kept
+    on ``g`` per vertex mask, swept on the first call and returned after; a
+    seeded sweep is never kept.
     """
     block = (1 << g.n) - 1 if sub is None else sub
-    order, _ = refine_traversal(g.adj, [block], rng=rng, masks=g.adj_masks)
-    return tuple(order)
+    if rng is None and block in g._sweeps:
+        return g._sweeps[block]
+    order = tuple(refine_traversal(g.adj, [block], rng=rng, masks=g.adj_masks)[0])
+    if rng is None:
+        g._sweeps[block] = order
+    return order
 
 
 class NotChordalError(ValueError):
@@ -49,21 +55,18 @@ class CliqueTree:
     ``parent[i] == i`` exactly at the root; ``separators[i]`` is the mask
     ``cliques[i] & cliques[parent[i]]`` (``None`` at the root).  ``order``
     lists the cliques in BFS order from the root, which is ``order[0]``, the
-    children of a clique by increasing index.
+    children of a clique by increasing index.  ``adj[i]`` lists the tree
+    neighbors of clique ``i``.
     """
 
     cliques: tuple[int, ...]
     parent: tuple[int, ...]
     separators: tuple[int | None, ...]
     order: tuple[int, ...]
+    adj: tuple[tuple[int, ...], ...]
 
 
-def clique_tree(
-    g: "Uccg",
-    rng: random.Random | None = None,
-    sub: int | None = None,
-    sweep: Sequence[int] | None = None,
-) -> CliqueTree:
+def clique_tree(g: "Uccg", rng: random.Random | None = None, sub: int | None = None) -> CliqueTree:
     """Build a rooted clique tree of ``g``, or of its subgraph induced on the
     vertex mask ``sub``, from a single LBFS sweep, in ``g``'s local vertices.
 
@@ -78,23 +81,20 @@ def clique_tree(
 
     A complete graph gets its one-clique tree without a sweep; ``rng`` is
     advanced as the sweep would advance it (see
-    :func:`_skip_sweep_of_complete`).  Without ``rng``, a caller that has
-    already run ``lbfs(g, sub=sub)`` on a subgraph that is not complete
-    passes it as ``sweep``, and the tree is built from it.
+    :func:`_skip_sweep_of_complete`).  Without ``rng`` the tree is built
+    from the sweep :func:`lbfs` keeps on ``g``.
     """
     if sub is None:
         sub = (1 << g.n) - 1
     if not sub:
         raise ValueError("empty graph has no clique tree")
-    if sweep is None:
-        masks = g.adj_masks
-        verts = mask_bits(sub)
-        if all((masks[v] | 1 << v) & sub == sub for v in verts):
-            if rng is not None:
-                _skip_sweep_of_complete(rng, len(verts))
-            return CliqueTree((sub,), (0,), (None,), (0,))
-        sweep = lbfs(g, rng=rng, sub=sub)
-    return _clique_tree_of_sweep(g, sweep, rng)
+    masks = g.adj_masks
+    verts = mask_bits(sub)
+    if all((masks[v] | 1 << v) & sub == sub for v in verts):
+        if rng is not None:
+            _skip_sweep_of_complete(rng, len(verts))
+        return CliqueTree((sub,), (0,), (None,), (0,), ((),))
+    return _clique_tree_of_sweep(g, lbfs(g, rng, sub), rng)
 
 
 def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:
@@ -181,4 +181,6 @@ def _clique_tree_of_sweep(
     separators = tuple(
         None if x == root else c & cliques[parent[x]] for x, c in enumerate(cliques)
     )
-    return CliqueTree(tuple(cliques), tuple(parent), separators, tuple(bfs))
+    return CliqueTree(
+        tuple(cliques), tuple(parent), separators, tuple(bfs), tuple(map(tuple, tree_adj))
+    )

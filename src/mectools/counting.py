@@ -149,15 +149,13 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
     rng = random.Random(seed) if seed is not None else None
     # mask -> its records, one per clique-tree node in BFS order
     records_of: Dict[Key, tuple[CliqueRecord, ...]] = {}
-    # mask of a child that is not complete -> its unseeded LBFS order
-    sweeps: Dict[Key, tuple[int, ...]] = {}
     subs = [(1 << g.n) - 1]
     seen = set(subs)
     while subs:
         sub = subs.pop()
-        t = clique_tree(g, rng, sub, sweeps.get(sub) if rng is None else None)
+        t = clique_tree(g, rng, sub)
         # a complete subgraph leaves nothing once its clique is fixed
-        regions = tree_regions(g, t, sweeps) if len(t.cliques) > 1 else None
+        regions = tree_regions(g, t) if len(t.cliques) > 1 else None
         chains = fp_chains(t)
         records = []
         for idx in t.order:

@@ -298,7 +298,8 @@ class Uccg:
     Local vertices are ``0..n-1``; ``labels[i]`` is the global id of local
     vertex ``i``, and labels are strictly increasing.  Instances are
     immutable.  ``adj`` holds sorted neighbor tuples; ``adj_masks``, the
-    neighborhood bitmasks, are built on first use.  Induced subgraphs are
+    neighborhood bitmasks, are built on first use, as are unseeded LBFS
+    orders, one per vertex mask swept.  Induced subgraphs are
     not built as graphs: they are vertex masks over ``0..n-1``, and
     ``adj_masks[v] & sub`` are the neighbors of ``v`` in subgraph ``sub``.
     """
@@ -337,6 +338,12 @@ class Uccg:
         """Neighborhood of every local vertex as a bitmask (bit ``w`` for
         neighbor ``w``)."""
         return adjacency_masks(self.adj)
+
+    @cached_property
+    def _sweeps(self) -> dict[int, tuple[int, ...]]:
+        """Unseeded LBFS orders by vertex mask, kept by
+        :func:`~mectools.chordal.lbfs`."""
+        return {}
 
     @classmethod
     def from_edges(

@@ -18,6 +18,11 @@ from .subproblems import components_after_clique  # noqa: F401
 from .subproblems import components_by_traversal
 
 
+# the most subproblems ``count_root_picking`` memoizes: a complete graph on
+# k vertices has 2^k - 1 of them, so K_16 is the largest one it counts
+ROOT_PICKING_SUBPROBLEMS = 1 << 16
+
+
 class TooLargeError(ValueError):
     """Input exceeds the brute-force size guard."""
 
@@ -110,8 +115,9 @@ def enumerate_amos(g: Uccg) -> list[Dag]:
 def count_root_picking(g: Uccg) -> int:
     """Count AMOs by fixing each vertex as the unique source and recursing on
     the parts left undirected.  Independent of the clique-level counter;
-    limited to 25 vertices, and the recursion is at most ``g.n`` deep.
-    Parts are vertex masks of ``g``, memoized by mask."""
+    limited to 25 vertices and to ``ROOT_PICKING_SUBPROBLEMS`` memoized
+    parts, and the recursion is at most ``g.n`` deep.  Parts are vertex
+    masks of ``g``, memoized by mask."""
     if g.n > 25:
         raise TooLargeError(f"component with {g.n} vertices exceeds the root-picking limit of 25")
     memo: dict[int, int] = {}
@@ -119,6 +125,11 @@ def count_root_picking(g: Uccg) -> int:
     def count(sub: int) -> int:
         total = memo.get(sub)
         if total is None:
+            # parts are memoized as their calls return, several between two
+            # misses, so the bound is checked with >=
+            if len(memo) >= ROOT_PICKING_SUBPROBLEMS:
+                raise TooLargeError(f"component with {g.n} vertices needs more than "
+                                    f"{ROOT_PICKING_SUBPROBLEMS} root-picking subproblems")
             total = 0
             for s in mask_bits(sub):
                 prod = 1

@@ -90,26 +90,18 @@ def components_by_traversal(g: Uccg, clique: int, sub: int | None = None) -> lis
     return _emit_components(g, records)
 
 
-def tree_regions(
-    g: Uccg, tree: CliqueTree, sweeps: Dict[int, tuple[int, ...]]
-) -> list[list[Region]]:
+def tree_regions(g: Uccg, tree: CliqueTree) -> list[list[Region]]:
     """Per node of ``tree``, the regions of the heads its tree edges open,
     as :func:`components_after_clique` reads them.
 
     ``tree`` is a clique tree of a subgraph of ``g`` that is not complete.
     Every directed tree edge's region is built once, and each piece links
-    the regions of the heads it opens.  ``sweeps`` maps the mask of a piece
-    that is not complete to its LBFS order (``lbfs(g, sub=mask)``); it is
-    filled as pieces are built and may be shared between the trees of one
-    exploration, which reads it back to build each such piece's own clique
-    tree from the same sweep.
+    the regions of the heads it opens.  A piece that is not complete is
+    visited in the LBFS order :func:`lbfs` keeps on ``g``, the sweep its
+    own clique tree is built from.
     """
     cliques = tree.cliques
-    tree_adj: list[list[int]] = [[] for _ in cliques]
-    for x, p in enumerate(tree.parent):
-        if p != x:
-            tree_adj[x].append(p)
-            tree_adj[p].append(x)
+    tree_adj = tree.adj
     regions: Dict[tuple[int, int], Region] = {}
     # per piece: S, the piece's mask and order, its list of opened heads to
     # fill once every region exists, and their tree edges
@@ -146,11 +138,7 @@ def tree_regions(
             for union, one, edges in zip(unions, single, exits):
                 x = union ^ s
                 # one maximal clique minus S is complete; two never are
-                order = None
-                if not one:
-                    order = sweeps.get(x)
-                    if order is None:
-                        order = sweeps[x] = lbfs(g, sub=x)
+                order = None if one else lbfs(g, sub=x)
                 opens: list[tuple[Region, int | None, int]] = []
                 opened.append((s, x, order, opens, edges))
                 pieces.append((x, order, opens))

@@ -4,9 +4,12 @@
 
 Builds each workload of ``perfbench/workloads.py`` at seed 0 and at its
 default seed (or at the seeds given), parses it, explores every undirected
-component without a seed, as a count does, and compares each record's
+component without a seed, as a count does, and then again with a seed, as
+the benchmark's recount does after its precount, and compares each record's
 ``child_keys`` with what ``subproblems.components_by_traversal`` finds after
-its clique, in order.  Prints one line per workload and seed; exits 1 if any
+its clique, in order.  The seeded pass builds its trees from randomized
+sweeps and its regions from the sweeps the unseeded pass kept on the
+component.  Prints one line per workload, seed and pass; exits 1 if any
 record differs.
 """
 
@@ -24,25 +27,27 @@ from mectools.subproblems import components_by_traversal  # noqa: E402
 from workloads import WORKLOADS, build_text  # noqa: E402
 
 
-def check(name: str, seed: int) -> tuple[int, int]:
-    """Records compared and records that differ, over one workload."""
-    compared = differ = 0
-    for comp in undirected_components(parse_graph(build_text(name, seed))):
-        for key, entry in explore(comp).entries.items():
-            for r in entry.records:
-                clique = sum(1 << v for v in r.clique)
-                compared += 1
-                differ += r.child_keys != tuple(components_by_traversal(comp, clique, key))
-    return compared, differ
+def check(name: str, seed: int) -> dict[str, list[int]]:
+    """Per pass, unseeded and seeded, the records compared and the records
+    that differ, over one workload."""
+    tally = {"unseeded": [0, 0], "seeded": [0, 0]}
+    for i, comp in enumerate(undirected_components(parse_graph(build_text(name, seed)))):
+        for run, explore_seed in (("unseeded", None), ("seeded", seed + i)):
+            for key, entry in explore(comp, explore_seed).entries.items():
+                for r in entry.records:
+                    want = components_by_traversal(comp, sum(1 << v for v in r.clique), key)
+                    tally[run][0] += 1
+                    tally[run][1] += r.child_keys != tuple(want)
+    return tally
 
 
 def main(argv: list[str]) -> int:
     failed = False
     for name, wl in WORKLOADS.items():
         for seed in [int(a) for a in argv] or [0, wl.default_seed]:
-            compared, differ = check(name, seed)
-            print(f"{name} seed {seed}: {compared} records, {differ} differ")
-            failed |= differ > 0 or compared == 0
+            for run, (compared, differ) in check(name, seed).items():
+                print(f"{name} seed {seed} {run}: {compared} records, {differ} differ")
+                failed |= differ > 0 or compared == 0
     return 1 if failed else 0
 
 

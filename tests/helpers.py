@@ -910,7 +910,8 @@ def list_clique_tree_of_sweep(
     """The clique tree of the LBFS visit order ``sweep`` built on adjacency
     lists, the oracle for ``mectools.chordal._clique_tree_of_sweep``: run
     flags and hit counts find where a clique closes, separators intersect
-    sets, and the tree's ``order`` is a BFS over per-clique child lists."""
+    sets, the tree's ``order`` is a BFS over per-clique child lists, and
+    ``adj`` lists each clique's tree neighbors as the attachments add them."""
     n = g.n
     adj = g.adj
     pos = [0] * n
@@ -998,6 +999,7 @@ def list_clique_tree_of_sweep(
         tuple(parent),
         tuple(None if s is None else vertex_mask(s) for s in separators),
         tuple(tree_order),
+        tuple(map(tuple, tree_adj)),
     )
 
 

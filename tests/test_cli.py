@@ -36,7 +36,7 @@ import pytest
 
 import helpers
 from mectools import PartialGraph, parse_graph, precount, sample_cpdag, undirected_components
-from mectools import cli
+from mectools import cli, oracle
 from mectools.cli import main
 
 
@@ -436,6 +436,13 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", chain54, "--method", "rootpick")
         assert code == 0
         assert out == "54\n"
+
+    def test_rootpick_subproblem_bound_exit_3(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(oracle, "ROOT_PICKING_SUBPROBLEMS", 16)
+        f = tmp_path / "k5.graph"
+        f.write_text(helpers.complete_graph(5).as_partial_graph().serialize())
+        error = "error: component with 5 vertices needs more than 16 root-picking subproblems\n"
+        assert run(capsys, "oracle", str(f)) == (3, "", error)
 
     def test_enumerate_path(self, capsys, path3):
         code, out, _ = run(capsys, "oracle", path3, "--method", "enumerate")

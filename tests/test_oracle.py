@@ -5,7 +5,8 @@ Core claims:
     - every enumerated orientation has exactly one source
     - root-picking agrees with enumeration
     - enumeration refuses more than 24 edges and root-picking more than 25
-      vertices, with the messages the command line prints
+      vertices or more than ROOT_PICKING_SUBPROBLEMS memoized parts, with the
+      messages the command line prints
     - linear extension enumeration supports the ordering-level properties:
       reverses are elimination orderings, some ordering starts with a maximal
       clique, and all orderings share a separator-or-clique prefix
@@ -16,7 +17,7 @@ import itertools
 import pytest
 
 import helpers
-from mectools import Dag, count_root_picking, enumerate_amos, v_structures
+from mectools import Dag, count_root_picking, enumerate_amos, oracle, v_structures
 from mectools.chordal import clique_tree
 from mectools.counting import factorial
 from mectools.graphs import orient_by_ordering
@@ -87,6 +88,14 @@ class TestCountRootPicking:
             TooLargeError, match="^component with 26 vertices exceeds the root-picking limit of 25$"
         ):
             count_root_picking(helpers.path_graph(26))
+
+    def test_subproblem_bound(self, monkeypatch):
+        # K_k has 2^k - 1 parts: at a bound of 16, K_4 counts and K_5 raises
+        monkeypatch.setattr(oracle, "ROOT_PICKING_SUBPROBLEMS", 16)
+        assert count_root_picking(helpers.complete_graph(4)) == 24
+        error = "^component with 5 vertices needs more than 16 root-picking subproblems$"
+        with pytest.raises(TooLargeError, match=error):
+            count_root_picking(helpers.complete_graph(5))
 
     def test_complete_graphs(self):
         for n in range(1, 8):

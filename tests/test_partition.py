@@ -5,7 +5,8 @@ Core claims:
     - LBFS visit orders are identical, with lowest-index ties and with
       seeded random ties
     - clique trees are identical in every field, their BFS order included,
-      with and without a seed
+      with and without a seed; a seeded tree does not read or keep the
+      unseeded sweeps kept on its graph
     - K-first traversals visit and record identically, so the subproblem
       step emits the same components in the same order
     - the counter's exploration plans, and so the sampler models, are
@@ -155,6 +156,15 @@ def test_clique_trees_match_the_oracle():
             assert clique_tree(g, rng=fast) == want
             if seed is not None:
                 assert fast.random() == swept.random()
+        # with the unseeded sweeps of every explored subgraph kept on g, a
+        # seeded tree neither reads them nor keeps its own sweep
+        precount(g)
+        kept = dict(g._sweeps)
+        fast, swept = random.Random(0), random.Random(0)
+        want = helpers.list_clique_tree_of_sweep(g, helpers.list_lbfs_order(g, swept), swept)
+        assert clique_tree(g, rng=fast) == want
+        assert fast.random() == swept.random()
+        assert g._sweeps == kept
 
 
 def test_clique_tree_of_a_complete_graph_draws_like_its_sweep():

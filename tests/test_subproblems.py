@@ -10,7 +10,9 @@ Core claims:
     - the components read off a clique tree are the traversal's, in its
       order, for every node of every clique tree an exploration builds,
       seeded or not
-    - an unseeded exploration sweeps each subgraph that is not complete once
+    - an unseeded exploration sweeps each subgraph that is not complete once;
+      a count sweeps each component's root only in the split, and a second
+      exploration of one graph object sweeps nothing
 """
 
 import itertools
@@ -21,7 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from mectools import Uccg, chordal, gen_interval, gen_peo, gen_subtree, is_chordal, precount
+from mectools import (
+    PartialGraph,
+    Uccg,
+    chordal,
+    count_cpdag,
+    gen_interval,
+    gen_peo,
+    gen_subtree,
+    is_chordal,
+    precount,
+    subproblems,
+    undirected_components,
+)
 from mectools._partition import refine_traversal
 from mectools.chordal import clique_tree
 from mectools.subproblems import (
@@ -181,7 +195,7 @@ class TestChildKeysFromTheTree:
                 t = clique_tree(g, random.Random(seed))
                 if len(t.cliques) == 1:
                     continue
-                heads = tree_regions(g, t, {})
+                heads = tree_regions(g, t)
                 for clique, near in zip(t.cliques, heads):
                     want = components_by_traversal(g, clique)
                     assert components_after_clique(clique, near) == want
@@ -191,24 +205,61 @@ class TestChildKeysFromTheTree:
         # three leaves, one block of label {2}, by increasing vertex
         g = Uccg.from_edges(range(5), [(2, 0), (2, 1), (2, 3), (2, 4)])
         t = clique_tree(g)
-        heads = tree_regions(g, t, {})
+        heads = tree_regions(g, t)
         node = t.cliques.index(0b00101)
         assert components_after_clique(0b00101, heads[node]) == [0b00010, 0b01000, 0b10000]
 
 
-def test_an_unseeded_exploration_sweeps_each_subgraph_that_is_not_complete_once():
+def swept_during(monkeypatch, run):
+    """What ``run()`` returns, and the adjacency rows and first block of
+    every traversal it runs: an LBFS sweep's block is its vertex mask."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args[0], args[1][0]))
+        return refine_traversal(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(chordal, "refine_traversal", spy)
+        m.setattr(subproblems, "refine_traversal", spy)
+        out = run()
+    return out, calls
+
+
+def test_an_unseeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(monkeypatch):
     for g in [gen_interval(40, 1), gen_subtree(60, 4, 2), *helpers.oracle_corpus()]:
-        calls = []
-        real = chordal.refine_traversal
-
-        def spy(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        chordal.refine_traversal = spy
-        try:
-            model = precount(g)
-        finally:
-            chordal.refine_traversal = real
-        swept = [blocks[0] for blocks in calls]
+        model, calls = swept_during(monkeypatch, lambda: precount(g))
+        swept = [block for _, block in calls]
         assert sorted(swept) == sorted(k for k, e in model.entries.items() if len(e.records) > 1)
+
+    # a CPDAG whose components are not complete, and a collider 1 -> 0 <- 41
+    # onto a single vertex: the split sweeps each root, and the count sweeps
+    # only the subgraphs below a root that are not complete
+    parts = [gen_interval(40, 1), gen_subtree(60, 4, 2), helpers.three_clique_chain(),
+             helpers.path_graph(5), helpers.complete_graph(3)]
+    undirected: list[list[int]] = [[]]
+    for c in parts:
+        base = len(undirected)
+        undirected += [[base + w for w in row] for row in c.adj]
+    n = len(undirected)
+    directed_out: list[list[int]] = [[] for _ in range(n)]
+    directed_out[1] = directed_out[41] = [0]  # the lowest vertices of the first two parts
+    pg = PartialGraph(n, undirected, directed_out)
+    _, calls = swept_during(monkeypatch, lambda: count_cpdag(pg))
+    # each component object sweeps each of its subgraphs at most once
+    assert len({(id(adj), block) for adj, block in calls}) == len(calls)
+    want = []
+    for c in undirected_components(pg):
+        root = (1 << c.n) - 1
+        want.append((c.adj, root))
+        want += [(c.adj, k) for k, e in precount(c).entries.items()
+                 if len(e.records) > 1 and k != root]
+    assert sorted(calls, key=repr) == sorted(want, key=repr)
+
+
+def test_a_second_exploration_of_one_graph_runs_no_traversal(monkeypatch):
+    g = gen_subtree(60, 4, 2)
+    first = precount(g)
+    second, calls = swept_during(monkeypatch, lambda: precount(g))
+    assert second.entries == first.entries
+    assert calls == []
