@@ -10,10 +10,11 @@ neighbourhood masks restricted to that mask.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, filterfalse, islice
-from operator import lt
+from itertools import combinations, compress, islice
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 from ._partition import adjacency_masks
@@ -104,6 +105,15 @@ class PartialGraph:
         return _is_acyclic(heads)
 
     @cached_property
+    def _gathers(self) -> tuple[itemgetter | None, ...]:
+        """Per vertex with two or more undirected neighbours, the
+        ``itemgetter`` of their entries: applied to a flag per vertex it
+        gives the row's flags, for :func:`itertools.compress`.  ``None`` for
+        a shorter row.  Built by :func:`orient_by_ordering` on its first
+        call and kept for the graph's later draws."""
+        return tuple(itemgetter(*row) if len(row) > 1 else None for row in self.undirected)
+
+    @cached_property
     def is_flag_free(self) -> bool:
         """True iff no induced ``a -> b - c`` (a flag) occurs: every
         undirected neighbor of a directed edge's head is adjacent to its
@@ -181,12 +191,7 @@ class PartialGraph:
     def serialize(self) -> str:
         """Render in the text file format (1-indexed, undirected edges with
         u<v); the rows are sorted, so the edges come out sorted."""
-        lines = [f"{self.n} {self.num_undirected} {self.num_directed}"]
-        for u, row in enumerate(self.undirected):
-            lines.extend(f"{u + 1} {v + 1}" for v in row if u < v)
-        for u, row in enumerate(self.directed_out):
-            lines.extend(f"{u + 1} {v + 1}" for v in row)
-        return "\n".join(lines) + "\n"
+        return _serialize(self.n, self.undirected, self.directed_out)
 
 
 def parse_graph(text: str | bytes) -> PartialGraph:
@@ -310,7 +315,8 @@ class Uccg:
     def __post_init__(self):
         """Stores both fields as tuples, then checks what a Uccg adds to a
         graph, increasing labels and one component; :class:`PartialGraph`
-        and :func:`undirected_components` check the rows and chordality."""
+        and :func:`undirected_components` check the rows and chordality.
+        The chordality check's sweep and ``adj_masks`` are kept."""
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adj", tuple(map(tuple, self.adj)))
@@ -323,6 +329,9 @@ class Uccg:
             raise NotChordalError(map(labels.__getitem__, exc.labels)) from None
         if len(comps) > 1:
             raise ValueError("graph not connected")
+        if comps:  # one component, on this graph's own local vertices
+            object.__setattr__(self, "adj_masks", comps[0].adj_masks)
+            object.__setattr__(self, "_sweeps", comps[0]._sweeps)
 
     @classmethod
     def _unchecked(cls, labels: Sequence[int], adj: Sequence[Sequence[int]]) -> "Uccg":
@@ -433,6 +442,26 @@ def _require_cpdag(g: PartialGraph) -> None:
     if not g.is_flag_free:
         raise NotCpdagError("not a CPDAG: an induced a -> b - c occurs")
     raise NotCpdagError("not a CPDAG: a directed edge is not strongly protected")
+
+
+def _serialize(
+    n: int, undirected: Sequence[Sequence[int]], directed_out: Sequence[Sequence[int]]
+) -> str:
+    """The text file format of the graph with these sorted rows: the header,
+    then each undirected edge once from its lower end, then the directed
+    edges.  Each row is written with one ``join`` over the vertex names."""
+    names = list(map(str, range(1, n + 1)))
+    name = names.__getitem__
+    num_undirected = sum(map(len, undirected)) // 2
+    lines = [f"{n} {num_undirected} {sum(map(len, directed_out))}"]
+    for rows, upper in ((undirected, True), (directed_out, False)):
+        for u, row in enumerate(rows):
+            if upper:
+                row = row[bisect_right(row, u):]
+            if row:
+                tail = names[u] + " "
+                lines.append(tail + ("\n" + tail).join(map(name, row)))
+    return "\n".join(lines) + "\n"
 
 
 def _component_roots(und: Sequence[Sequence[int]]) -> list[int]:
@@ -552,7 +581,7 @@ class Dag:
         return frozenset((u, v) if u < v else (v, u) for u, v in self.edges())
 
     def serialize(self) -> str:
-        return PartialGraph._unchecked(self.n, ((),) * self.n, self.out_edges).serialize()
+        return _serialize(self.n, ((),) * self.n, self.out_edges)
 
 
 def orient_by_ordering(g: PartialGraph, tau: Sequence[int]) -> Dag:
@@ -561,25 +590,35 @@ def orient_by_ordering(g: PartialGraph, tau: Sequence[int]) -> Dag:
 
     ``tau`` must be a permutation of all of ``g``'s vertices; that is checked
     in the one walk over it, which marks each vertex placed and gives it the
-    neighbours not placed yet.  On a chain graph every such orientation is
-    acyclic, so its :class:`Dag` is built without the acyclicity check; any
-    other ``g`` goes through :class:`Dag`'s own check.
+    neighbours not placed yet.  A row of two or more neighbours is filtered
+    in C, by the row's gather of the free flags (:attr:`PartialGraph._gathers`,
+    built on the graph's first orientation and kept on it).  On a chain graph
+    every such orientation is acyclic, so its :class:`Dag` is built without
+    the acyclicity check; any other ``g`` goes through :class:`Dag`'s own
+    check.
     """
     n = g.n
     if len(tau) != n:
         raise ValueError("tau is not a permutation of the vertices")
     und = g.undirected
+    gathers = g._gathers
     heads = list(g.directed_out)
-    placed = bytearray(n)
-    is_placed = placed.__getitem__
+    free = bytearray(b"\x01") * n
     for v in tau:
-        if not 0 <= v < n or placed[v]:
+        if not 0 <= v < n or not free[v]:
             raise ValueError("tau is not a permutation of the vertices")
-        placed[v] = 1
-        later = tuple(filterfalse(is_placed, und[v]))
-        if later:
-            head = heads[v]
-            heads[v] = tuple(sorted(head + later)) if head else later
+        free[v] = 0
+        gather = gathers[v]
+        if gather is not None:
+            later = tuple(compress(und[v], gather(free)))
+            if not later:
+                continue
+        else:
+            later = und[v]
+            if not (later and free[later[0]]):
+                continue
+        head = heads[v]
+        heads[v] = tuple(sorted(head + later)) if head else later
     if g.is_chain_graph:
         return Dag._trusted(n, tuple(heads))
     return Dag(n, tuple(heads))

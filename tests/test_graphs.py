@@ -252,9 +252,14 @@ class TestRoundTrip:
             ]
             g = PartialGraph.from_edges(n, undirected, directed)
             assert parse_graph(g.serialize()) == g
+            # one line per edge, each kind in sorted order
+            lines = [f"{n} {len(undirected)} {len(directed)}"]
+            lines += [f"{u + 1} {v + 1}" for u, v in sorted(undirected) + sorted(directed)]
+            assert g.serialize() == "\n".join(lines) + "\n"
 
     def test_empty_graph(self):
         g = PartialGraph.from_edges(0)
+        assert g.serialize() == "0 0 0\n"
         assert parse_graph(g.serialize()) == g
 
 
@@ -542,6 +547,28 @@ class TestOrientByOrdering:
             except ValueError as exc:
                 assert "permutation" in str(exc), name
         assert accepted == []
+
+    def test_rows_of_every_length_with_directed_heads(self):
+        # undirected rows of length 0 (vertices 0, 7), 1 (1, 2, 6) and 3 or
+        # 2 (3, 4, 5); 0, 1, 2 and 4 have directed heads as well
+        g = PartialGraph.from_edges(
+            8,
+            [(1, 2), (3, 4), (3, 5), (4, 5), (5, 6)],
+            [(0, 2), (0, 5), (1, 6), (2, 7), (4, 7)],
+        )
+        assert g.is_chain_graph
+        assert "_gathers" not in vars(g)
+        rng = random.Random(5)
+        taus = [tuple(range(8)), tuple(range(7, -1, -1))]
+        taus += [tuple(rng.sample(range(8), 8)) for _ in range(30)]
+        orient_by_ordering(g, taus[0])
+        gathers = vars(g)["_gathers"]  # built by the first call
+        for tau in taus:
+            dag = orient_by_ordering(g, tau)
+            assert g._gathers is gathers  # and reused by every later one
+            assert dag.edge_set() == helpers.orientation_edges(g, tau)
+            assert Dag(dag.n, dag.out_edges) == dag
+        assert [f is None for f in gathers] == [len(row) < 2 for row in g.undirected]
 
     def test_skeleton_and_acyclicity_random(self):
         rng = random.Random(3)

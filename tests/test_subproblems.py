@@ -37,7 +37,7 @@ from mectools import (
     undirected_components,
 )
 from mectools._partition import refine_traversal
-from mectools.chordal import clique_tree
+from mectools.chordal import clique_tree, lbfs
 from mectools.subproblems import (
     _emit_components,
     components_after_clique,
@@ -227,10 +227,15 @@ def swept_during(monkeypatch, run):
 
 
 def test_an_unseeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(monkeypatch):
+    # each graph was built checked, so its root sweep is kept from the check
     for g in [gen_interval(40, 1), gen_subtree(60, 4, 2), *helpers.oracle_corpus()]:
+        root = (1 << g.n) - 1
+        assert set(g._sweeps) == {root}
         model, calls = swept_during(monkeypatch, lambda: precount(g))
         swept = [block for _, block in calls]
-        assert sorted(swept) == sorted(k for k, e in model.entries.items() if len(e.records) > 1)
+        assert sorted(swept) == sorted(
+            k for k, e in model.entries.items() if len(e.records) > 1 and k != root
+        )
 
     # a CPDAG whose components are not complete, and a collider 1 -> 0 <- 41
     # onto a single vertex: the split sweeps each root, and the count sweeps
@@ -255,6 +260,20 @@ def test_an_unseeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(
         want += [(c.adj, k) for k, e in precount(c).entries.items()
                  if len(e.records) > 1 and k != root]
     assert sorted(calls, key=repr) == sorted(want, key=repr)
+
+
+def test_a_checked_graph_keeps_the_sweep_of_its_chordality_check(monkeypatch):
+    g = gen_subtree(60, 4, 2)
+    root = (1 << g.n) - 1
+    for build in (lambda: Uccg(g.labels, g.adj), lambda: Uccg.from_edges(g.labels, g.edges())):
+        h, calls = swept_during(monkeypatch, build)
+        assert calls == [(h.adj, root)]
+        assert h.adj_masks == g.adj_masks
+        assert h._sweeps == {root: lbfs(g)}
+        model, calls = swept_during(monkeypatch, lambda: precount(h))
+        assert len(calls) == 7  # the subgraphs below the root that are not complete
+        assert root not in [block for _, block in calls]
+        assert model.entries == precount(g).entries
 
 
 def test_a_second_exploration_of_one_graph_runs_no_traversal(monkeypatch):
