@@ -7,9 +7,17 @@ clique is fixed.  Every explored subgraph is an induced subgraph of the
 root, kept and memoized as the int mask of its vertices over the root's
 local vertices; counts are exact big integers (they reach n!).
 
+Those subgraphs are the pieces of the regions behind the node's tree edges
+(:mod:`mectools.subproblems`), so a node's count of them is a product of
+region weights: a region weighs the product, over its pieces, of the
+piece's count times the weights of the regions it opens.  Each directed
+tree edge is weighed once, so a count never lists a node's subgraphs,
+which grow as n^2 on sparse trees.
+
 :func:`explore` runs this once and keeps every node as one record, in the
 root's local vertices, in a :class:`SamplerModel`: the counters read its
-totals, and the sampler draws from its records.
+totals, and the sampler draws from its records, whose subgraphs are put in
+the traversal's order when first read.
 """
 
 from __future__ import annotations
@@ -19,12 +27,13 @@ import time
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
+from operator import attrgetter
 from typing import Dict, Sequence, Tuple
 
 from ._partition import mask_bits
 from .chordal import CliqueTree, clique_tree
 from .graphs import PartialGraph, Uccg, _split
-from .subproblems import components_after_clique, tree_regions
+from .subproblems import Components, Region, components_after_clique, tree_regions
 
 # key of an explored induced subgraph: its vertex mask over the root's
 # local vertices (bit ``v`` for local vertex ``v``)
@@ -86,7 +95,6 @@ def fp_chains(t: CliqueTree) -> tuple[tuple[int, ...], ...]:
     return tuple(chains)
 
 
-@dataclass(frozen=True)
 class CliqueRecord:
     """One clique-tree node of an explored subgraph.
 
@@ -94,19 +102,68 @@ class CliqueRecord:
     the root's local vertices; ``child_keys`` are the components left
     undirected once the clique is fixed, as vertex masks over the same
     vertices, in recording order; ``phi`` counts the clique's permutations
-    that avoid the chain.
+    that avoid the chain.  Records are equal when these four fields are,
+    child keys in order.  :func:`explore` makes a record of a subgraph that
+    is not complete as an :class:`_UnorderedRecord`, whose child keys are
+    ordered when first read.
     """
 
-    clique: tuple[int, ...]
-    chain: Chain
-    child_keys: tuple[Key, ...]
-    phi: int
+    __slots__ = ("clique", "chain", "child_keys", "phi")
+
+    def __init__(self, clique: tuple[int, ...], chain: Chain,
+                 child_keys: tuple[Key, ...] | Components, phi: int):
+        self.clique = clique
+        self.chain = chain
+        self.child_keys = child_keys
+        self.phi = phi
+
+    def _fields(self) -> tuple:
+        return self.clique, self.chain, self.child_keys, self.phi
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CliqueRecord):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "CliqueRecord(clique={!r}, chain={!r}, child_keys={!r}, phi={!r})".format(
+            *self._fields())
+
+
+class _UnorderedRecord(CliqueRecord):
+    """A record made with the :class:`~mectools.subproblems.Components` of
+    its clique, held in the slot that ``child_keys`` reads.  The first read
+    orders them, keeps the tuple in the slot and turns the record into a
+    plain :class:`CliqueRecord`, so later reads, a draw's among them, read
+    the slot directly."""
+
+    __slots__ = ()
+
+    @property
+    def child_keys(self) -> tuple[Key, ...]:
+        keys = _CHILD_KEYS.__get__(self).ordered()
+        _CHILD_KEYS.__set__(self, keys)
+        self.__class__ = CliqueRecord
+        return keys
+
+    @child_keys.setter
+    def child_keys(self, components: Components) -> None:
+        _CHILD_KEYS.__set__(self, components)
+
+
+# the slot under _UnorderedRecord's property
+_CHILD_KEYS = CliqueRecord.child_keys
 
 
 @dataclass(frozen=True)
 class _KeyEntry:
     """One explored subgraph: step ``i`` of ``cumulative`` is record ``i``'s
-    weight, its ``phi`` times the totals of its child keys."""
+    weight, its ``phi`` times the totals of its child keys, which
+    :func:`explore` takes as ``phi`` times the weights of its node's
+    regions."""
 
     records: tuple[CliqueRecord, ...]
     cumulative: tuple[int, ...]
@@ -134,21 +191,51 @@ class SamplerModel:
         return self.entries[self.root_key].total
 
 
+def _region_weights(
+    heads: Sequence[Sequence[Region]], entries: Dict[Key, _KeyEntry]
+) -> Dict[Region, int]:
+    """The weight of every region of one clique tree, given per node as
+    ``heads``: the product, over the region's pieces, of the piece's total
+    times the weights of the regions it opens, which is the product of the
+    totals of every component the region leads to.
+
+    Each directed tree edge is one region and is weighed once.  A region
+    leads to more keys than any region it opens, so key-count order is
+    dependency order.
+    """
+    weights: Dict[Region, int] = {}
+    for region in sorted((r for near in heads for r in near), key=attrgetter("keys")):
+        w = 1
+        for x, _, opens in region.pieces:
+            w *= entries[x].total
+            for opened, _, _ in opens:
+                w *= weights[opened]
+        weights[region] = w
+    return weights
+
+
 def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> SamplerModel:
     """Explore every subgraph reachable from ``g`` and evaluate its records.
 
     Each subgraph is the vertex mask of an induced subgraph of ``g``, and
-    each distinct one is explored once.  Uses an explicit work stack:
-    path-like graphs produce recursion depths proportional to the clique
-    count, which would overrun the interpreter stack.  ``seed`` randomizes
-    clique-tree construction; the counts are tree-invariant.  ``deadline``,
-    a :func:`time.monotonic` reading, is checked before each clique record
+    each distinct one is explored once: every piece of every region of its
+    clique tree is a subgraph to explore.  Subgraphs are then evaluated by
+    size, a record's weight being its ``phi`` times the weights of its
+    node's regions, so no record's child keys are ordered; they are ordered
+    when first read.  With a ``seed``, which randomizes clique-tree
+    construction, each record's child keys are ordered as it is made, since
+    the order they are explored in decides which trees are drawn; the
+    counts are tree-invariant.  Uses explicit work stacks and loops:
+    path-like graphs produce depths proportional to the clique count, which
+    would overrun the interpreter stack.  ``deadline``, a
+    :func:`time.monotonic` reading, is checked before each clique record
     (never when None); once it has passed, :class:`TimeoutError` says how
     far the run got.
     """
     rng = random.Random(seed) if seed is not None else None
-    # mask -> its records, one per clique-tree node in BFS order
-    records_of: Dict[Key, tuple[CliqueRecord, ...]] = {}
+    # mask -> its records, one per clique-tree node in BFS order, and each
+    # record's regions (None for a complete subgraph)
+    records_of: Dict[Key, tuple[tuple[CliqueRecord, ...], list[list[Region]] | None]] = {}
     subs = [(1 << g.n) - 1]
     seen = set(subs)
     while subs:
@@ -156,6 +243,13 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
         t = clique_tree(g, rng, sub)
         # a complete subgraph leaves nothing once its clique is fixed
         regions = tree_regions(g, t) if len(t.cliques) > 1 else None
+        if regions is not None and rng is None:
+            for near in regions:
+                for region in near:
+                    for x, _, _ in region.pieces:
+                        if x not in seen:
+                            seen.add(x)
+                            subs.append(x)
         chains = fp_chains(t)
         records = []
         for idx in t.order:
@@ -163,29 +257,33 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
                 raise TimeoutError(f"deadline passed with {len(records_of)} subgraphs explored "
                                    f"and {len(records)} of {len(t.cliques)} records of the next done")
             clique = t.cliques[idx]
-            child_keys = (
-                () if regions is None else tuple(components_after_clique(clique, regions[idx]))
-            )
-            for h in child_keys:
-                if h not in seen:
-                    seen.add(h)
-                    subs.append(h)
+            child_keys = () if regions is None else components_after_clique(clique, regions[idx])
+            if rng is not None:
+                for h in child_keys:
+                    if h not in seen:
+                        seen.add(h)
+                        subs.append(h)
             chain = chains[idx]
-            records.append(CliqueRecord(
+            records.append((CliqueRecord if regions is None else _UnorderedRecord)(
                 tuple(mask_bits(clique)),
                 tuple(tuple(mask_bits(s)) for s in chain),
                 child_keys,
                 _phi_sizes(clique.bit_count(), [s.bit_count() for s in chain]),
             ))
-        records_of[sub] = tuple(records)
+        heads = None if regions is None else [regions[idx] for idx in t.order]
+        records_of[sub] = (tuple(records), heads)
 
     entries: Dict[Key, _KeyEntry] = {}
-    # children have strictly fewer vertices, so size order is dependency order
+    # pieces have strictly fewer vertices, so size order is dependency order
     for key in sorted(records_of, key=int.bit_count):
-        records = records_of[key]
-        cumulative = tuple(accumulate(
-            prod((entries[child].total for child in r.child_keys), start=r.phi) for r in records
-        ))
+        records, heads = records_of.pop(key)
+        if heads is None:
+            weights = [r.phi for r in records]
+        else:
+            region_weight = _region_weights(heads, entries).__getitem__
+            weights = [prod(map(region_weight, near), start=r.phi)
+                       for r, near in zip(records, heads)]
+        cumulative = tuple(accumulate(weights))
         entries[key] = _KeyEntry(records, cumulative, cumulative[-1])
     return SamplerModel(g, entries)
 

@@ -1,17 +1,19 @@
 """Uniform sampling of acyclic moral orientations.
 
 The sampler reads the model that the counter builds
-(:func:`~mectools.counting.explore`, exported here as ``precount``): per
-explored subgraph, the clique-tree nodes' records and running weight sums
-(a weight is a node's permutation count times the counts of its components).
-A sample walks these records: draw a clique proportional to its weight, draw
-an admissible permutation of it, recurse on the components.  All weights are exact big integers; clique draws use cumulative
-sums with binary search rather than a real-valued alias table, which would
-lose exactness to rounding.  Random numbers come from a caller-supplied
-``random.Random`` (Mersenne Twister), so fixed seeds reproduce exact sample
-sequences.  Every draw is a topological ordering, one drawn per undirected
-component in its local vertices, relabelled and concatenated;
-:func:`~mectools.graphs.orient_by_ordering` turns it into the DAG.
+(:func:`~mectools.counting.explore`; :func:`precount` is it with every
+record's components ordered): per explored subgraph, the clique-tree nodes'
+records and running weight sums (a weight is a node's permutation count
+times the counts of its components).  A sample walks these records: draw a
+clique proportional to its weight, draw an admissible permutation of it,
+recurse on the components.  All weights are exact big integers; clique
+draws use cumulative sums with binary search rather than a real-valued
+alias table, which would lose exactness to rounding.  Random numbers come
+from a caller-supplied ``random.Random`` (Mersenne Twister), so fixed seeds
+reproduce exact sample sequences.  Every draw is a topological ordering, one
+drawn per undirected component in its local vertices, relabelled and
+concatenated; :func:`~mectools.graphs.orient_by_ordering` turns it into the
+DAG.
 """
 
 from __future__ import annotations
@@ -20,12 +22,22 @@ import random
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
-from .counting import Chain, CliqueRecord, Key, SamplerModel, _phi_sizes, explore as precount
+from .counting import Chain, CliqueRecord, Key, SamplerModel, _phi_sizes, explore
 from .graphs import Dag, PartialGraph, Uccg, _are_components_of, _require_cpdag, orient_by_ordering
 
 
 class ModelMismatchError(ValueError):
     """The sampler model was not built for the graph it is used with."""
+
+
+def precount(g: Uccg, seed: int | None = None, deadline: float | None = None) -> SamplerModel:
+    """The model :func:`~mectools.counting.explore` builds for ``g``, with
+    every record's child keys ordered, so that no draw orders them."""
+    model = explore(g, seed, deadline)
+    for entry in model.entries.values():
+        for record in entry.records:
+            record.child_keys  # ordered on this first read, then kept
+    return model
 
 
 def draw_clique(model: SamplerModel, key: Key, rng: random.Random) -> CliqueRecord:

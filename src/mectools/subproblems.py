@@ -29,26 +29,43 @@ complete).  A head's label is the set of visited neighbours its region's
 vertices share, so the traversal's next recorded block is every pending
 head with the label whose earliest-visited distinguishing vertex comes
 first, and the block's components come by increasing lowest vertex.  A
-region depends only on its directed tree edge, so it is built once per tree;
-only the visit times and the order of the labels are worked out per clique.
+region depends only on its directed tree edge, so it is built once per tree,
+with the number of components it leads to.  A node's components number the
+sum over its heads, known at once; the visit times and the order of the
+labels are worked out per clique, and only when the components are first
+read, which a count never does.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict
+from typing import Dict, Iterator
 
 from ._partition import refine_traversal
 from .chordal import CliqueTree, lbfs
 from .graphs import Uccg
 
-# a head's region: its label S as a vertex mask and its pieces.  A piece is
-# its vertex mask, the LBFS order the traversal visits it in (None when that
-# is index order, as in a complete piece) and the heads it opens.  An opened
-# head is its region and, when its label misses S, where the label's
-# first-visited vertex lies in the piece: its offset in the order and its
-# bit (None and 0 otherwise).
-Region = tuple[int, list["Piece"]]
+
+class Region:
+    """A head's region: its label S as a vertex mask, its pieces, and
+    ``keys``, the number of components it leads to (its pieces and,
+    recursively, those of the regions they open).
+
+    A piece is its vertex mask, the LBFS order the traversal visits it in
+    (None when that is index order, as in a complete piece) and the heads it
+    opens.  An opened head is its region and, when its label misses S, where
+    the label's first-visited vertex lies in the piece: its offset in the
+    order and its bit (None and 0 otherwise).
+    """
+
+    __slots__ = ("label", "pieces", "keys")
+
+    def __init__(self, label: int, pieces: list["Piece"], keys: int):
+        self.label = label
+        self.pieces = pieces
+        self.keys = keys
+
+
 Piece = tuple[int, "tuple[int, ...] | None", list[tuple[Region, "int | None", int]]]
 
 
@@ -95,67 +112,69 @@ def tree_regions(g: Uccg, tree: CliqueTree) -> list[list[Region]]:
     as :func:`components_after_clique` reads them.
 
     ``tree`` is a clique tree of a subgraph of ``g`` that is not complete.
-    Every directed tree edge's region is built once, and each piece links
-    the regions of the heads it opens.  A piece that is not complete is
-    visited in the LBFS order :func:`lbfs` keeps on ``g``, the sweep its
-    own clique tree is built from.
+    Every directed tree edge's region is built once, after the regions
+    behind it, so each piece links the regions of the heads it opens as it
+    is built and each region counts its keys from theirs.  A piece that is
+    not complete is visited in the LBFS order :func:`lbfs` keeps on ``g``,
+    the sweep its own clique tree is built from.
     """
     cliques = tree.cliques
     tree_adj = tree.adj
+    parent = tree.parent
+    non_root = tree.order[1:]
     regions: Dict[tuple[int, int], Region] = {}
-    # per piece: S, the piece's mask and order, its list of opened heads to
-    # fill once every region exists, and their tree edges
-    opened = []
-    for p, near in enumerate(tree_adj):
-        for a in near:
-            s = cliques[p] & cliques[a]
-            # per piece: the union of its cliques, whether it has one, its exits
-            unions = [cliques[a]]
-            single = [True]
-            exits: list[list[tuple[int, int]]] = [[]]
-            stack = [(a, p, 0)]
-            while stack:
-                e, came, i = stack.pop()
-                ce = cliques[e]
-                for f in tree_adj[e]:
-                    if f == came:
-                        continue
-                    cf = cliques[f]
-                    if cf & s != s:
-                        exits[i].append((e, f))
-                        continue
-                    if ce & cf == s:
-                        j = len(unions)
-                        unions.append(cf)
-                        single.append(True)
-                        exits.append([])
-                    else:
-                        j = i
-                        unions[i] |= cf
-                        single[i] = False
-                    stack.append((f, e, j))
-            pieces: list[Piece] = []
-            for union, one, edges in zip(unions, single, exits):
-                x = union ^ s
-                # one maximal clique minus S is complete; two never are
-                order = None if one else lbfs(g, sub=x)
-                opens: list[tuple[Region, int | None, int]] = []
-                opened.append((s, x, order, opens, edges))
-                pieces.append((x, order, opens))
-            regions[(p, a)] = (s, pieces)
-    for s, x, order, opens, edges in opened:
-        for e, f in edges:
-            label = cliques[e] & cliques[f]
-            off = None
-            bit = 0
-            if not label & s:
-                if order is None:
-                    bit = label & -label
-                    off = (x & (bit - 1)).bit_count()
+    # the edges towards the leaves, deepest first, then those towards the
+    # root, highest first: either way every edge beyond one comes before it
+    for p, a in [(parent[x], x) for x in reversed(non_root)] + [(x, parent[x]) for x in non_root]:
+        s = cliques[p] & cliques[a]
+        # per piece: the union of its cliques, whether it has one, its exits
+        unions = [cliques[a]]
+        single = [True]
+        exits: list[list[tuple[int, int]]] = [[]]
+        stack = [(a, p, 0)]
+        while stack:
+            e, came, i = stack.pop()
+            ce = cliques[e]
+            for f in tree_adj[e]:
+                if f == came:
+                    continue
+                cf = cliques[f]
+                if cf & s != s:
+                    exits[i].append((e, f))
+                    continue
+                if ce & cf == s:
+                    j = len(unions)
+                    unions.append(cf)
+                    single.append(True)
+                    exits.append([])
                 else:
-                    off = next(i for i, v in enumerate(order) if label >> v & 1)
-                    bit = 1 << order[off]
-            opens.append((regions[(e, f)], off, bit))
+                    j = i
+                    unions[i] |= cf
+                    single[i] = False
+                stack.append((f, e, j))
+        pieces: list[Piece] = []
+        keys = len(unions)
+        for union, one, edges in zip(unions, single, exits):
+            x = union ^ s
+            # one maximal clique minus S is complete; two never are
+            order = None if one else lbfs(g, sub=x)
+            opens: list[tuple[Region, int | None, int]] = []
+            for e, f in edges:
+                label = cliques[e] & cliques[f]
+                off = None
+                bit = 0
+                if not label & s:
+                    if order is None:
+                        bit = label & -label
+                        off = (x & (bit - 1)).bit_count()
+                    else:
+                        off = next(i for i, v in enumerate(order) if label >> v & 1)
+                        bit = 1 << order[off]
+                region = regions[(e, f)]
+                keys += region.keys
+                opens.append((region, off, bit))
+            pieces.append((x, order, opens))
+        regions[(p, a)] = Region(s, pieces, keys)
     return [[regions[(p, a)] for a in near] for p, near in enumerate(tree_adj)]
 
 
@@ -203,7 +222,8 @@ class _Head:
     __slots__ = ("label", "pieces", "bit", "visits")
 
     def __init__(self, region: Region, bit: int, visits: _Visits):
-        self.label, self.pieces = region
+        self.label = region.label
+        self.pieces = region.pieces
         self.bit = bit
         self.visits = visits
 
@@ -212,20 +232,15 @@ class _Head:
         return d != 0 and self.visits.first(d)[1] & self.label != 0
 
 
-def components_after_clique(clique: int, heads: list[Region]) -> list[int]:
-    """Components left undirected once ``clique``, a node of a clique tree of
-    a subgraph that is not complete, is fixed first in that subgraph, as
-    vertex masks over the graph's local vertices, in the order
-    :func:`components_by_traversal` gives them.
-
-    ``heads`` are the regions of the heads the node's tree edges open, as
-    :func:`tree_regions` lists them for the node.
-    """
+def _order_components(clique: int, heads: list[Region]) -> tuple[int, ...]:
+    """The components a :class:`Components` stands for, in the traversal's
+    order: pending heads are taken by the visit time of their label's
+    first-visited vertex, each block's pieces by lowest vertex."""
     visits = _Visits(clique)
     queue = []
     for region in heads:
         # the clique is visited in index order
-        bit = region[0] & -region[0]
+        bit = region.label & -region.label
         queue.append(((clique & (bit - 1)).bit_count(), _Head(region, bit, visits)))
     heapify(queue)
     clock = clique.bit_count()
@@ -246,10 +261,63 @@ def components_after_clique(clique: int, heads: list[Region]) -> list[int]:
                 # first vertex of this block's label, or it is looked up
                 if off is not None:
                     key = clock + off
-                elif region[0] & head.bit:
+                elif region.label & head.bit:
                     key, bit = t, head.bit
                 else:
-                    key, bit = visits.first(region[0])
+                    key, bit = visits.first(region.label)
                 heappush(queue, (key, _Head(region, bit, visits)))
             clock += x.bit_count()
-    return out
+    return tuple(out)
+
+
+class Components:
+    """The components left once a clique is fixed first, as a sequence of
+    vertex masks in the traversal's order.
+
+    Its length is the summed key counts of the clique's heads, known at
+    once.  The order is worked out on the first read that needs it, then
+    kept, and the heads are let go.
+    """
+
+    __slots__ = ("_clique", "_heads", "_len", "_ordered")
+
+    def __init__(self, clique: int, heads: list[Region]):
+        self._clique = clique
+        self._heads: list[Region] | None = heads
+        self._len = sum(region.keys for region in heads)
+        self._ordered: tuple[int, ...] | None = None
+
+    def ordered(self) -> tuple[int, ...]:
+        """The components in order, as a tuple."""
+        if self._ordered is None:
+            self._ordered = _order_components(self._clique, self._heads)
+            self._heads = None
+        return self._ordered
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ordered())
+
+    def __reversed__(self) -> Iterator[int]:
+        return reversed(self.ordered())
+
+    def __getitem__(self, i):
+        return self.ordered()[i]
+
+    def __repr__(self) -> str:
+        return f"Components({list(self)})"
+
+
+def components_after_clique(clique: int, heads: list[Region]) -> Components:
+    """Components left undirected once ``clique``, a node of a clique tree of
+    a subgraph that is not complete, is fixed first in that subgraph, as
+    vertex masks over the graph's local vertices, in the order
+    :func:`components_by_traversal` gives them.
+
+    ``heads`` are the regions of the heads the node's tree edges open, as
+    :func:`tree_regions` lists them for the node.  The result's length is
+    known at once; its order is worked out when it is first read.
+    """
+    return Components(clique, heads)

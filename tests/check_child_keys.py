@@ -7,22 +7,26 @@ default seed (or at the seeds given), parses it, explores every undirected
 component without a seed, as a count does, and then again with a seed, as
 the benchmark's recount does after its precount, and compares each record's
 ``child_keys`` with what ``subproblems.components_by_traversal`` finds after
-its clique, in order.  The seeded pass builds its trees from randomized
-sweeps and its regions from the sweeps the unseeded pass kept on the
-component.  Prints one line per workload, seed and pass; exits 1 if any
-record differs.
+its clique, in order.  It also judges the region products: the length of
+the record's ``Components``, known before they are ordered, must be the
+number of its child keys, and the record's step of its entry's
+``cumulative`` must be its ``phi`` times the totals of its child keys.  The
+seeded pass builds its trees from randomized sweeps and its regions from the
+sweeps the unseeded pass kept on the component.  Prints one line per
+workload, seed and pass; exits 1 if any record differs.
 """
 
 from __future__ import annotations
 
 import sys
+from math import prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from mectools import parse_graph, undirected_components  # noqa: E402
-from mectools.counting import explore  # noqa: E402
+from mectools.counting import CliqueRecord, explore  # noqa: E402
 from mectools.subproblems import components_by_traversal  # noqa: E402
 from workloads import WORKLOADS, build_text  # noqa: E402
 
@@ -33,11 +37,19 @@ def check(name: str, seed: int) -> dict[str, list[int]]:
     tally = {"unseeded": [0, 0], "seeded": [0, 0]}
     for i, comp in enumerate(undirected_components(parse_graph(build_text(name, seed)))):
         for run, explore_seed in (("unseeded", None), ("seeded", seed + i)):
-            for key, entry in explore(comp, explore_seed).entries.items():
-                for r in entry.records:
+            entries = explore(comp, explore_seed).entries
+            for key, entry in entries.items():
+                steps = [b - a for a, b in zip((0,) + entry.cumulative, entry.cumulative)]
+                for r, step in zip(entry.records, steps):
+                    # the slot under child_keys: the Components, unordered until read
+                    length = len(CliqueRecord.child_keys.__get__(r))
                     want = components_by_traversal(comp, sum(1 << v for v in r.clique), key)
                     tally[run][0] += 1
-                    tally[run][1] += r.child_keys != tuple(want)
+                    tally[run][1] += (
+                        r.child_keys != tuple(want)
+                        or length != len(want)
+                        or step != prod((entries[c].total for c in want), start=r.phi)
+                    )
     return tally
 
 

@@ -12,6 +12,9 @@ Core claims:
       at sizes out of the oracles' reach
     - explore reads the clock once before each clique record when given a
       deadline, and never without one; a far deadline changes no record
+    - a count takes one region product per directed tree edge and orders no
+      child keys, so its work grows with the tree while the keys grow as n^2;
+      a 5,000-vertex path is counted and drawn without deep recursion
 """
 
 import itertools
@@ -37,7 +40,7 @@ from mectools import (
     precount,
     undirected_components,
 )
-from mectools import counting
+from mectools import counting, sample_cpdag, subproblems
 from mectools._partition import mask_bits
 from mectools.chordal import clique_tree
 from mectools.counting import count_with_stats, explore, factorial, fp_chains
@@ -440,3 +443,75 @@ def test_complete_graph_minus_an_edge_matches_the_closed_form():
         g = Uccg.from_edges(range(n), set(itertools.combinations(range(n), 2)) - {(0, n - 1)})
         assert precount(g).total == two_cliques_closed_form(n - 1, n - 1, n - 2)
         assert precount(g).total == 2 * factorial(n - 1) - factorial(n - 2)
+
+
+def count_spied(monkeypatch, g) -> tuple[int, list[int], list[tuple[int, int]], list[int]]:
+    """``count_cpdag`` of ``g``, with what it did: the length of every
+    ``Components`` it made, per explored subgraph that is not complete its
+    clique count and region products, and its orderings of child keys."""
+    lengths, products, orderings = [], [], []
+    real_step = counting.components_after_clique
+    real_weights = counting._region_weights
+    real_order = subproblems._order_components
+
+    def step(clique, heads):
+        comps = real_step(clique, heads)
+        lengths.append(len(comps))
+        return comps
+
+    def weights(heads, entries):
+        out = real_weights(heads, entries)
+        products.append((len(heads), len(out)))
+        return out
+
+    def order(clique, heads):
+        orderings.append(clique)
+        return real_order(clique, heads)
+
+    with monkeypatch.context() as m:
+        m.setattr(counting, "components_after_clique", step)
+        m.setattr(counting, "_region_weights", weights)
+        m.setattr(subproblems, "_order_components", order)
+        total = count_cpdag(g.as_partial_graph())
+    return total, lengths, products, orderings
+
+
+def test_a_count_multiplies_region_weights_and_orders_no_child_keys(monkeypatch):
+    # on the sparse trees gen_peo(n, 1, 1) the records' child keys grow as
+    # n^2; the count's work must grow with the tree edges instead
+    keys, products = [], []
+    for n in (100, 200, 400):
+        g = gen_peo(n, 1, 1)
+        total, lengths, weighed, orderings = count_spied(monkeypatch, g)
+        assert total == precount(g).total
+        assert orderings == []
+        # one product per directed tree edge of each explored subgraph
+        assert all(made == 2 * (cliques - 1) for cliques, made in weighed)
+        keys.append(sum(lengths))
+        products.append(sum(made for _, made in weighed))
+    for i in (1, 2):
+        assert 3.5 < keys[i] / keys[i - 1] < 4.5
+        assert products[i] / products[i - 1] < 2.5
+
+
+def test_the_records_summed_lengths_are_their_child_keys(monkeypatch):
+    g = gen_peo(100, 1, 1)
+    _, lengths, _, _ = count_spied(monkeypatch, g)
+    model = precount(g)
+    assert sum(lengths) == sum(len(r.child_keys) for e in model.entries.values() for r in e.records)
+
+
+def test_a_long_path_is_counted_and_drawn_without_deep_recursion():
+    # 4,999 cliques in a chain: regions open regions 4,998 deep, and the
+    # records' child keys number about n^2 / 2, which a count never orders;
+    # runs under the interpreter's default recursion limit
+    n = 5000
+    path = helpers.path_graph(n)
+    assert count_cpdag(path.as_partial_graph()) == n
+    # a model read lazily: a draw orders only the records it reads
+    dag = sample_cpdag(path.as_partial_graph(), [explore(path)], random.Random(5))
+    assert dag.skeleton() == {(i, i + 1) for i in range(n - 1)}
+    indegree = [0] * n
+    for _, v in dag.edges():
+        indegree[v] += 1
+    assert max(indegree) == 1  # no collider: a member of the path's class

@@ -10,6 +10,9 @@ Core claims:
     - the components read off a clique tree are the traversal's, in its
       order, for every node of every clique tree an exploration builds,
       seeded or not
+    - a node's components know their length before they are ordered, are
+      ordered once, on the first read, and let their regions go; a record
+      reads them as a tuple, a count orders none and a precount all
     - an unseeded exploration sweeps each subgraph that is not complete once;
       a count sweeps each component's root only in the split, and a second
       exploration of one graph object sweeps nothing
@@ -28,11 +31,13 @@ from mectools import (
     Uccg,
     chordal,
     count_cpdag,
+    counting,
     gen_interval,
     gen_peo,
     gen_subtree,
     is_chordal,
     precount,
+    sample_cpdag,
     subproblems,
     undirected_components,
 )
@@ -198,7 +203,7 @@ class TestChildKeysFromTheTree:
                 heads = tree_regions(g, t)
                 for clique, near in zip(t.cliques, heads):
                     want = components_by_traversal(g, clique)
-                    assert components_after_clique(clique, near) == want
+                    assert list(components_after_clique(clique, near)) == want
 
     def test_blocks_of_equal_labels_come_by_lowest_vertex(self):
         # the star K_{1,4} on centre 2: fixing the edge {2, 0} leaves the
@@ -207,7 +212,88 @@ class TestChildKeysFromTheTree:
         t = clique_tree(g)
         heads = tree_regions(g, t)
         node = t.cliques.index(0b00101)
-        assert components_after_clique(0b00101, heads[node]) == [0b00010, 0b01000, 0b10000]
+        assert list(components_after_clique(0b00101, heads[node])) == [0b00010, 0b01000, 0b10000]
+
+
+def ordering_spy(monkeypatch) -> list[int]:
+    """The cliques whose components are ordered from now on, one per
+    ordering."""
+    calls: list[int] = []
+    real = subproblems._order_components
+
+    def spy(clique, heads):
+        calls.append(clique)
+        return real(clique, heads)
+
+    monkeypatch.setattr(subproblems, "_order_components", spy)
+    return calls
+
+
+class TestComponents:
+    def nodes(self):
+        """Every node of an unseeded and a seeded tree of two graphs, with
+        its heads and the traversal's components."""
+        for g in (gen_subtree(60, 4, 2), gen_interval(40, 1)):
+            for seed in (None, 3):
+                t = clique_tree(g, None if seed is None else random.Random(seed))
+                for clique, near in zip(t.cliques, tree_regions(g, t)):
+                    yield clique, near, components_by_traversal(g, clique)
+
+    def test_the_length_is_known_before_any_ordering(self, monkeypatch):
+        calls = ordering_spy(monkeypatch)
+        for clique, near, want in self.nodes():
+            assert len(components_after_clique(clique, near)) == len(want)
+        assert calls == []
+
+    def test_reads_order_once_and_let_the_heads_go(self, monkeypatch):
+        calls = ordering_spy(monkeypatch)
+        nodes = list(self.nodes())
+        for clique, near, want in nodes:
+            comps = components_after_clique(clique, near)
+            assert list(comps) == want
+            assert comps._heads is None
+            assert list(comps) == want
+            assert list(reversed(comps)) == want[::-1]
+            assert comps[0] == want[0] and comps[-1] == want[-1]
+            assert comps.ordered() == tuple(want)
+        assert calls == [clique for clique, _, _ in nodes]
+
+    def test_a_record_reads_its_components_as_a_tuple_in_order(self, monkeypatch):
+        g = gen_subtree(60, 4, 2)
+        calls = ordering_spy(monkeypatch)
+        model = counting.explore(g)
+        assert calls == []
+        again = counting.explore(g)
+        slot = counting.CliqueRecord.child_keys
+        records = [
+            (k, r) for k, e in model.entries.items() for r in e.records if len(e.records) > 1
+        ]
+        for key, r in records:
+            want = components_by_traversal(g, helpers.vertex_mask(r.clique), key)
+            # the slot under child_keys holds the Components until they are read
+            assert len(slot.__get__(r)) == len(want) and type(r) is not counting.CliqueRecord
+            assert r.child_keys == tuple(want)
+            assert type(r.child_keys) is tuple and r.child_keys is r.child_keys
+            # a plain record now, the Components and its regions let go
+            assert type(r) is counting.CliqueRecord and slot.__get__(r) is r.child_keys
+        assert len(calls) == len(records)
+        # records compare their child keys in order, whatever holds them
+        assert again.entries == model.entries and len(calls) == 2 * len(records)
+        r = max((r for _, r in records), key=lambda r: len(r.child_keys))
+        swapped = counting.CliqueRecord(r.clique, r.chain, r.child_keys[::-1], r.phi)
+        assert swapped != r and counting.CliqueRecord(r.clique, r.chain, r.child_keys, r.phi) == r
+
+    def test_precount_orders_every_record_and_draws_order_none(self, monkeypatch):
+        g = gen_subtree(60, 4, 2)
+        calls = ordering_spy(monkeypatch)
+        model = precount(g)
+        ordered = [r for e in model.entries.values() if len(e.records) > 1 for r in e.records]
+        assert len(calls) == len(ordered)
+        calls.clear()
+        rng = random.Random(1)
+        for _ in range(20):
+            sample_cpdag(g.as_partial_graph(), [model], rng)
+        assert calls == []
 
 
 def swept_during(monkeypatch, run):
