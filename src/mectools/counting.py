@@ -101,11 +101,11 @@ class CliqueRecord:
     ``clique`` and ``chain`` (its forbidden prefix sets) are sorted tuples of
     the root's local vertices; ``child_keys`` are the components left
     undirected once the clique is fixed, as vertex masks over the same
-    vertices, in recording order; ``phi`` counts the clique's permutations
-    that avoid the chain.  Records are equal when these four fields are,
-    child keys in order.  :func:`explore` makes a record of a subgraph that
-    is not complete as an :class:`_UnorderedRecord`, whose child keys are
-    ordered when first read.
+    vertices, in recording order: ``()`` for a complete subgraph, else the
+    :class:`~mectools.subproblems.Components` that :func:`explore` made,
+    which :func:`~mectools.sampling.precount` replaces by their tuple.
+    ``phi`` counts the clique's permutations that avoid the chain.  Records
+    are equal when these four fields are, child keys in order.
     """
 
     __slots__ = ("clique", "chain", "child_keys", "phi")
@@ -118,44 +118,16 @@ class CliqueRecord:
         self.phi = phi
 
     def _fields(self) -> tuple:
-        return self.clique, self.chain, self.child_keys, self.phi
+        return self.clique, self.chain, tuple(self.child_keys), self.phi
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CliqueRecord):
             return NotImplemented
         return self._fields() == other._fields()
 
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __repr__(self) -> str:
         return "CliqueRecord(clique={!r}, chain={!r}, child_keys={!r}, phi={!r})".format(
             *self._fields())
-
-
-class _UnorderedRecord(CliqueRecord):
-    """A record made with the :class:`~mectools.subproblems.Components` of
-    its clique, held in the slot that ``child_keys`` reads.  The first read
-    orders them, keeps the tuple in the slot and turns the record into a
-    plain :class:`CliqueRecord`, so later reads, a draw's among them, read
-    the slot directly."""
-
-    __slots__ = ()
-
-    @property
-    def child_keys(self) -> tuple[Key, ...]:
-        keys = _CHILD_KEYS.__get__(self).ordered()
-        _CHILD_KEYS.__set__(self, keys)
-        self.__class__ = CliqueRecord
-        return keys
-
-    @child_keys.setter
-    def child_keys(self, components: Components) -> None:
-        _CHILD_KEYS.__set__(self, components)
-
-
-# the slot under _UnorderedRecord's property
-_CHILD_KEYS = CliqueRecord.child_keys
 
 
 @dataclass(frozen=True)
@@ -221,7 +193,8 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
     each distinct one is explored once: every piece of every region of its
     clique tree is a subgraph to explore.  Subgraphs are then evaluated by
     size, a record's weight being its ``phi`` times the weights of its
-    node's regions, so no record's child keys are ordered; they are ordered
+    node's regions, so no record's child keys are ordered; each record keeps
+    its :class:`~mectools.subproblems.Components`, which order themselves
     when first read.  With a ``seed``, which randomizes clique-tree
     construction, each record's child keys are ordered as it is made, since
     the order they are explored in decides which trees are drawn; the
@@ -264,7 +237,7 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
                         seen.add(h)
                         subs.append(h)
             chain = chains[idx]
-            records.append((CliqueRecord if regions is None else _UnorderedRecord)(
+            records.append(CliqueRecord(
                 tuple(mask_bits(clique)),
                 tuple(tuple(mask_bits(s)) for s in chain),
                 child_keys,

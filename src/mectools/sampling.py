@@ -30,13 +30,15 @@ class ModelMismatchError(ValueError):
     """The sampler model was not built for the graph it is used with."""
 
 
-def precount(g: Uccg, seed: int | None = None, deadline: float | None = None) -> SamplerModel:
+def precount(g: Uccg, seed: int | None = None) -> SamplerModel:
     """The model :func:`~mectools.counting.explore` builds for ``g``, with
-    every record's child keys ordered, so that no draw orders them."""
-    model = explore(g, seed, deadline)
+    every record's child keys replaced by their ordered tuple, so that no
+    draw orders them.  ``seed`` randomizes clique-tree construction."""
+    model = explore(g, seed)
     for entry in model.entries.values():
         for record in entry.records:
-            record.child_keys  # ordered on this first read, then kept
+            if record.child_keys:  # else the () of a complete subgraph
+                record.child_keys = record.child_keys.ordered()
     return model
 
 

@@ -276,23 +276,24 @@ class Components:
 
     Its length is the summed key counts of the clique's heads, known at
     once.  The order is worked out on the first read that needs it, then
-    kept, and the heads are let go.
+    kept in the heads' place, so the heads are let go.
     """
 
-    __slots__ = ("_clique", "_heads", "_len", "_ordered")
+    __slots__ = ("_clique", "_keys", "_len")
 
     def __init__(self, clique: int, heads: list[Region]):
         self._clique = clique
-        self._heads: list[Region] | None = heads
+        # the heads until the order is worked out, then the ordered tuple;
+        # one slot, so a reader sees one or the other, never neither
+        self._keys: list[Region] | tuple[int, ...] = heads
         self._len = sum(region.keys for region in heads)
-        self._ordered: tuple[int, ...] | None = None
 
     def ordered(self) -> tuple[int, ...]:
         """The components in order, as a tuple."""
-        if self._ordered is None:
-            self._ordered = _order_components(self._clique, self._heads)
-            self._heads = None
-        return self._ordered
+        keys = self._keys
+        if type(keys) is not tuple:
+            keys = self._keys = _order_components(self._clique, keys)
+        return keys
 
     def __len__(self) -> int:
         return self._len
@@ -302,12 +303,6 @@ class Components:
 
     def __reversed__(self) -> Iterator[int]:
         return reversed(self.ordered())
-
-    def __getitem__(self, i):
-        return self.ordered()[i]
-
-    def __repr__(self) -> str:
-        return f"Components({list(self)})"
 
 
 def components_after_clique(clique: int, heads: list[Region]) -> Components:

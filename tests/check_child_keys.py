@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from mectools import parse_graph, undirected_components  # noqa: E402
-from mectools.counting import CliqueRecord, explore  # noqa: E402
+from mectools.counting import explore  # noqa: E402
 from mectools.subproblems import components_by_traversal  # noqa: E402
 from workloads import WORKLOADS, build_text  # noqa: E402
 
@@ -41,12 +41,12 @@ def check(name: str, seed: int) -> dict[str, list[int]]:
             for key, entry in entries.items():
                 steps = [b - a for a, b in zip((0,) + entry.cumulative, entry.cumulative)]
                 for r, step in zip(entry.records, steps):
-                    # the slot under child_keys: the Components, unordered until read
-                    length = len(CliqueRecord.child_keys.__get__(r))
+                    # an explored record holds its Components, unordered until read
+                    length = len(r.child_keys)
                     want = components_by_traversal(comp, sum(1 << v for v in r.clique), key)
                     tally[run][0] += 1
                     tally[run][1] += (
-                        r.child_keys != tuple(want)
+                        tuple(r.child_keys) != tuple(want)
                         or length != len(want)
                         or step != prod((entries[c].total for c in want), start=r.phi)
                     )

@@ -11,8 +11,9 @@ Core claims:
       order, for every node of every clique tree an exploration builds,
       seeded or not
     - a node's components know their length before they are ordered, are
-      ordered once, on the first read, and let their regions go; a record
-      reads them as a tuple, a count orders none and a precount all
+      ordered once, on the first read, and let their regions go, also when
+      two readers race; every record is a plain record, a count orders no
+      components and a precount replaces each by its tuple
     - an unseeded exploration sweeps each subgraph that is not complete once;
       a count sweeps each component's root only in the split, and a second
       exploration of one graph object sweeps nothing
@@ -20,6 +21,8 @@ Core claims:
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -251,37 +254,62 @@ class TestComponents:
         for clique, near, want in nodes:
             comps = components_after_clique(clique, near)
             assert list(comps) == want
-            assert comps._heads is None
+            # the ordered tuple now holds the heads' slot
+            assert comps._keys is comps.ordered() == tuple(want)
             assert list(comps) == want
             assert list(reversed(comps)) == want[::-1]
-            assert comps[0] == want[0] and comps[-1] == want[-1]
-            assert comps.ordered() == tuple(want)
         assert calls == [clique for clique, _, _ in nodes]
 
-    def test_a_record_reads_its_components_as_a_tuple_in_order(self, monkeypatch):
+    def test_readers_that_race_all_read_the_order(self):
+        # more readers than cores, switching threads as often as the
+        # interpreter lets them: whichever of them orders, each reads the
+        # order, and none finds the heads gone and the order not yet kept
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for clique, near, want in self.nodes():
+                comps = components_after_clique(clique, near)
+                got = []
+                start = threading.Barrier(8, timeout=10)
+
+                def read():
+                    start.wait()
+                    got.append(comps.ordered())
+
+                readers = [threading.Thread(target=read) for _ in range(start.parties)]
+                for t in readers:
+                    t.start()
+                for t in readers:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in readers)
+                assert got == [tuple(want)] * len(readers)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_every_record_is_a_clique_record_and_compares_its_keys_in_order(self, monkeypatch):
         g = gen_subtree(60, 4, 2)
         calls = ordering_spy(monkeypatch)
         model = counting.explore(g)
         assert calls == []
         again = counting.explore(g)
-        slot = counting.CliqueRecord.child_keys
+        assert all(type(r) is counting.CliqueRecord
+                   for e in model.entries.values() for r in e.records)
         records = [
-            (k, r) for k, e in model.entries.items() for r in e.records if len(e.records) > 1
+            (r, components_by_traversal(g, helpers.vertex_mask(r.clique), k))
+            for k, e in model.entries.items() for r in e.records if len(e.records) > 1
         ]
-        for key, r in records:
-            want = components_by_traversal(g, helpers.vertex_mask(r.clique), key)
-            # the slot under child_keys holds the Components until they are read
-            assert len(slot.__get__(r)) == len(want) and type(r) is not counting.CliqueRecord
-            assert r.child_keys == tuple(want)
-            assert type(r.child_keys) is tuple and r.child_keys is r.child_keys
-            # a plain record now, the Components and its regions let go
-            assert type(r) is counting.CliqueRecord and slot.__get__(r) is r.child_keys
+        # an explored record holds its Components, whose length is known
+        # before they are ordered, and which are ordered on the first read
+        assert all(len(r.child_keys) == len(want) for r, want in records) and calls == []
+        for r, want in records:
+            assert tuple(r.child_keys) == tuple(want) == tuple(r.child_keys)
         assert len(calls) == len(records)
         # records compare their child keys in order, whatever holds them
         assert again.entries == model.entries and len(calls) == 2 * len(records)
-        r = max((r for _, r in records), key=lambda r: len(r.child_keys))
-        swapped = counting.CliqueRecord(r.clique, r.chain, r.child_keys[::-1], r.phi)
-        assert swapped != r and counting.CliqueRecord(r.clique, r.chain, r.child_keys, r.phi) == r
+        r = max((r for r, _ in records), key=lambda r: len(r.child_keys))
+        keys = tuple(r.child_keys)
+        swapped = counting.CliqueRecord(r.clique, r.chain, keys[::-1], r.phi)
+        assert swapped != r and counting.CliqueRecord(r.clique, r.chain, keys, r.phi) == r
 
     def test_precount_orders_every_record_and_draws_order_none(self, monkeypatch):
         g = gen_subtree(60, 4, 2)
@@ -289,6 +317,9 @@ class TestComponents:
         model = precount(g)
         ordered = [r for e in model.entries.values() if len(e.records) > 1 for r in e.records]
         assert len(calls) == len(ordered)
+        records = [r for e in model.entries.values() for r in e.records]
+        assert all(type(r) is counting.CliqueRecord for r in records)
+        assert all(type(r.child_keys) is tuple for r in records)
         calls.clear()
         rng = random.Random(1)
         for _ in range(20):
