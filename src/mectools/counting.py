@@ -95,6 +95,7 @@ def fp_chains(t: CliqueTree) -> tuple[tuple[int, ...], ...]:
     return tuple(chains)
 
 
+@dataclass(slots=True)
 class CliqueRecord:
     """One clique-tree node of an explored subgraph.
 
@@ -108,26 +109,10 @@ class CliqueRecord:
     are equal when these four fields are, child keys in order.
     """
 
-    __slots__ = ("clique", "chain", "child_keys", "phi")
-
-    def __init__(self, clique: tuple[int, ...], chain: Chain,
-                 child_keys: tuple[Key, ...] | Components, phi: int):
-        self.clique = clique
-        self.chain = chain
-        self.child_keys = child_keys
-        self.phi = phi
-
-    def _fields(self) -> tuple:
-        return self.clique, self.chain, tuple(self.child_keys), self.phi
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CliqueRecord):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "CliqueRecord(clique={!r}, chain={!r}, child_keys={!r}, phi={!r})".format(
-            *self._fields())
+    clique: tuple[int, ...]
+    chain: Chain
+    child_keys: tuple[Key, ...] | Components
+    phi: int
 
 
 @dataclass(frozen=True)
@@ -180,7 +165,7 @@ def _region_weights(
         w = 1
         for x, _, opens in region.pieces:
             w *= entries[x].total
-            for opened, _, _ in opens:
+            for opened in opens:
                 w *= weights[opened]
         weights[region] = w
     return weights

@@ -52,10 +52,11 @@ class Region:
     recursively, those of the regions they open).
 
     A piece is its vertex mask, the LBFS order the traversal visits it in
-    (None when that is index order, as in a complete piece) and the heads it
-    opens.  An opened head is its region and, when its label misses S, where
-    the label's first-visited vertex lies in the piece: its offset in the
-    order and its bit (None and 0 otherwise).
+    (None when that is index order, as in a complete piece) and the regions
+    of the heads it opens.  An opened head keeps no visit time: the
+    traversal keys it by the first vertex of the label it was opened under
+    when its own label holds that vertex, and looks its first vertex up
+    among the visited ones otherwise.
     """
 
     __slots__ = ("label", "pieces", "keys")
@@ -66,7 +67,7 @@ class Region:
         self.keys = keys
 
 
-Piece = tuple[int, "tuple[int, ...] | None", list[tuple[Region, "int | None", int]]]
+Piece = tuple[int, "tuple[int, ...] | None", list[Region]]
 
 
 def _emit_components(g: Uccg, blocks: list[int]) -> list[int]:
@@ -158,21 +159,8 @@ def tree_regions(g: Uccg, tree: CliqueTree) -> list[list[Region]]:
             x = union ^ s
             # one maximal clique minus S is complete; two never are
             order = None if one else lbfs(g, sub=x)
-            opens: list[tuple[Region, int | None, int]] = []
-            for e, f in edges:
-                label = cliques[e] & cliques[f]
-                off = None
-                bit = 0
-                if not label & s:
-                    if order is None:
-                        bit = label & -label
-                        off = (x & (bit - 1)).bit_count()
-                    else:
-                        off = next(i for i, v in enumerate(order) if label >> v & 1)
-                        bit = 1 << order[off]
-                region = regions[(e, f)]
-                keys += region.keys
-                opens.append((region, off, bit))
+            opens = [regions[edge] for edge in edges]
+            keys += sum(region.keys for region in opens)
             pieces.append((x, order, opens))
         regions[(p, a)] = Region(s, pieces, keys)
     return [[regions[(p, a)] for a in near] for p, near in enumerate(tree_adj)]
@@ -256,12 +244,10 @@ def _order_components(clique: int, heads: list[Region]) -> tuple[int, ...]:
         for x, order, opens in block:
             out.append(x)
             visits.add(clock, x, order)
-            for region, off, bit in opens:
-                # the label's first vertex is in this piece, or it is the
-                # first vertex of this block's label, or it is looked up
-                if off is not None:
-                    key = clock + off
-                elif region.label & head.bit:
+            for region in opens:
+                # the label's first vertex is the first vertex of this
+                # block's label when it holds that, else it is looked up
+                if region.label & head.bit:
                     key, bit = t, head.bit
                 else:
                     key, bit = visits.first(region.label)
@@ -303,6 +289,11 @@ class Components:
 
     def __reversed__(self) -> Iterator[int]:
         return reversed(self.ordered())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Components, tuple)):
+            return self.ordered() == tuple(other)
+        return NotImplemented
 
 
 def components_after_clique(clique: int, heads: list[Region]) -> Components:

@@ -3,7 +3,8 @@
 Core claims:
     - count prints the decimal class size; --stats adds key=value diagnostics
       on stderr; the README's format example is a CPDAG whose class size
-      matches a brute-force enumeration
+      matches a brute-force enumeration, and the README's library example
+      runs as written on it
     - sample emits valid, seed-deterministic DAG files
     - gen writes a parseable connected chordal graph and reports shape stats
     - oracle enforces its size guards with exit code 3
@@ -203,11 +204,26 @@ def test_option_fault_exit_code_and_bytes(capsys, tmp_path, argv, code, error):
     assert run(capsys, *argv) == (code, "", f"error: {error}\n")
 
 
-def readme_format_example() -> str:
-    """The graph file in the README's "Graph file format" section."""
+def readme_block(heading: str) -> str:
+    """The first code block under the README's ``## heading``, as written."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Graph file format", 1)[1]
-    return section.split("```\n", 2)[1]
+    section = readme.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    # drop the opening fence line, with its language tag, then cut at the close
+    return section.split("```", 1)[1].partition("\n")[2].split("```\n", 1)[0]
+
+
+def test_readme_library_example_runs_as_written(monkeypatch, tmp_path):
+    (tmp_path / "graph.txt").write_text(readme_block("Graph file format"))
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(readme_block("Library"), names)
+    g, size, dag = names["g"], names["size"], names["dag"]
+    assert size == 3
+    pairs = helpers.undirected_pairs(g) + list(g.directed_edges())
+    assert dag.skeleton() == frozenset(pairs)
+    assert set(g.directed_edges()) <= dag.edge_set()
+    # the collider 1 -> 5 <- 4, in 0-based vertices, and no other
+    assert oracle.v_structures(dag) == {(0, 4, 3)}
 
 
 def brute_force_class(g: PartialGraph) -> list[frozenset]:
@@ -236,7 +252,7 @@ def brute_force_class(g: PartialGraph) -> list[frozenset]:
 
 class TestCount:
     def test_readme_format_example_is_a_cpdag_of_its_class(self, capsys, tmp_path):
-        text = readme_format_example()
+        text = readme_block("Graph file format")
         g = parse_graph(text)
         members = brute_force_class(g)
         # a CPDAG marks exactly the edges that point the same way in every
