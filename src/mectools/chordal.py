@@ -79,10 +79,9 @@ def clique_tree(g: "Uccg", rng: random.Random | None = None, sub: int | None = N
     Clique trees are not unique, but every quantity derived from them
     downstream is tree-invariant.
 
-    A complete graph gets its one-clique tree without a sweep; ``rng`` is
-    advanced as the sweep would advance it (see
-    :func:`_skip_sweep_of_complete`).  Without ``rng`` the tree is built
-    from the sweep :func:`lbfs` keeps on ``g``.
+    A complete graph gets its one-clique tree without a sweep and draws
+    nothing from ``rng``.  Without ``rng`` the tree is built from the sweep
+    :func:`lbfs` keeps on ``g``.
     """
     if sub is None:
         sub = (1 << g.n) - 1
@@ -91,23 +90,8 @@ def clique_tree(g: "Uccg", rng: random.Random | None = None, sub: int | None = N
     masks = g.adj_masks
     verts = mask_bits(sub)
     if all((masks[v] | 1 << v) & sub == sub for v in verts):
-        if rng is not None:
-            _skip_sweep_of_complete(rng, len(verts))
         return CliqueTree((sub,), (0,), (None,), (0,), ((),))
     return _clique_tree_of_sweep(g, lbfs(g, rng, sub), rng)
-
-
-def _skip_sweep_of_complete(rng: random.Random, n: int) -> None:
-    """Draw from ``rng`` exactly what a randomized sweep of K_n and the root
-    choice among its single clique draw.
-
-    The LBFS front block of K_n always holds every unvisited vertex, so the
-    sweep's picks are ``choice`` calls on ``n``, ``n - 1``, ..., 1 vertices;
-    ``choice`` consumes randomness by sequence length only.
-    """
-    for left in range(n, 0, -1):
-        rng.choice(range(left))
-    rng.randrange(1)
 
 
 def _cliques_of_sweep(

@@ -180,17 +180,16 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
     size, a record's weight being its ``phi`` times the weights of its
     node's regions, so no record's child keys are ordered; each record keeps
     its :class:`~mectools.subproblems.Components`, which order themselves
-    when first read.  With a ``seed``, which randomizes clique-tree
-    construction, each record's child keys are ordered as it is made, since
-    the order they are explored in decides which trees are drawn; the
-    counts are tree-invariant.  Uses explicit work stacks and loops:
-    path-like graphs produce depths proportional to the clique count, which
-    would overrun the interpreter stack.  ``deadline``, a
-    :func:`time.monotonic` reading, is checked before each clique record
+    when first read.  A ``seed`` randomizes clique-tree construction: each
+    subgraph's tree is drawn from a generator of its own, seeded from the
+    seed and the subgraph's mask, so no tree depends on the order subgraphs
+    are explored in; the counts are tree-invariant.  Uses explicit work
+    stacks and loops: path-like graphs produce depths proportional to the
+    clique count, which would overrun the interpreter stack.  ``deadline``,
+    a :func:`time.monotonic` reading, is checked before each clique record
     (never when None); once it has passed, :class:`TimeoutError` says how
     far the run got.
     """
-    rng = random.Random(seed) if seed is not None else None
     # mask -> its records, one per clique-tree node in BFS order, and each
     # record's regions (None for a complete subgraph)
     records_of: Dict[Key, tuple[tuple[CliqueRecord, ...], list[list[Region]] | None]] = {}
@@ -198,10 +197,11 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
     seen = set(subs)
     while subs:
         sub = subs.pop()
-        t = clique_tree(g, rng, sub)
+        # str seeds hash with sha512, the same in every process
+        t = clique_tree(g, None if seed is None else random.Random(f"{seed} {sub}"), sub)
         # a complete subgraph leaves nothing once its clique is fixed
         regions = tree_regions(g, t) if len(t.cliques) > 1 else None
-        if regions is not None and rng is None:
+        if regions is not None:
             for near in regions:
                 for region in near:
                     for x, _, _ in region.pieces:
@@ -216,11 +216,6 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
                                    f"and {len(records)} of {len(t.cliques)} records of the next done")
             clique = t.cliques[idx]
             child_keys = () if regions is None else components_after_clique(clique, regions[idx])
-            if rng is not None:
-                for h in child_keys:
-                    if h not in seen:
-                        seen.add(h)
-                        subs.append(h)
             chain = chains[idx]
             records.append(CliqueRecord(
                 tuple(mask_bits(clique)),

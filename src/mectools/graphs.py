@@ -313,25 +313,20 @@ class Uccg:
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        """Stores both fields as tuples, then checks what a Uccg adds to a
-        graph, increasing labels and one component; :class:`PartialGraph`
-        and :func:`undirected_components` check the rows and chordality.
-        The chordality check's sweep and ``adj_masks`` are kept."""
+        """Stores both fields as tuples, then checks the labels increase,
+        the rows through :class:`PartialGraph`, then that the graph is
+        chordal, naming all its labels if not, and connected.  The
+        chordality check's sweep and ``adj_masks`` are kept."""
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adj", tuple(map(tuple, self.adj)))
         if not _strictly_increasing(labels):
             raise ValueError("labels must be strictly increasing")
-        n = len(labels)
-        try:
-            comps = undirected_components(PartialGraph(n, self.adj, ((),) * n))
-        except NotChordalError as exc:
-            raise NotChordalError(map(labels.__getitem__, exc.labels)) from None
-        if len(comps) > 1:
+        PartialGraph(len(labels), self.adj, ((),) * len(labels))
+        if not is_chordal(self):
+            raise NotChordalError(labels)
+        if any(_component_roots(self.adj)):  # a vertex outside vertex 0's component
             raise ValueError("graph not connected")
-        if comps:  # one component, on this graph's own local vertices
-            object.__setattr__(self, "adj_masks", comps[0].adj_masks)
-            object.__setattr__(self, "_sweeps", comps[0]._sweeps)
 
     @classmethod
     def _unchecked(cls, labels: Sequence[int], adj: Sequence[Sequence[int]]) -> "Uccg":

@@ -1007,13 +1007,16 @@ def list_engine_plans(g: Uccg, seed: int | None = None) -> dict:
     """The counter's clique nodes as computed before the bitset engine, as
     ``(phi, clique, chain, child keys)`` per node: list traversals
     throughout, and a clique tree from a full list-based sweep for every
-    explored graph, complete ones included."""
-    rng = random.Random(seed) if seed is not None else None
+    explored graph, complete ones included.  With a ``seed``, each graph's
+    tree is drawn from a generator seeded from it and the graph's mask over
+    ``g``'s local vertices."""
     plans: dict = {}
     graphs = [g]
     seen = {g.labels}
     while graphs:
         cur = graphs.pop()
+        sub = vertex_mask(map(g.labels.index, cur.labels))
+        rng = random.Random(f"{seed} {sub}") if seed is not None else None
         t = list_clique_tree_of_sweep(cur, list_lbfs_order(cur, rng), rng)
         chains = fp_chains(t)
         nodes = []

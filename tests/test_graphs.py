@@ -460,6 +460,10 @@ class TestUccg:
         with pytest.raises(NotChordalError) as info:
             Uccg.from_edges((10, 11, 12, 13), helpers.cycle_edges(4))
         assert info.value.labels == (10, 11, 12, 13)
+        # chordality is checked before connectivity, over the whole graph
+        with pytest.raises(NotChordalError) as info:
+            Uccg.from_edges((10, 11, 12, 13, 14, 15), helpers.cycle_edges(4) + [(4, 5)])
+        assert info.value.labels == (10, 11, 12, 13, 14, 15)
 
     def test_immutable(self):
         g = helpers.path_graph(3)

@@ -12,17 +12,25 @@ Core claims:
     - the counter's exploration plans, and so the sampler models, are
       identical with and without a seed, complete subgraphs included, on
       the corpus and on hypothesis chordal graphs
+    - a seed draws each subgraph's tree from a generator of its own, seeded
+      from the seed and the subgraph's mask, so a seeded model is the same
+      in every process
     - exploring builds no graph besides its root: subgraphs are masks, and
       a mask read through the root's neighborhoods is the induced subgraph
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import mectools
 from mectools import Uccg, chordal, counting, precount
 from mectools.chordal import clique_tree, lbfs
 from mectools.subproblems import components_by_traversal
@@ -139,10 +147,49 @@ def test_seeded_models_of_a_graph_with_complete_subgraphs():
         assert records_of(precount(g, seed=seed)) == helpers.list_engine_plans(g, seed)
 
 
+def test_a_seeded_entry_holds_the_tree_of_its_own_generator():
+    for g in (gen_interval(30, 11), gen_subtree(60, 4, 6), gen_peo(80, 3, 7)):
+        for seed in (0, 5):
+            for key, entry in counting.explore(g, seed).entries.items():
+                t = clique_tree(g, random.Random(f"{seed} {key}"), key)
+                want = [tuple(mask_bits(t.cliques[idx])) for idx in t.order]
+                assert [r.clique for r in entry.records] == want
+
+
+SEEDED_MODEL = """
+from mectools import counting
+from mectools.generators import gen_subtree
+model = counting.explore(gen_subtree(60, 4, 6), 7)
+print([(key, [(r.clique, r.chain, tuple(r.child_keys), r.phi) for r in entry.records])
+       for key, entry in model.entries.items()])
+"""
+
+
+def test_a_seeded_model_is_the_same_in_every_process():
+    src = str(Path(mectools.__file__).resolve().parent.parent)
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", SEEDED_MODEL],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hashseed},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for hashseed in ("1", "2")
+    ]
+    assert out[0] == out[1] and out[0].startswith("[(")
+
+
 def test_complete_graph_is_one_plan_node():
     g = helpers.complete_graph(7)
     assert records_of(counting.explore(g))[g.labels] == ((5040, g.labels, (), ()),)
     assert precount(g).total == 5040
+
+
+def drew_like_the_sweep(fast: random.Random, swept: random.Random, seed: int, tree) -> bool:
+    """A tree of more than one clique draws from its generator what its
+    sweep drew; a complete graph's one-clique tree draws nothing."""
+    if len(tree.cliques) > 1:
+        return fast.random() == swept.random()
+    return fast.getstate() == random.Random(seed).getstate()
 
 
 def test_clique_trees_match_the_oracle():
@@ -155,7 +202,7 @@ def test_clique_trees_match_the_oracle():
             )
             assert clique_tree(g, rng=fast) == want
             if seed is not None:
-                assert fast.random() == swept.random()
+                assert drew_like_the_sweep(fast, swept, seed, want)
         # with the unseeded sweeps of every explored subgraph kept on g, a
         # seeded tree neither reads them nor keeps its own sweep
         precount(g)
@@ -163,11 +210,11 @@ def test_clique_trees_match_the_oracle():
         fast, swept = random.Random(0), random.Random(0)
         want = helpers.list_clique_tree_of_sweep(g, helpers.list_lbfs_order(g, swept), swept)
         assert clique_tree(g, rng=fast) == want
-        assert fast.random() == swept.random()
+        assert drew_like_the_sweep(fast, swept, 0, want)
         assert g._sweeps == kept
 
 
-def test_clique_tree_of_a_complete_graph_draws_like_its_sweep():
+def test_clique_tree_of_a_complete_graph_matches_its_sweep_and_draws_nothing():
     for n in (1, 2, 3, 8):
         g = helpers.complete_graph(n)
         for seed in range(4):
@@ -177,7 +224,7 @@ def test_clique_tree_of_a_complete_graph_draws_like_its_sweep():
                 g, helpers.list_lbfs_order(g, swept), swept
             )
             assert got == want
-            assert fast.random() == swept.random()
+            assert drew_like_the_sweep(fast, swept, seed, want)
 
 
 def test_memo_hits_never_build_adjacency(monkeypatch):

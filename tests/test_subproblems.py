@@ -311,6 +311,12 @@ class TestComponents:
         swapped = counting.CliqueRecord(r.clique, r.chain, keys[::-1], r.phi)
         assert swapped != r and counting.CliqueRecord(r.clique, r.chain, keys, r.phi) == r
 
+    def test_a_seeded_explore_orders_no_child_keys(self, monkeypatch):
+        calls = ordering_spy(monkeypatch)
+        for g in (gen_subtree(60, 4, 2), gen_interval(40, 1)):
+            counting.explore(g, 3)
+        assert calls == []
+
     def test_precount_orders_every_record_and_draws_order_none(self, monkeypatch):
         g = gen_subtree(60, 4, 2)
         calls = ordering_spy(monkeypatch)
