@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 from operator import attrgetter
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
-from ._partition import mask_bits
 from .chordal import CliqueTree, clique_tree
 from .graphs import PartialGraph, Uccg, _split
 from .subproblems import Components, Region, components_after_clique, tree_regions
@@ -71,11 +70,11 @@ def _phi_sizes(total: int, sizes: Sequence[int]) -> int:
     return result
 
 
-# a strictly nested chain of forbidden prefix sets X_1 < X_2 < ... < X_l
-Chain = Tuple[Tuple[int, ...], ...]
+# strictly nested forbidden prefix sets X_1 < X_2 < ... < X_l, as vertex masks
+Chain = tuple[int, ...]
 
 
-def fp_chains(t: CliqueTree) -> tuple[tuple[int, ...], ...]:
+def fp_chains(t: CliqueTree) -> tuple[Chain, ...]:
     """Per-node forbidden-prefix chains of a rooted clique tree, as vertex
     masks.
 
@@ -83,7 +82,7 @@ def fp_chains(t: CliqueTree) -> tuple[tuple[int, ...], ...]:
     subsets of its clique, in path order; these are automatically nested.
     The root gets the empty chain.
     """
-    chains: list[tuple[int, ...]] = [()] * len(t.cliques)
+    chains: list[Chain] = [()] * len(t.cliques)
     for x in t.order[1:]:
         c = t.cliques[x]
         kept = [s for s in chains[t.parent[x]] if s & c == s]
@@ -99,17 +98,18 @@ def fp_chains(t: CliqueTree) -> tuple[tuple[int, ...], ...]:
 class CliqueRecord:
     """One clique-tree node of an explored subgraph.
 
-    ``clique`` and ``chain`` (its forbidden prefix sets) are sorted tuples of
-    the root's local vertices; ``child_keys`` are the components left
-    undirected once the clique is fixed, as vertex masks over the same
-    vertices, in recording order: ``()`` for a complete subgraph, else the
-    :class:`~mectools.subproblems.Components` that :func:`explore` made,
-    which :func:`~mectools.sampling.precount` replaces by their tuple.
+    ``clique`` and ``chain`` (its forbidden prefix sets) are the tree node's
+    clique and :func:`fp_chains` entry as built, masks over the root's local
+    vertices; ``child_keys`` are the components left undirected once the
+    clique is fixed, as masks too, in recording order: ``()`` for a complete
+    subgraph, else the :class:`~mectools.subproblems.Components` that
+    :func:`explore` made, which :func:`~mectools.sampling.precount` replaces
+    by their tuple.
     ``phi`` counts the clique's permutations that avoid the chain.  Records
     are equal when these four fields are, child keys in order.
     """
 
-    clique: tuple[int, ...]
+    clique: int
     chain: Chain
     child_keys: tuple[Key, ...] | Components
     phi: int
@@ -214,13 +214,10 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(f"deadline passed with {len(records_of)} subgraphs explored "
                                    f"and {len(records)} of {len(t.cliques)} records of the next done")
-            clique = t.cliques[idx]
-            child_keys = () if regions is None else components_after_clique(clique, regions[idx])
-            chain = chains[idx]
+            clique, chain = t.cliques[idx], chains[idx]
             records.append(CliqueRecord(
-                tuple(mask_bits(clique)),
-                tuple(tuple(mask_bits(s)) for s in chain),
-                child_keys,
+                clique, chain,
+                () if regions is None else components_after_clique(clique, regions[idx]),
                 _phi_sizes(clique.bit_count(), [s.bit_count() for s in chain]),
             ))
         heads = None if regions is None else [regions[idx] for idx in t.order]

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from ._partition import mask_bits
 from .counting import Chain, CliqueRecord, Key, SamplerModel, _phi_sizes, explore
 from .graphs import Dag, PartialGraph, Uccg, _are_components_of, _require_cpdag, orient_by_ordering
 
@@ -49,8 +50,8 @@ def draw_clique(model: SamplerModel, key: Key, rng: random.Random) -> CliqueReco
     return entry.records[bisect_right(entry.cumulative, r)]
 
 
-def draw_perm(clique: Iterable[int], chain: Chain, rng: random.Random) -> tuple[int, ...]:
-    """Uniform permutation of ``clique`` having no chain element as a prefix.
+def draw_perm(clique: int, chain: Chain, rng: random.Random) -> tuple[int, ...]:
+    """Uniform permutation of the mask ``clique`` with no ``chain`` mask as prefix.
 
     The chain must be strictly nested and consist of proper subsets of the
     clique (then at least one admissible permutation exists), as
@@ -60,15 +61,16 @@ def draw_perm(clique: Iterable[int], chain: Chain, rng: random.Random) -> tuple[
     position is drawn with exact integer weights, the numbers of completions,
     which depend only on that suffix and the chain sizes.
     """
-    remaining = sorted(clique)
     if not chain:  # every order is admissible
+        remaining = mask_bits(clique)
         rng.shuffle(remaining)
         return tuple(remaining)
     ell = len(chain)
-    sizes = [len(x) for x in chain]
-    smallest = dict.fromkeys(remaining, ell)
-    for i in range(ell - 1, -1, -1):
-        smallest.update(dict.fromkeys(chain[i], i))
+    sizes = [x.bit_count() for x in chain]
+    smallest: dict[int, int] = {}
+    for i, (x, prev) in enumerate(zip(chain + (clique,), (0,) + chain)):
+        smallest.update(dict.fromkeys(mask_bits(x ^ prev), i))
+    remaining = sorted(smallest)
     out: list[int] = []
     suffix = 0
     # φ of the remaining vertices under the active chain suffix: the whole

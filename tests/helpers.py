@@ -35,6 +35,12 @@ def vertex_mask(vertices) -> int:
     return sum(1 << v for v in vertices)
 
 
+def record_vertices(record) -> tuple[list[int], list[list[int]]]:
+    """A clique record's clique and chain masks as increasing vertex lists,
+    the inputs of the list-based oracles."""
+    return mask_bits(record.clique), [mask_bits(x) for x in record.chain]
+
+
 def path_graph(n: int) -> Uccg:
     return Uccg.from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
 
@@ -433,7 +439,7 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
             if weight == 0:
                 continue
             p_rec = Fraction(weight, entry.total)
-            for perm, p_perm in perm_paths(record.clique, record.chain):
+            for perm, p_perm in perm_paths(*record_vertices(record)):
                 stack = [(0, perm, p_rec * p_perm)]
                 while stack:
                     i, tau, prob = stack.pop()
@@ -662,7 +668,7 @@ def table_draw_order(model: SamplerModel, rng: random.Random) -> list[int]:
     while stack:
         entry = model.entries[stack.pop()]
         record = entry.records[bisect.bisect_right(entry.cumulative, rng.randrange(entry.total))]
-        tau.extend(table_draw_perm(record.clique, record.chain, rng))
+        tau.extend(table_draw_perm(*record_vertices(record), rng))
         stack.extend(reversed(record.child_keys))
     return tau
 

@@ -390,7 +390,9 @@ def test_model_totals_match_the_oracles_on_chordal_graphs(g, seeds):
 
 def test_records_are_root_local_on_relabelled_components():
     # components of a many-component CPDAG keep their global labels, which
-    # are not 0..n-1; every record lies inside its key's root-local mask
+    # are not 0..n-1; every record's clique is a mask inside its key's
+    # root-local mask, and its chain a strictly nested run of masks of proper
+    # subsets of the clique
     checked = 0
     for seed in range(4):
         for comp in undirected_components(helpers.many_component_cpdag(seed)):
@@ -398,11 +400,10 @@ def test_records_are_root_local_on_relabelled_components():
                 continue
             for key, entry in precount(comp).entries.items():
                 for r in entry.records:
-                    clique = helpers.vertex_mask(r.clique)
-                    assert clique & key == clique and list(r.clique) == mask_bits(clique)
-                    for x in r.chain:
-                        s = helpers.vertex_mask(x)
-                        assert s & clique == s and list(x) == mask_bits(s)
+                    assert type(r.clique) is int and r.clique & key == r.clique
+                    assert type(r.chain) is tuple and all(type(x) is int for x in r.chain)
+                    for inner, outer in zip(r.chain, r.chain[1:] + (r.clique,)):
+                        assert inner & outer == inner != outer
                     checked += 1
     assert checked > 100
 

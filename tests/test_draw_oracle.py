@@ -59,8 +59,9 @@ def test_draw_perm_matches_the_table_oracle_on_long_nested_chains():
                 chain = nested_chain(rng, clique, length)
                 seed = rng.randrange(2**31)
                 fast, slow = random.Random(seed), random.Random(seed)
+                masks = helpers.vertex_mask(clique), tuple(map(helpers.vertex_mask, chain))
                 for _ in range(5):
-                    perm = draw_perm(clique, chain, fast)
+                    perm = draw_perm(*masks, fast)
                     assert perm == helpers.table_draw_perm(clique, chain, slow)
                     assert all(set(perm[: len(x)]) != set(x) for x in chain)
                 assert fast.random() == slow.random()

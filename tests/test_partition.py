@@ -33,6 +33,7 @@ import helpers
 import mectools
 from mectools import Uccg, chordal, counting, precount
 from mectools.chordal import clique_tree, lbfs
+from mectools.counting import fp_chains
 from mectools.subproblems import components_by_traversal
 from mectools._partition import adjacency_masks, mask_bits, refine_traversal
 from mectools.generators import _prufer_tree, gen_interval, gen_peo, gen_subtree
@@ -114,14 +115,13 @@ def records_of(model) -> dict:
     def labels(key):
         return helpers.labels_of(model.root, key)
 
+    def vertices(r):
+        clique, chain = helpers.record_vertices(r)
+        return tuple(map(label, clique)), tuple(tuple(map(label, x)) for x in chain)
+
     return {
         labels(key): tuple(
-            (
-                r.phi,
-                tuple(map(label, r.clique)),
-                tuple(tuple(map(label, x)) for x in r.chain),
-                tuple(map(labels, r.child_keys)),
-            )
+            (r.phi, *vertices(r), tuple(map(labels, r.child_keys)))
             for r in entry.records
         )
         for key, entry in model.entries.items()
@@ -152,8 +152,9 @@ def test_a_seeded_entry_holds_the_tree_of_its_own_generator():
         for seed in (0, 5):
             for key, entry in counting.explore(g, seed).entries.items():
                 t = clique_tree(g, random.Random(f"{seed} {key}"), key)
-                want = [tuple(mask_bits(t.cliques[idx])) for idx in t.order]
-                assert [r.clique for r in entry.records] == want
+                chains = fp_chains(t)
+                assert [r.clique for r in entry.records] == [t.cliques[i] for i in t.order]
+                assert [r.chain for r in entry.records] == [chains[i] for i in t.order]
 
 
 SEEDED_MODEL = """

@@ -89,7 +89,7 @@ class TestDrawClique:
         key = helpers.key_of(model, g.labels)
         rng = random.Random(0)
         for _ in range(20):
-            assert draw_clique(model, key, rng).clique == (0, 1, 2, 3)
+            assert draw_clique(model, key, rng).clique == 0b1111
 
     def test_frequencies_match_weights(self):
         g = helpers.three_clique_chain()
@@ -114,12 +114,12 @@ class TestDrawPerm:
     def test_two_vertex_forced(self):
         rng = random.Random(1)
         for _ in range(10):
-            assert draw_perm(("a", "b"), [("a",)], rng) == ("b", "a")
+            assert draw_perm(0b11, (0b01,), rng) == (1, 0)
 
     def test_unconstrained_uniform(self):
         rng = random.Random(2)
         draws = 6000
-        counts = Counter(draw_perm((1, 2, 3), [], rng) for _ in range(draws))
+        counts = Counter(draw_perm(0b1110, (), rng) for _ in range(draws))
         assert set(counts) == set(itertools.permutations((1, 2, 3)))
         for perm in counts:
             assert abs(counts[perm] / draws - 1 / 6) < 0.05
@@ -134,8 +134,9 @@ class TestDrawPerm:
         assert (3, 5, 4, 2) in admissible
         rng = random.Random(3)
         draws = 16000
+        m = helpers.vertex_mask
         counts = Counter(
-            draw_perm((2, 3, 4, 5), [(2, 3), (2, 3, 5)], rng) for _ in range(draws)
+            draw_perm(m((2, 3, 4, 5)), (m((2, 3)), m((2, 3, 5))), rng) for _ in range(draws)
         )
         assert set(counts) == admissible
         p = 1 / 16
@@ -145,9 +146,9 @@ class TestDrawPerm:
 
     def test_never_emits_forbidden_prefix(self):
         rng = random.Random(4)
-        chain = [(0, 1), (0, 1, 2)]
+        chain = (0b0011, 0b0111)
         for _ in range(500):
-            perm = draw_perm((0, 1, 2, 3), chain, rng)
+            perm = draw_perm(0b1111, chain, rng)
             assert set(perm[:2]) != {0, 1}
             assert set(perm[:3]) != {0, 1, 2}
 

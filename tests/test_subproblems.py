@@ -168,7 +168,7 @@ def assert_child_keys_match_the_traversal(g, seed) -> int:
     read = 0
     for key, entry in precount(g, seed).entries.items():
         for r in entry.records:
-            want = components_by_traversal(g, helpers.vertex_mask(r.clique), key)
+            want = components_by_traversal(g, r.clique, key)
             assert r.child_keys == tuple(want)
             read += len(entry.records) > 1
     return read
@@ -295,7 +295,7 @@ class TestComponents:
         assert all(type(r) is counting.CliqueRecord
                    for e in model.entries.values() for r in e.records)
         records = [
-            (r, components_by_traversal(g, helpers.vertex_mask(r.clique), k))
+            (r, components_by_traversal(g, r.clique, k))
             for k, e in model.entries.items() for r in e.records if len(e.records) > 1
         ]
         # an explored record holds its Components, whose length is known

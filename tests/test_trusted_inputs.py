@@ -77,8 +77,9 @@ def check_explored(g: Uccg, seed) -> None:
         # records are in the root's local vertices; h numbers the key's bits
         local = {v: i for i, v in enumerate(mask_bits(key))}
         for record in entry.records:
-            helpers.check_clique(h, [local[v] for v in record.clique])
-            helpers.validate_chain(frozenset(record.clique), record.chain)
+            clique, chain = helpers.record_vertices(record)
+            helpers.check_clique(h, [local[v] for v in clique])
+            helpers.validate_chain(frozenset(clique), chain)
             assert all(child in model.entries for child in record.child_keys)
 
 
