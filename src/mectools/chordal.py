@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._partition import mask_bits, refine_traversal
+from ._partition import refine_traversal
 
 if TYPE_CHECKING:
     from .graphs import Uccg
@@ -88,10 +89,13 @@ def clique_tree(g: "Uccg", rng: random.Random | None = None, sub: int | None = N
     if not sub:
         raise ValueError("empty graph has no clique tree")
     masks = g.adj_masks
-    verts = mask_bits(sub)
-    if all((masks[v] | 1 << v) & sub == sub for v in verts):
-        return CliqueTree((sub,), (0,), (None,), (0,), ((),))
-    return _clique_tree_of_sweep(g, lbfs(g, rng, sub), rng)
+    rest = sub
+    while rest:
+        low = rest & -rest
+        if (masks[low.bit_length() - 1] | low) & sub != sub:
+            return _clique_tree_of_sweep(g, lbfs(g, rng, sub), rng)
+        rest ^= low
+    return CliqueTree((sub,), (0,), (None,), (0,), ((),))
 
 
 def _cliques_of_sweep(
@@ -111,24 +115,29 @@ def _cliques_of_sweep(
     is a clique and the reversed sweep is a perfect elimination ordering.
     The first vertex of a further component has ``E`` empty and attaches
     to -1.
+
+    No vertex of ``E`` is listed: the clique a vertex joins never decreases
+    along the sweep, so ``a`` is the least ``i`` whose prefix ``upto[i]``,
+    the vertices visited by the end of clique ``i``, holds ``E``, found by
+    binary search over the prefixes of the closed cliques; if none holds
+    ``E``, ``a`` is the running clique.
     """
     masks = g.adj_masks
     visited = 0
     cliques = [0]  # the last one is the running clique
+    upto: list[int] = []  # upto[i]: the vertices visited by the end of closed clique i
     attach: list[int] = []
-    # the clique each vertex joined on its visit, non-decreasing along the sweep
-    clique_of = [0] * g.n
     for v in sweep:
         bit = 1 << v
         earlier = masks[v] & visited
         if earlier != cliques[-1]:
-            a = max(map(clique_of.__getitem__, mask_bits(earlier)), default=-1)
+            a = bisect_left(upto, True, key=lambda u: earlier & u == earlier) if earlier else -1
             if earlier | cliques[a] != cliques[a]:
                 return None
             attach.append(a)
+            upto.append(visited)
             cliques.append(0)
         cliques[-1] = earlier | bit
-        clique_of[v] = len(cliques) - 1
         visited |= bit
     return cliques, attach
 

@@ -439,14 +439,16 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
             if weight == 0:
                 continue
             p_rec = Fraction(weight, entry.total)
+            # a bare explore model keeps a Components, which is not indexable
+            child_keys = tuple(record.child_keys)
             for perm, p_perm in perm_paths(*record_vertices(record)):
                 stack = [(0, perm, p_rec * p_perm)]
                 while stack:
                     i, tau, prob = stack.pop()
-                    if i == len(record.child_keys):
+                    if i == len(child_keys):
                         yield tau, prob
                         continue
-                    for sub_tau, sub_p in key_paths(record.child_keys[i]):
+                    for sub_tau, sub_p in key_paths(child_keys[i]):
                         stack.append((i + 1, tau + sub_tau, prob * sub_p))
 
     dist: dict[frozenset, Fraction] = {}
@@ -908,6 +910,31 @@ def list_is_peo(g: Uccg, rho: Sequence[int]) -> bool:
             if w != m:
                 req.append(w)
     return True
+
+
+def per_vertex_cliques_of_sweep(g: Uccg, sweep: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """The oracle for ``mectools.chordal._cliques_of_sweep``: the same runs
+    of the sweep, but each new clique attaches to the largest ``clique_of``
+    among its earlier neighbors, read vertex by vertex, where ``clique_of[w]``
+    is the clique ``w`` joined on its visit."""
+    masks = g.adj_masks
+    visited = 0
+    cliques = [0]
+    attach: list[int] = []
+    clique_of = [0] * g.n
+    for v in sweep:
+        bit = 1 << v
+        earlier = masks[v] & visited
+        if earlier != cliques[-1]:
+            a = max(map(clique_of.__getitem__, mask_bits(earlier)), default=-1)
+            if earlier | cliques[a] != cliques[a]:
+                return None
+            attach.append(a)
+            cliques.append(0)
+        cliques[-1] = earlier | bit
+        clique_of[v] = len(cliques) - 1
+        visited |= bit
+    return cliques, attach
 
 
 def list_clique_tree_of_sweep(

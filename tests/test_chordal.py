@@ -8,6 +8,11 @@ Core claims:
     - clique trees satisfy the induced-subtree property, enumerate exactly the
       maximal cliques, and carry the minimal separators on their edges;
       clique_tree rejects non-chordal and disconnected graphs
+    - the clique sweep's prefix search attaches each clique where the
+      per-vertex rule of helpers.per_vertex_cliques_of_sweep does, and fails
+      exactly on non-chordal graphs
+    - clique_tree takes its one-clique path exactly on complete subgraphs,
+      and then draws nothing from its rng
     - none of this depends on tie-breaking or root seeds
 """
 
@@ -20,7 +25,7 @@ from hypothesis import strategies as st
 
 import helpers
 from mectools import NotChordalError, Uccg, is_chordal
-from mectools.chordal import clique_tree, lbfs
+from mectools.chordal import _cliques_of_sweep, clique_tree, lbfs
 
 
 def peo_by_definition(g: Uccg, rho) -> bool:
@@ -275,3 +280,86 @@ class TestCliqueTree:
         g = helpers.unchecked_uccg(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="not connected"):
             clique_tree(g)
+
+
+def sweep_agrees(g: Uccg, sweep) -> tuple[list[int], list[int]] | None:
+    found = _cliques_of_sweep(g, sweep)
+    assert found == helpers.per_vertex_cliques_of_sweep(g, sweep)
+    return found
+
+
+class TestCliquesOfSweep:
+    def test_corpus_sweeps(self):
+        for g in helpers.random_chordal_corpus(40, 2, 30, seed=41):
+            for rng in (None, random.Random(g.n), random.Random(g.m)):
+                found = sweep_agrees(g, lbfs(g, rng))
+                assert found is not None and -1 not in found[1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(helpers.chordal_graphs(), st.integers(0, 2**16))
+    def test_generated_chordal_graphs(self, g, seed):
+        for rng in (None, random.Random(seed)):
+            assert sweep_agrees(g, lbfs(g, rng)) is not None
+
+    def test_each_further_component_attaches_to_minus_one(self):
+        parts = helpers.random_chordal_corpus(12, 1, 8, seed=43)
+        rng = random.Random(43)
+        for i in range(0, len(parts), 3):
+            group = parts[i : i + 3]
+            n = sum(p.n for p in group)
+            ids = list(range(n))
+            rng.shuffle(ids)  # the components interleave in vertex order
+            edges, base = [], 0
+            for p in group:
+                edges += [(ids[base + u], ids[base + v]) for u, v in p.edges()]
+                base += p.n
+            g = helpers.unchecked_uccg(n, edges)
+            for sweep_rng in (None, random.Random(i)):
+                _, attach = sweep_agrees(g, lbfs(g, sweep_rng))
+                assert attach.count(-1) == len(group) - 1
+
+    def test_none_exactly_on_cycles_with_and_without_a_chord(self):
+        for n in range(4, 9):
+            for chord in [None, *((0, j) for j in range(2, n - 1))]:
+                edges = helpers.cycle_edges(n) + ([chord] if chord else [])
+                g = helpers.unchecked_uccg(n, edges)
+                chordal = helpers.list_is_peo(g, helpers.list_lbfs_order(g)[::-1])
+                assert chordal == (n == 4 and chord is not None)
+                for rng in (None, random.Random(n)):
+                    assert (sweep_agrees(g, lbfs(g, rng)) is not None) == chordal
+
+
+class TestCompleteness:
+    def test_one_clique_tree_exactly_on_complete_subgraphs(self):
+        graphs = [
+            helpers.three_clique_chain(),
+            helpers.clique_chain_7(),
+            helpers.diamond_with_chord(),
+            helpers.complete_graph(6),
+            *helpers.random_chordal_corpus(6, 3, 7, seed=47),
+        ]
+        for g in graphs:
+            for sub in range(1, 1 << g.n):
+                verts = [v for v in range(g.n) if sub >> v & 1]
+                complete = all(b in g.adj[a] for a, b in itertools.combinations(verts, 2))
+                rng = random.Random(sub)
+                state = rng.getstate()
+                try:
+                    t = clique_tree(g, rng, sub)
+                except ValueError:  # a disconnected subgraph
+                    assert not complete
+                    continue
+                assert (t.cliques == (sub,)) == complete
+                assert (rng.getstate() == state) == complete
+
+    def test_complete_graph_minus_one_edge(self):
+        # the missing edge at the lowest vertex, which the test reads first,
+        # and at the highest, which it reads last
+        for k in range(3, 7):
+            full = (1 << k) - 1
+            for gone in {(0, 1), (0, k - 1), (1, k - 1), (k - 2, k - 1)}:
+                g = helpers.unchecked_uccg(
+                    k, [e for e in itertools.combinations(range(k), 2) if e != gone]
+                )
+                t = clique_tree(g)
+                assert sorted(t.cliques) == sorted(full ^ 1 << v for v in gone)

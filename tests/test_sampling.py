@@ -7,7 +7,8 @@ Core claims:
     - sample_amo yields valid orientations (skeleton preserved, acyclic by an
       independent Kahn check, no v-structures) with exactly uniform
       probabilities, verified symbolically on small graphs and statistically
-      on the 54-orientation graph
+      on the 54-orientation graph, from a precount model and from a bare
+      explore model alike
     - every CPDAG draw passes the independent Kahn check
     - identical seeds reproduce identical sample sequences
     - a CPDAG draw built as one DAG equals the per-component assembly, draw
@@ -35,7 +36,9 @@ from mectools import (
     undirected_components,
     v_structures,
 )
+from mectools.counting import explore
 from mectools.sampling import ModelMismatchError, draw_clique, draw_perm, sample_amo
+from mectools.subproblems import Components
 
 
 def models_of(pg: PartialGraph) -> list:
@@ -211,6 +214,20 @@ class TestSampleAmo:
             assert len(dist) == total
             assert all(p == Fraction(1, total) for p in dist.values())
             assert dist.keys() == {d.edge_set() for d in enumerate_amos(g)}
+
+    def test_exact_distribution_of_a_bare_explore_model(self):
+        # explore leaves each record's child keys as a Components, which the
+        # oracle reads as a tuple; its distribution is precount's
+        graphs = [helpers.three_clique_chain(), helpers.path_graph(5)]
+        graphs += helpers.random_chordal_corpus(4, 3, 6, seed=139)
+        unordered = 0
+        for g in graphs:
+            model = explore(g)
+            records = [r for e in model.entries.values() for r in e.records]
+            unordered += sum(isinstance(r.child_keys, Components) for r in records)
+            dist = helpers.exact_sampler_distribution(g, model)
+            assert dist == helpers.exact_sampler_distribution(g, precount(g))
+        assert unordered
 
     def test_deterministic_under_seed(self):
         g = helpers.three_clique_chain()
