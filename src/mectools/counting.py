@@ -16,8 +16,8 @@ which grow as n^2 on sparse trees.
 
 :func:`explore` runs this once and keeps every node as one record, in the
 root's local vertices, in a :class:`SamplerModel`: the counters read its
-totals, and the sampler draws from its records, whose subgraphs are put in
-the traversal's order when first read.
+totals, and the sampler draws from its records, each of which puts its
+subgraphs in the traversal's order when a draw first reads it.
 """
 
 from __future__ import annotations
@@ -103,15 +103,15 @@ class CliqueRecord:
     vertices; ``child_keys`` are the components left undirected once the
     clique is fixed, as masks too, in recording order: ``()`` for a complete
     subgraph, else the :class:`~mectools.subproblems.Components` that
-    :func:`explore` made, which :func:`~mectools.sampling.precount` replaces
-    by their tuple.
+    :func:`explore` made, which order themselves when first read, as a draw
+    reads those of the records it reaches.
     ``phi`` counts the clique's permutations that avoid the chain.  Records
     are equal when these four fields are, child keys in order.
     """
 
     clique: int
     chain: Chain
-    child_keys: tuple[Key, ...] | Components
+    child_keys: tuple[()] | Components
     phi: int
 
 

@@ -1,19 +1,19 @@
 """Uniform sampling of acyclic moral orientations.
 
 The sampler reads the model that the counter builds
-(:func:`~mectools.counting.explore`; :func:`precount` is it with every
-record's components ordered): per explored subgraph, the clique-tree nodes'
-records and running weight sums (a weight is a node's permutation count
-times the counts of its components).  A sample walks these records: draw a
-clique proportional to its weight, draw an admissible permutation of it,
-recurse on the components.  All weights are exact big integers; clique
-draws use cumulative sums with binary search rather than a real-valued
-alias table, which would lose exactness to rounding.  Random numbers come
-from a caller-supplied ``random.Random`` (Mersenne Twister), so fixed seeds
-reproduce exact sample sequences.  Every draw is a topological ordering, one
-drawn per undirected component in its local vertices, relabelled and
-concatenated; :func:`~mectools.graphs.orient_by_ordering` turns it into the
-DAG.
+(:func:`~mectools.counting.explore`, which :func:`precount` returns): per
+explored subgraph, the clique-tree nodes' records and running weight sums (a
+weight is a node's permutation count times the counts of its components).  A
+sample walks these records: draw a clique proportional to its weight, draw
+an admissible permutation of it, recurse on the components, which a record
+orders when a draw first reads it.  All weights are exact big integers;
+clique draws use cumulative sums with binary search rather than a
+real-valued alias table, which would lose exactness to rounding.  Random
+numbers come from a caller-supplied ``random.Random`` (Mersenne Twister), so
+fixed seeds reproduce exact sample sequences.  Every draw is a topological
+ordering, one drawn per undirected component in its local vertices,
+relabelled and concatenated; :func:`~mectools.graphs.orient_by_ordering`
+turns it into the DAG.
 """
 
 from __future__ import annotations
@@ -32,15 +32,10 @@ class ModelMismatchError(ValueError):
 
 
 def precount(g: Uccg, seed: int | None = None) -> SamplerModel:
-    """The model :func:`~mectools.counting.explore` builds for ``g``, with
-    every record's child keys replaced by their ordered tuple, so that no
-    draw orders them.  ``seed`` randomizes clique-tree construction."""
-    model = explore(g, seed)
-    for entry in model.entries.values():
-        for record in entry.records:
-            if record.child_keys:  # else the () of a complete subgraph
-                record.child_keys = record.child_keys.ordered()
-    return model
+    """The model :func:`~mectools.counting.explore` builds for ``g``: no
+    record's child keys are ordered until a draw first reads them.  ``seed``
+    randomizes clique-tree construction."""
+    return explore(g, seed)
 
 
 def draw_clique(model: SamplerModel, key: Key, rng: random.Random) -> CliqueRecord:

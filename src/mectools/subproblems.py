@@ -33,7 +33,7 @@ region depends only on its directed tree edge, so it is built once per tree,
 with the number of components it leads to.  A node's components number the
 sum over its heads, known at once; the visit times and the order of the
 labels are worked out per clique, and only when the components are first
-read, which a count never does.
+read: by a draw, once per record it reaches, and never by a count.
 """
 
 from __future__ import annotations
@@ -47,27 +47,28 @@ from .graphs import Uccg
 
 
 class Region:
-    """A head's region: its label S as a vertex mask, its pieces, and
-    ``keys``, the number of components it leads to (its pieces and,
+    """A head's region: its label S as a vertex mask, its pieces as a tuple,
+    and ``keys``, the number of components it leads to (its pieces and,
     recursively, those of the regions they open).
 
     A piece is its vertex mask, the LBFS order the traversal visits it in
     (None when that is index order, as in a complete piece) and the regions
-    of the heads it opens.  An opened head keeps no visit time: the
-    traversal keys it by the first vertex of the label it was opened under
-    when its own label holds that vertex, and looks its first vertex up
-    among the visited ones otherwise.
+    of the heads it opens, as a tuple (the shared ``()`` when none): a model
+    holds regions until its records are ordered, and tuples are small.  An
+    opened head keeps no visit time: the traversal keys it by the first
+    vertex of the label it was opened under when its own label holds that
+    vertex, and looks its first vertex up among the visited ones otherwise.
     """
 
     __slots__ = ("label", "pieces", "keys")
 
-    def __init__(self, label: int, pieces: list["Piece"], keys: int):
+    def __init__(self, label: int, pieces: tuple["Piece", ...], keys: int):
         self.label = label
         self.pieces = pieces
         self.keys = keys
 
 
-Piece = tuple[int, "tuple[int, ...] | None", list[Region]]
+Piece = tuple[int, "tuple[int, ...] | None", tuple[Region, ...]]
 
 
 def _emit_components(g: Uccg, blocks: list[int]) -> list[int]:
@@ -159,10 +160,10 @@ def tree_regions(g: Uccg, tree: CliqueTree) -> list[list[Region]]:
             x = union ^ s
             # one maximal clique minus S is complete; two never are
             order = None if one else lbfs(g, sub=x)
-            opens = [regions[edge] for edge in edges]
+            opens = tuple([regions[edge] for edge in edges])
             keys += sum(region.keys for region in opens)
             pieces.append((x, order, opens))
-        regions[(p, a)] = Region(s, pieces, keys)
+        regions[(p, a)] = Region(s, tuple(pieces), keys)
     return [[regions[(p, a)] for a in near] for p, near in enumerate(tree_adj)]
 
 

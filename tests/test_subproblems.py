@@ -12,8 +12,9 @@ Core claims:
       seeded or not
     - a node's components know their length before they are ordered, are
       ordered once, on the first read, and let their regions go, also when
-      two readers race; every record is a plain record, a count orders no
-      components and a precount replaces each by its tuple
+      two readers race; every record is a plain record, a count and a
+      precount order no components, a draw orders each record it reads once,
+      and threads that share a fresh model draw the streams of an ordered one
     - an unseeded exploration sweeps each subgraph that is not complete once;
       a count sweeps each component's root only in the split, and a second
       exploration of one graph object sweeps nothing
@@ -41,6 +42,7 @@ from mectools import (
     is_chordal,
     precount,
     sample_cpdag,
+    sampling,
     subproblems,
     undirected_components,
 )
@@ -317,20 +319,75 @@ class TestComponents:
             counting.explore(g, 3)
         assert calls == []
 
-    def test_precount_orders_every_record_and_draws_order_none(self, monkeypatch):
+    def draws(self, g, model, seed=1, n=20):
+        rng = random.Random(seed)
+        return [sample_cpdag(g.as_partial_graph(), [model], rng) for _ in range(n)]
+
+    def test_precount_orders_nothing_and_draws_order_what_they_read_once(self, monkeypatch):
         g = gen_subtree(60, 4, 2)
         calls = ordering_spy(monkeypatch)
         model = precount(g)
-        ordered = [r for e in model.entries.values() if len(e.records) > 1 for r in e.records]
-        assert len(calls) == len(ordered)
-        records = [r for e in model.entries.values() for r in e.records]
-        assert all(type(r) is counting.CliqueRecord for r in records)
-        assert all(type(r.child_keys) is tuple for r in records)
-        calls.clear()
-        rng = random.Random(1)
-        for _ in range(20):
-            sample_cpdag(g.as_partial_graph(), [model], rng)
         assert calls == []
+        read = []
+        real = sampling.draw_clique
+
+        def spy(model, key, rng):
+            read.append(real(model, key, rng))
+            return read[-1]
+
+        monkeypatch.setattr(sampling, "draw_clique", spy)
+        self.draws(g, model)
+        records = [r for e in model.entries.values() for r in e.records]
+        ordered = [r for r in records if r.child_keys and type(r.child_keys._keys) is tuple]
+        # the records ordered are those the draws read, each ordered once
+        assert {id(r) for r in ordered} == {id(r) for r in read if r.child_keys}
+        assert sorted(calls) == sorted(r.clique for r in ordered)
+        assert 0 < len(ordered) < sum(1 for r in records if r.child_keys)
+
+    def test_a_lazy_model_draws_the_stream_of_an_ordered_one(self):
+        for g in (gen_subtree(60, 4, 2), gen_interval(40, 1)):
+            for seed in (None, 3):
+                eager = precount(g, seed)
+                for e in eager.entries.values():
+                    for r in e.records:
+                        tuple(r.child_keys)
+                assert self.draws(g, precount(g, seed)) == self.draws(g, eager)
+
+    def test_precount_of_a_large_sparse_graph_orders_nothing(self, monkeypatch):
+        g = gen_peo(2000, 1, 1)
+        calls = ordering_spy(monkeypatch)
+        assert precount(g).total == count_cpdag(g.as_partial_graph())
+        assert calls == []
+
+    def test_threads_that_share_a_fresh_model_draw_their_own_streams(self):
+        # the first draws order the records they read while other threads
+        # read the same records, switching as often as the interpreter lets
+        # them; each stream is the one drawn alone from a model of its own.
+        # A race shows in some rounds only, so there are a few, each on a
+        # fresh model
+        g = gen_peo(100, 2, 1)
+        alone = [self.draws(g, precount(g), seed, 3) for seed in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                model = precount(g)
+                got: list = [None] * len(alone)
+                start = threading.Barrier(len(alone), timeout=10)
+
+                def draw(i):
+                    start.wait()
+                    got[i] = self.draws(g, model, i, 3)
+
+                threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(alone))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert got == alone
+        finally:
+            sys.setswitchinterval(old)
 
 
 def swept_during(monkeypatch, run):
