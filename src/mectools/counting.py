@@ -16,8 +16,8 @@ which grow as n^2 on sparse trees.
 
 :func:`explore` runs this once and keeps every node as one record, in the
 root's local vertices, in a :class:`SamplerModel`: the counters read its
-totals, and the sampler draws from its records, each of which puts its
-subgraphs in the traversal's order when a draw first reads it.
+totals, and the sampler draws from its records, each of which runs the
+traversal for its subgraphs' order when a draw first reads it.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class CliqueRecord:
     vertices; ``child_keys`` are the components left undirected once the
     clique is fixed, as masks too, in recording order: ``()`` for a complete
     subgraph, else the :class:`~mectools.subproblems.Components` that
-    :func:`explore` made, which order themselves when first read, as a draw
+    :func:`explore` made, which run the traversal when first read, as a draw
     reads those of the records it reaches.
     ``phi`` counts the clique's permutations that avoid the chain.  Records
     are equal when these four fields are, child keys in order.
@@ -163,7 +163,7 @@ def _region_weights(
     weights: Dict[Region, int] = {}
     for region in sorted((r for near in heads for r in near), key=attrgetter("keys")):
         w = 1
-        for x, _, opens in region.pieces:
+        for x, opens in region.pieces:
             w *= entries[x].total
             for opened in opens:
                 w *= weights[opened]
@@ -179,8 +179,8 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
     clique tree is a subgraph to explore.  Subgraphs are then evaluated by
     size, a record's weight being its ``phi`` times the weights of its
     node's regions, so no record's child keys are ordered; each record keeps
-    its :class:`~mectools.subproblems.Components`, which order themselves
-    when first read.  A ``seed`` randomizes clique-tree construction: each
+    its :class:`~mectools.subproblems.Components`, which know their length
+    and run the traversal when first read, and no region outlives the run.  A ``seed`` randomizes clique-tree construction: each
     subgraph's tree is drawn from a generator of its own, seeded from the
     seed and the subgraph's mask, so no tree depends on the order subgraphs
     are explored in; the counts are tree-invariant.  Uses explicit work
@@ -200,11 +200,11 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
         # str seeds hash with sha512, the same in every process
         t = clique_tree(g, None if seed is None else random.Random(f"{seed} {sub}"), sub)
         # a complete subgraph leaves nothing once its clique is fixed
-        regions = tree_regions(g, t) if len(t.cliques) > 1 else None
+        regions = tree_regions(t) if len(t.cliques) > 1 else None
         if regions is not None:
             for near in regions:
                 for region in near:
-                    for x, _, _ in region.pieces:
+                    for x, _ in region.pieces:
                         if x not in seen:
                             seen.add(x)
                             subs.append(x)
@@ -217,7 +217,7 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
             clique, chain = t.cliques[idx], chains[idx]
             records.append(CliqueRecord(
                 clique, chain,
-                () if regions is None else components_after_clique(clique, regions[idx]),
+                () if regions is None else components_after_clique(g, clique, sub, regions[idx]),
                 _phi_sizes(clique.bit_count(), [s.bit_count() for s in chain]),
             ))
         heads = None if regions is None else [regions[idx] for idx in t.order]

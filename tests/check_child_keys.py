@@ -1,19 +1,19 @@
-"""Check every clique record of the benchmark workloads against the traversal.
+"""Check the region counts of every clique record of the benchmark workloads.
 
     python tests/check_child_keys.py [SEED ...]
 
 Builds each workload of ``perfbench/workloads.py`` at seed 0 and at its
 default seed (or at the seeds given), parses it, explores every undirected
 component without a seed, as a count does, and then again with a seed, as
-the benchmark's recount does after its precount, and compares each record's
-``child_keys`` with what ``subproblems.components_by_traversal`` finds after
-its clique, in order.  It also judges the region products: the length of
-the record's ``Components``, known before they are ordered, must be the
-number of its child keys, and the record's step of its entry's
-``cumulative`` must be its ``phi`` times the totals of its child keys.  The
-seeded pass builds its trees from randomized sweeps and its regions from the
-sweeps the unseeded pass kept on the component.  Prints one line per
-workload, seed and pass; exits 1 if any record differs.
+the benchmark's recount does after its precount.  Per record it judges what
+the clique tree's regions give a count: the length of the record's
+``Components``, known before any ordering, must be the number of
+components ``subproblems.components_by_traversal`` finds after its clique,
+and the record's step of its entry's ``cumulative`` must be its ``phi``
+times the totals of those components.  A record orders its child keys with
+that same traversal, so the order is compared too, but only as a check that
+the record keeps what it ran.  Prints one line per workload, seed and pass;
+exits 1 if any record differs.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def check(name: str, seed: int) -> dict[str, list[int]]:
             for key, entry in entries.items():
                 steps = [b - a for a, b in zip((0,) + entry.cumulative, entry.cumulative)]
                 for r, step in zip(entry.records, steps):
-                    # an explored record holds its Components, unordered until read
+                    # read before the record is ordered: the regions' count
                     length = len(r.child_keys)
                     want = components_by_traversal(comp, r.clique, key)
                     tally[run][0] += 1

@@ -449,14 +449,15 @@ def test_complete_graph_minus_an_edge_matches_the_closed_form():
 def count_spied(monkeypatch, g) -> tuple[int, list[int], list[tuple[int, int]], list[int]]:
     """``count_cpdag`` of ``g``, with what it did: the length of every
     ``Components`` it made, per explored subgraph that is not complete its
-    clique count and region products, and its orderings of child keys."""
+    clique count and region products, and the cliques of the traversals its
+    ``Components`` ran to order child keys."""
     lengths, products, orderings = [], [], []
     real_step = counting.components_after_clique
     real_weights = counting._region_weights
-    real_order = subproblems._order_components
+    real_order = subproblems.components_by_traversal
 
-    def step(clique, heads):
-        comps = real_step(clique, heads)
+    def step(*args):
+        comps = real_step(*args)
         lengths.append(len(comps))
         return comps
 
@@ -465,14 +466,14 @@ def count_spied(monkeypatch, g) -> tuple[int, list[int], list[tuple[int, int]], 
         products.append((len(heads), len(out)))
         return out
 
-    def order(clique, heads):
+    def order(g, clique, sub=None):
         orderings.append(clique)
-        return real_order(clique, heads)
+        return real_order(g, clique, sub)
 
     with monkeypatch.context() as m:
         m.setattr(counting, "components_after_clique", step)
         m.setattr(counting, "_region_weights", weights)
-        m.setattr(subproblems, "_order_components", order)
+        m.setattr(subproblems, "components_by_traversal", order)
         total = count_cpdag(g.as_partial_graph())
     return total, lengths, products, orderings
 

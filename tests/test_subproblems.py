@@ -7,19 +7,21 @@ Core claims:
       orientations (small graphs)
     - outputs are disjoint connected chordal graphs covering V minus the
       clique
-    - the components read off a clique tree are the traversal's, in its
-      order, for every node of every clique tree an exploration builds,
-      seeded or not
-    - a node's components know their length before they are ordered, are
-      ordered once, on the first read, and let their regions go, also when
+    - the number of components read off a clique tree is the traversal's,
+      and a record's components are the traversal's, in its order, for
+      every node of every clique tree an exploration builds, seeded or not
+    - a node's components know their length before they are ordered, run
+      the traversal once, on the first read, and keep its order, also when
       two readers race; every record is a plain record, a count and a
       precount order no components, a draw orders each record it reads once,
-      and threads that share a fresh model draw the streams of an ordered one
-    - an unseeded exploration sweeps each subgraph that is not complete once;
-      a count sweeps each component's root only in the split, and a second
-      exploration of one graph object sweeps nothing
+      threads that share a fresh model draw the streams of an ordered one,
+      and a model holds no region
+    - an exploration, seeded or not, sweeps each subgraph that is not
+      complete once; a count sweeps each component's root only in the
+      split, and a second exploration of one graph object sweeps nothing
 """
 
+import gc
 import itertools
 import random
 import sys
@@ -171,6 +173,8 @@ def assert_child_keys_match_the_traversal(g, seed) -> int:
     for key, entry in precount(g, seed).entries.items():
         for r in entry.records:
             want = components_by_traversal(g, r.clique, key)
+            # the length comes from the regions, before any ordering
+            assert len(r.child_keys) == len(want)
             assert r.child_keys == tuple(want)
             read += len(entry.records) > 1
     return read
@@ -205,72 +209,77 @@ class TestChildKeysFromTheTree:
                 t = clique_tree(g, random.Random(seed))
                 if len(t.cliques) == 1:
                     continue
-                heads = tree_regions(g, t)
-                for clique, near in zip(t.cliques, heads):
+                root = (1 << g.n) - 1
+                for clique, near in zip(t.cliques, tree_regions(t)):
                     want = components_by_traversal(g, clique)
-                    assert list(components_after_clique(clique, near)) == want
+                    comps = components_after_clique(g, clique, root, near)
+                    assert len(comps) == len(want)
+                    assert list(comps) == want
 
     def test_blocks_of_equal_labels_come_by_lowest_vertex(self):
         # the star K_{1,4} on centre 2: fixing the edge {2, 0} leaves the
         # three leaves, one block of label {2}, by increasing vertex
         g = Uccg.from_edges(range(5), [(2, 0), (2, 1), (2, 3), (2, 4)])
         t = clique_tree(g)
-        heads = tree_regions(g, t)
-        node = t.cliques.index(0b00101)
-        assert list(components_after_clique(0b00101, heads[node])) == [0b00010, 0b01000, 0b10000]
+        heads = tree_regions(t)[t.cliques.index(0b00101)]
+        comps = components_after_clique(g, 0b00101, 0b11111, heads)
+        assert len(comps) == 3
+        assert list(comps) == [0b00010, 0b01000, 0b10000]
 
 
 def ordering_spy(monkeypatch) -> list[int]:
     """The cliques whose components are ordered from now on, one per
-    ordering."""
+    traversal a ``Components`` runs."""
     calls: list[int] = []
-    real = subproblems._order_components
+    real = subproblems.components_by_traversal
 
-    def spy(clique, heads):
+    def spy(g, clique, sub=None):
         calls.append(clique)
-        return real(clique, heads)
+        return real(g, clique, sub)
 
-    monkeypatch.setattr(subproblems, "_order_components", spy)
+    monkeypatch.setattr(subproblems, "components_by_traversal", spy)
     return calls
 
 
 class TestComponents:
     def nodes(self):
-        """Every node of an unseeded and a seeded tree of two graphs, with
-        its heads and the traversal's components."""
+        """Every node of an unseeded and a seeded tree of two graphs, as
+        the arguments of ``components_after_clique``, with the traversal's
+        components."""
         for g in (gen_subtree(60, 4, 2), gen_interval(40, 1)):
+            root = (1 << g.n) - 1
             for seed in (None, 3):
                 t = clique_tree(g, None if seed is None else random.Random(seed))
-                for clique, near in zip(t.cliques, tree_regions(g, t)):
-                    yield clique, near, components_by_traversal(g, clique)
+                for clique, near in zip(t.cliques, tree_regions(t)):
+                    yield (g, clique, root, near), components_by_traversal(g, clique)
 
     def test_the_length_is_known_before_any_ordering(self, monkeypatch):
         calls = ordering_spy(monkeypatch)
-        for clique, near, want in self.nodes():
-            assert len(components_after_clique(clique, near)) == len(want)
+        for args, want in self.nodes():
+            assert len(components_after_clique(*args)) == len(want)
         assert calls == []
 
-    def test_reads_order_once_and_let_the_heads_go(self, monkeypatch):
+    def test_the_order_is_computed_once_and_kept(self, monkeypatch):
         calls = ordering_spy(monkeypatch)
         nodes = list(self.nodes())
-        for clique, near, want in nodes:
-            comps = components_after_clique(clique, near)
+        for args, want in nodes:
+            comps = components_after_clique(*args)
             assert list(comps) == want
-            # the ordered tuple now holds the heads' slot
+            # the ordered tuple is kept in its slot, and read again from it
             assert comps._keys is comps.ordered() == tuple(want)
             assert list(comps) == want
             assert list(reversed(comps)) == want[::-1]
-        assert calls == [clique for clique, _, _ in nodes]
+        assert calls == [args[1] for args, _ in nodes]
 
     def test_readers_that_race_all_read_the_order(self):
         # more readers than cores, switching threads as often as the
-        # interpreter lets them: whichever of them orders, each reads the
-        # order, and none finds the heads gone and the order not yet kept
+        # interpreter lets them: whichever of them orders, each reads a
+        # whole order
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for clique, near, want in self.nodes():
-                comps = components_after_clique(clique, near)
+            for args, want in self.nodes():
+                comps = components_after_clique(*args)
                 got = []
                 start = threading.Barrier(8, timeout=10)
 
@@ -319,6 +328,16 @@ class TestComponents:
             counting.explore(g, 3)
         assert calls == []
 
+    def test_a_model_holds_no_region(self):
+        def live_regions():
+            gc.collect()
+            return sum(isinstance(o, subproblems.Region) for o in gc.get_objects())
+
+        before = live_regions()
+        model = counting.explore(gen_subtree(60, 4, 2))
+        assert live_regions() == before
+        assert sum(len(r.child_keys) for e in model.entries.values() for r in e.records) > 0
+
     def draws(self, g, model, seed=1, n=20):
         rng = random.Random(seed)
         return [sample_cpdag(g.as_partial_graph(), [model], rng) for _ in range(n)]
@@ -338,7 +357,7 @@ class TestComponents:
         monkeypatch.setattr(sampling, "draw_clique", spy)
         self.draws(g, model)
         records = [r for e in model.entries.values() for r in e.records]
-        ordered = [r for r in records if r.child_keys and type(r.child_keys._keys) is tuple]
+        ordered = [r for r in records if r.child_keys and r.child_keys._keys is not None]
         # the records ordered are those the draws read, each ordered once
         assert {id(r) for r in ordered} == {id(r) for r in read if r.child_keys}
         assert sorted(calls) == sorted(r.clique for r in ordered)
@@ -440,6 +459,16 @@ def test_an_unseeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(
         want += [(c.adj, k) for k, e in precount(c).entries.items()
                  if len(e.records) > 1 and k != root]
     assert sorted(calls, key=repr) == sorted(want, key=repr)
+
+
+def test_a_seeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(monkeypatch):
+    # each tree is built from a seeded sweep, which is never kept, and no
+    # other sweep runs: the root's kept one goes unread
+    g = gen_subtree(60, 4, 2)
+    model, calls = swept_during(monkeypatch, lambda: counting.explore(g, 3))
+    swept = [block for _, block in calls]
+    assert sorted(swept) == sorted(k for k, e in model.entries.items() if len(e.records) > 1)
+    assert len(swept) == 8
 
 
 def test_a_checked_graph_keeps_the_sweep_of_its_chordality_check(monkeypatch):
