@@ -18,12 +18,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-_shift = (1).__lshift__
-
-
 def adjacency_masks(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Neighborhood bitmask of every vertex of a list adjacency."""
-    return tuple(sum(map(_shift, row)) for row in adj)
+    # one bit per vertex, looked up rather than shifted per entry
+    bits = [1 << i for i in range(len(adj))]
+    return tuple(sum(map(bits.__getitem__, row)) for row in adj)
 
 
 def mask_bits(x: int) -> list[int]:

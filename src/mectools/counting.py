@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import prod
 from operator import attrgetter
@@ -53,20 +53,23 @@ def factorial(k: int) -> int:
 def _phi_sizes(total: int, sizes: Sequence[int]) -> int:
     """Permutations of a ``total``-set avoiding a nested chain of prefix sets.
 
-    Only the chain sizes matter once strict nesting holds.  A size <= 0 means
-    an empty forbidden prefix, which every permutation has, so 0 is returned.
+    Only the chain sizes matter once strict nesting holds; no size exceeds
+    ``total``.  A size <= 0 means an empty forbidden prefix, which every
+    permutation has, so 0 is returned.
     """
     if sizes and sizes[0] <= 0:
         return 0
+    factorial(total)
+    f = _FACT
     sub: list[int] = []
     for i, s in enumerate(sizes):
-        val = factorial(s)
+        val = f[s]
         for j in range(i):
-            val -= factorial(s - sizes[j]) * sub[j]
+            val -= f[s - sizes[j]] * sub[j]
         sub.append(val)
-    result = factorial(total)
+    result = f[total]
     for i, s in enumerate(sizes):
-        result -= factorial(total - s) * sub[i]
+        result -= f[total - s] * sub[i]
     return result
 
 
@@ -107,12 +110,17 @@ class CliqueRecord:
     reads those of the records it reaches.
     ``phi`` counts the clique's permutations that avoid the chain.  Records
     are equal when these four fields are, child keys in order.
+    ``listing`` is the sampler's, kept by the record's first draw in one
+    slot that concurrent draws share (see
+    :func:`~mectools.sampling.draw_perm`); it takes no part in equality or
+    repr.
     """
 
     clique: int
     chain: Chain
     child_keys: tuple[()] | Components
     phi: int
+    listing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

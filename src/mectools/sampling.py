@@ -5,10 +5,11 @@ The sampler reads the model that the counter builds
 explored subgraph, the clique-tree nodes' records and running weight sums (a
 weight is a node's permutation count times the counts of its components).  A
 sample walks these records: draw a clique proportional to its weight, draw
-an admissible permutation of it, recurse on the components, which a record
-orders when a draw first reads it.  All weights are exact big integers;
-clique draws use cumulative sums with binary search rather than a
-real-valued alias table, which would lose exactness to rounding.  Random
+an admissible permutation of it, recurse on the components.  A record orders
+its components and lists its clique's vertices when a draw first reads it.
+All weights are exact big integers; clique draws use cumulative sums with
+binary search rather than a real-valued alias table, which would lose
+exactness to rounding.  Random
 numbers come from a caller-supplied ``random.Random`` (Mersenne Twister), so
 fixed seeds reproduce exact sample sequences.  Every draw is a topological
 ordering, one drawn per undirected component in its local vertices,
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from itertools import groupby
 from typing import Sequence
 
 from ._partition import mask_bits
-from .counting import Chain, CliqueRecord, Key, SamplerModel, _phi_sizes, explore
+from .counting import CliqueRecord, Key, SamplerModel, _phi_sizes, explore
 from .graphs import Dag, PartialGraph, Uccg, _are_components_of, _require_cpdag, orient_by_ordering
 
 
@@ -45,50 +47,78 @@ def draw_clique(model: SamplerModel, key: Key, rng: random.Random) -> CliqueReco
     return entry.records[bisect_right(entry.cumulative, r)]
 
 
-def draw_perm(clique: int, chain: Chain, rng: random.Random) -> tuple[int, ...]:
-    """Uniform permutation of the mask ``clique`` with no ``chain`` mask as prefix.
+def _listing(record: CliqueRecord) -> tuple:
+    """What a draw of ``record`` reads of its clique: the vertices in
+    increasing order and, for a chained record, the runs of their classes
+    (a vertex's class is the smallest chain set that holds it, the chain's
+    length if none) as two tuples, each run's class and its length."""
+    vertices = tuple(mask_bits(record.clique))
+    chain = record.chain
+    if not chain:
+        return vertices
+    ell = len(chain)
+    runs = [(c, len(list(same))) for c, same in
+            groupby(ell - sum(x >> v & 1 for x in chain) for v in vertices)]
+    classes, counts = zip(*runs)
+    return vertices, classes, counts
+
+
+def draw_perm(record: CliqueRecord, rng: random.Random) -> tuple[int, ...]:
+    """Uniform permutation of the record's clique with no chain set as prefix.
 
     The chain must be strictly nested and consist of proper subsets of the
     clique (then at least one admissible permutation exists), as
-    :func:`~mectools.counting.fp_chains` builds it; it is not checked again
-    here.  A placed vertex leaves the chain active from the smallest active
-    set that holds it (a vertex in no active set clears the chain), so each
-    position is drawn with exact integer weights, the numbers of completions,
-    which depend only on that suffix and the chain sizes.
+    :func:`~mectools.counting.fp_chains` builds it, and ``phi`` must count
+    those permutations, as :func:`~mectools.counting.explore` has it;
+    neither is checked again here.  The record's first draw keeps its :func:`_listing` in
+    ``record.listing``, which later draws copy.  A placed vertex leaves the
+    chain active from the smallest active set that holds it (a vertex in no
+    active set clears the chain), so each position is drawn with exact
+    integer weights, the numbers of completions, which depend only on that
+    suffix and the chain sizes.  A vertex's weight is its class's, so the
+    pick walks the runs of one class in vertex order, as a scan of every
+    remaining vertex would meet them.
     """
+    listing = record.listing
+    if listing is None:
+        listing = record.listing = _listing(record)
+    chain = record.chain
     if not chain:  # every order is admissible
-        remaining = mask_bits(clique)
+        remaining = list(listing)
         rng.shuffle(remaining)
         return tuple(remaining)
+    vertices, classes, counts = listing
+    remaining = list(vertices)
+    counts = list(counts)
     ell = len(chain)
     sizes = [x.bit_count() for x in chain]
-    smallest: dict[int, int] = {}
-    for i, (x, prev) in enumerate(zip(chain + (clique,), (0,) + chain)):
-        smallest.update(dict.fromkeys(mask_bits(x ^ prev), i))
-    remaining = sorted(smallest)
     out: list[int] = []
     suffix = 0
     # φ of the remaining vertices under the active chain suffix: the whole
-    # chain first, then the weight of each vertex drawn
-    phi = _phi_sizes(len(remaining), sizes)
+    # chain first, then the weight of the run that holds the vertex drawn
+    phi = record.phi
     while suffix < ell:
         left = [s - len(out) - 1 for s in sizes]
         by_suffix = [_phi_sizes(len(remaining) - 1, left[j:]) for j in range(suffix, ell + 1)]
-        # a vertex's weight, indexed by the smallest set that holds it (ell
-        # if none); a set before the active suffix counts as its first
+        # a vertex's weight, indexed by its class; a set before the active
+        # suffix counts as its first
         weight = by_suffix[:1] * suffix + by_suffix
         r = rng.randrange(phi)
-        total = 0
-        pick = -1
-        for pos, v in enumerate(remaining):
-            total += weight[smallest[v]]
-            if pick < 0 and r < total:
-                pick = pos
-        assert total == phi and total > 0
-        v = remaining.pop(pick)
-        out.append(v)
-        phi = weight[smallest[v]]
-        suffix = max(suffix, smallest[v])
+        pos = 0
+        # a run emptied by earlier picks, or of weight 0, spans nothing
+        for run, c in enumerate(classes):
+            n = counts[run]
+            w = weight[c]
+            span = n * w
+            if r < span:
+                pos += r // w
+                break
+            r -= span
+            pos += n
+        counts[run] -= 1
+        out.append(remaining.pop(pos))
+        phi = w
+        suffix = max(suffix, c)
     rng.shuffle(remaining)
     out.extend(remaining)
     return tuple(out)
@@ -112,7 +142,7 @@ def _draw_order(model: SamplerModel, rng: random.Random) -> list[int]:
             tau.append(key.bit_length() - 1)
             continue
         record = draw_clique(model, key, rng)
-        tau.extend(draw_perm(record.clique, record.chain, rng))
+        tau.extend(draw_perm(record, rng))
         stack.extend(reversed(record.child_keys))
     return tau
 

@@ -23,7 +23,7 @@ from mectools import (
 )
 from mectools._partition import mask_bits
 from mectools.chordal import CliqueTree, clique_tree
-from mectools.counting import _phi_sizes, factorial, fp_chains
+from mectools.counting import CliqueRecord, _phi_sizes, factorial, fp_chains
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.oracle import TooLargeError
 from mectools.sampling import SamplerModel, _draw_order, precount
@@ -596,6 +596,60 @@ def topological_orderings_of_amo(g: Uccg, dag: Dag) -> list[tuple[int, ...]]:
 
     rec()
     return out
+
+
+# --- the permutation draw's scan, the sampler's former pick ----------------
+
+
+def perm_record(clique: int, chain) -> CliqueRecord:
+    """A record of the mask ``clique`` and the chain masks ``chain``, with no
+    child keys and its ``phi``, as :func:`~mectools.sampling.draw_perm`
+    reads it."""
+    chain = tuple(chain)
+    return CliqueRecord(clique, chain, (), _phi_sizes(clique.bit_count(), [x.bit_count() for x in chain]))
+
+
+def scan_draw_perm(clique: int, chain, rng: random.Random) -> tuple[int, ...]:
+    """The permutation draw as it listed the masks on every call and picked
+    each chained position by scanning every remaining vertex, one weight
+    added per vertex; :func:`~mectools.sampling.draw_perm` must give the
+    same permutation and consume the same randomness."""
+    if not chain:  # every order is admissible
+        remaining = mask_bits(clique)
+        rng.shuffle(remaining)
+        return tuple(remaining)
+    ell = len(chain)
+    sizes = [x.bit_count() for x in chain]
+    smallest: dict[int, int] = {}
+    for i, (x, prev) in enumerate(zip(chain + (clique,), (0,) + chain)):
+        smallest.update(dict.fromkeys(mask_bits(x ^ prev), i))
+    remaining = sorted(smallest)
+    out: list[int] = []
+    suffix = 0
+    # φ of the remaining vertices under the active chain suffix: the whole
+    # chain first, then the weight of each vertex drawn
+    phi = _phi_sizes(len(remaining), sizes)
+    while suffix < ell:
+        left = [s - len(out) - 1 for s in sizes]
+        by_suffix = [_phi_sizes(len(remaining) - 1, left[j:]) for j in range(suffix, ell + 1)]
+        # a vertex's weight, indexed by the smallest set that holds it (ell
+        # if none); a set before the active suffix counts as its first
+        weight = by_suffix[:1] * suffix + by_suffix
+        r = rng.randrange(phi)
+        total = 0
+        pick = -1
+        for pos, v in enumerate(remaining):
+            total += weight[smallest[v]]
+            if pick < 0 and r < total:
+                pick = pos
+        assert total == phi and total > 0
+        v = remaining.pop(pick)
+        out.append(v)
+        phi = weight[smallest[v]]
+        suffix = max(suffix, smallest[v])
+    rng.shuffle(remaining)
+    out.extend(remaining)
+    return tuple(out)
 
 
 # --- table-based permutation draw, the sampler's former path ---------------

@@ -7,6 +7,13 @@ Core claims:
     - ``draw_perm`` equals ``helpers.table_draw_perm`` on cliques of every
       size ``k`` from 1 to 12 and nested chains of every length up to
       ``k - 1``
+    - ``draw_perm``'s walk over runs of one class equals
+      ``helpers.scan_draw_perm``, the scan of every remaining vertex, on
+      every chained record of count-dense at seed 91 and of
+      ``gen_interval(1000, 1)``, and on hand-built chains of length 1 to 4
+      whose runs lie at either end or hold a weight of zero: same
+      permutations, on the record's first draw and on draws that read its
+      kept listing, and the same randomness consumed
     - on small cliques with long chains, the step weights give every
       admissible permutation probability exactly 1/phi
 """
@@ -17,12 +24,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import helpers
-from mectools import precount, undirected_components
+from mectools import parse_graph, precount, undirected_components
+from mectools.counting import explore
+from mectools.generators import gen_interval
 from mectools.sampling import _draw_order, draw_perm
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from workloads import count_dense, cpdag_many, sample_sparse  # noqa: E402
+from workloads import build_text, count_dense, cpdag_many, sample_sparse  # noqa: E402
 
 SMALL_WORKLOADS = (
     lambda seed: count_dense(seed, comps=2, n=40),
@@ -59,9 +68,10 @@ def test_draw_perm_matches_the_table_oracle_on_long_nested_chains():
                 chain = nested_chain(rng, clique, length)
                 seed = rng.randrange(2**31)
                 fast, slow = random.Random(seed), random.Random(seed)
-                masks = helpers.vertex_mask(clique), tuple(map(helpers.vertex_mask, chain))
+                record = helpers.perm_record(
+                    helpers.vertex_mask(clique), map(helpers.vertex_mask, chain))
                 for _ in range(5):
-                    perm = draw_perm(*masks, fast)
+                    perm = draw_perm(record, fast)
                     assert perm == helpers.table_draw_perm(clique, chain, slow)
                     assert all(set(perm[: len(x)]) != set(x) for x in chain)
                 assert fast.random() == slow.random()
@@ -78,3 +88,63 @@ def test_step_weights_are_exactly_uniform_on_long_chains():
             assert len(dist) == phi
             assert all(p == Fraction(1, phi) for p in dist.values())
             assert all(all(set(p[: len(x)]) != set(x) for x in chain) for p in dist)
+
+
+def assert_runs_pick_as_the_scan(records, seed: int, draws: int = 2) -> int:
+    """Each record's first ``draws`` draws against the scan's from a
+    generator seeded alike; returns how many records were compared."""
+    seeds = random.Random(seed)
+    for record in records:
+        s = seeds.getrandbits(32)
+        fast, slow = random.Random(s), random.Random(s)
+        for _ in range(draws):
+            assert draw_perm(record, fast) == helpers.scan_draw_perm(
+                record.clique, record.chain, slow)
+        assert fast.getstate() == slow.getstate()
+    return len(records)
+
+
+def chained_records(comps) -> list:
+    return [r for c in comps for e in explore(c).entries.values() for r in e.records if r.chain]
+
+
+def test_the_run_walk_picks_as_the_scan_on_count_dense():
+    comps = undirected_components(parse_graph(build_text("count-dense", 91)))
+    assert assert_runs_pick_as_the_scan(chained_records(comps), 91) == 580
+
+
+def test_the_run_walk_picks_as_the_scan_on_a_large_interval_graph():
+    # cliques of up to 507 vertices; one draw each, the scan takes seconds
+    records = chained_records([gen_interval(1000, 1)])
+    assert assert_runs_pick_as_the_scan(records, 1, draws=1) == 358
+
+
+def classed_chain(classes: list[int], ell: int) -> tuple[int, ...]:
+    """The chain whose set ``i`` holds the vertices ``3 * v`` with
+    ``classes[v] <= i``, so vertex ``3 * v`` has class ``classes[v]``."""
+    return tuple(
+        helpers.vertex_mask(3 * v for v, c in enumerate(classes) if c <= i) for i in range(ell))
+
+
+def test_the_run_walk_picks_as_the_scan_on_hand_built_chains():
+    records = []
+    for ell in range(1, 5):
+        for k in range(ell + 1, ell + 6):
+            # classes 0, 1, ..., ell - 1 once each, then free vertices: each
+            # set is one vertex larger than the set before it, so set 0 is
+            # one vertex, which weighs 0 at the first position, and at
+            # k = ell + 1 the last set is one short of the clique.  In low
+            # the one-vertex runs lie at the low end and the free run at the
+            # high end, reversed the other way round; sorted random layouts
+            # give longer runs
+            low = list(range(ell)) + [ell] * (k - ell)
+            layouts = [low, low[::-1]]
+            layouts += [sorted(random.Random(k * ell + i).choices(range(ell + 1), k=k))
+                        for i in range(4)]
+            for classes in layouts:
+                # every set non-empty and a proper subset of the clique
+                if set(classes) == set(range(ell + 1)):
+                    chain = classed_chain(classes, ell)
+                    clique = helpers.vertex_mask(range(0, 3 * k, 3))
+                    records.append(helpers.perm_record(clique, chain))
+    assert assert_runs_pick_as_the_scan(records, 4, draws=40) == len(records) > 60

@@ -12,6 +12,7 @@ Core claims:
     - the counter's exploration plans, and so the sampler models, are
       identical with and without a seed, complete subgraphs included, on
       the corpus and on hypothesis chordal graphs
+    - every neighborhood bitmask is the sum of its row's bits
     - a seed draws each subgraph's tree from a generator of its own, seeded
       from the seed and the subgraph's mask, so a seeded model is the same
       in every process
@@ -62,6 +63,14 @@ def corpus() -> list[Uccg]:
 
 
 CORPUS = corpus()
+
+
+def test_adjacency_masks_sum_the_bits_of_each_row():
+    rows = [row for g in CORPUS for row in g.adj]
+    # a one-vertex graph's empty row, and rows that hold vertex 0
+    assert () in rows and any(row and row[0] == 0 for row in rows)
+    for g in CORPUS:
+        assert adjacency_masks(g.adj) == tuple(sum(1 << v for v in row) for row in g.adj)
 
 
 def test_lbfs_orders_match_the_oracle():

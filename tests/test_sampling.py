@@ -4,6 +4,10 @@ Core claims:
     - precount records clique weights summing to the orientation count
     - draw_clique realizes exact weight/total probabilities
     - draw_perm is uniform over the admissible permutations
+    - a record's first draw lists its clique once and keeps the listing,
+      which later draws read; no undrawn record is listed, a drawn record
+      equals a fresh one, and a model whose records were all drawn draws
+      the streams of a fresh model
     - sample_amo yields valid orientations (skeleton preserved, acyclic by an
       independent Kahn check, no v-structures) with exactly uniform
       probabilities, verified symbolically on small graphs and statistically
@@ -31,13 +35,18 @@ from mectools import (
     PartialGraph,
     count_root_picking,
     enumerate_amos,
+    gen_interval,
+    gen_peo,
+    gen_subtree,
     precount,
     sample_cpdag,
+    sampling,
     undirected_components,
     v_structures,
 )
-from mectools.counting import explore
-from mectools.sampling import ModelMismatchError, draw_clique, draw_perm, sample_amo
+from mectools._partition import mask_bits
+from mectools.counting import CliqueRecord, explore
+from mectools.sampling import ModelMismatchError, _draw_order, draw_clique, draw_perm, sample_amo
 from mectools.subproblems import Components
 
 
@@ -116,13 +125,15 @@ class TestDrawClique:
 class TestDrawPerm:
     def test_two_vertex_forced(self):
         rng = random.Random(1)
+        record = helpers.perm_record(0b11, (0b01,))
         for _ in range(10):
-            assert draw_perm(0b11, (0b01,), rng) == (1, 0)
+            assert draw_perm(record, rng) == (1, 0)
 
     def test_unconstrained_uniform(self):
         rng = random.Random(2)
         draws = 6000
-        counts = Counter(draw_perm(0b1110, (), rng) for _ in range(draws))
+        record = helpers.perm_record(0b1110, ())
+        counts = Counter(draw_perm(record, rng) for _ in range(draws))
         assert set(counts) == set(itertools.permutations((1, 2, 3)))
         for perm in counts:
             assert abs(counts[perm] / draws - 1 / 6) < 0.05
@@ -138,9 +149,8 @@ class TestDrawPerm:
         rng = random.Random(3)
         draws = 16000
         m = helpers.vertex_mask
-        counts = Counter(
-            draw_perm(m((2, 3, 4, 5)), (m((2, 3)), m((2, 3, 5))), rng) for _ in range(draws)
-        )
+        record = helpers.perm_record(m((2, 3, 4, 5)), (m((2, 3)), m((2, 3, 5))))
+        counts = Counter(draw_perm(record, rng) for _ in range(draws))
         assert set(counts) == admissible
         p = 1 / 16
         sigma = (p * (1 - p) / draws) ** 0.5
@@ -149,9 +159,9 @@ class TestDrawPerm:
 
     def test_never_emits_forbidden_prefix(self):
         rng = random.Random(4)
-        chain = (0b0011, 0b0111)
+        record = helpers.perm_record(0b1111, (0b0011, 0b0111))
         for _ in range(500):
-            perm = draw_perm(0b1111, chain, rng)
+            perm = draw_perm(record, rng)
             assert set(perm[:2]) != {0, 1}
             assert set(perm[:3]) != {0, 1, 2}
 
@@ -160,6 +170,96 @@ class TestDrawPerm:
         # (see test_trusted_inputs) rejects this one
         with pytest.raises(helpers.ChainNotNestedError):
             helpers.validate_chain(frozenset((0, 1, 2, 3)), [(0, 1), (2, 3)])
+
+
+def listed_spy(monkeypatch) -> tuple[list[int], list]:
+    """The masks ``sampling`` lists from now on, and the records
+    ``draw_clique`` returns."""
+    listed: list[int] = []
+    read: list = []
+    list_mask, draw = sampling.mask_bits, sampling.draw_clique
+
+    def spy_list(x):
+        listed.append(x)
+        return list_mask(x)
+
+    def spy_draw(model, key, rng):
+        read.append(draw(model, key, rng))
+        return read[-1]
+
+    monkeypatch.setattr(sampling, "mask_bits", spy_list)
+    monkeypatch.setattr(sampling, "draw_clique", spy_draw)
+    return listed, read
+
+
+def assert_listings_of(model, drawn) -> None:
+    """The records of ``drawn`` hold their clique's vertices in increasing
+    order and, when chained, the runs of their classes; no other record of
+    the model holds a listing."""
+    drawn_ids = {id(r) for r in drawn}
+    for r in (r for e in model.entries.values() for r in e.records):
+        if id(r) not in drawn_ids:
+            assert r.listing is None
+        elif not r.chain:
+            assert r.listing == tuple(mask_bits(r.clique))
+        else:
+            vertices, classes, counts = r.listing
+            assert vertices == tuple(mask_bits(r.clique))
+            ell = len(r.chain)
+            want = [next((i for i, x in enumerate(r.chain) if x >> v & 1), ell) for v in vertices]
+            assert [c for c, n in zip(classes, counts) for _ in range(n)] == want
+            assert all(n > 0 for n in counts)
+            assert all(a != b for a, b in zip(classes, classes[1:]))
+
+
+class TestKeptListing:
+    GRAPHS = (gen_subtree(60, 4, 2), gen_interval(40, 1), helpers.three_clique_chain())
+
+    def draws(self, g, model, seed=1, n=20):
+        rng = random.Random(seed)
+        return [sample_amo(g, model, rng) for _ in range(n)]
+
+    def test_each_drawn_record_is_listed_once_and_no_other(self, monkeypatch):
+        listed, read = listed_spy(monkeypatch)
+        for g in self.GRAPHS:
+            model = precount(g)
+            listed.clear()
+            read.clear()
+            self.draws(g, model)
+            drawn = list({id(r): r for r in read}.values())
+            assert 0 < len(drawn) and sorted(listed) == sorted(r.clique for r in drawn)
+            assert_listings_of(model, drawn)
+
+    def test_a_drawn_record_equals_a_fresh_one(self):
+        g = gen_interval(40, 1)
+        model = precount(g)
+        self.draws(g, model)
+        drawn = [r for e in model.entries.values() for r in e.records if r.listing is not None]
+        assert any(r.chain for r in drawn) and any(not r.chain for r in drawn)
+        for r in drawn:
+            assert r == CliqueRecord(r.clique, r.chain, tuple(r.child_keys), r.phi)
+            assert repr(r) == repr(CliqueRecord(r.clique, r.chain, r.child_keys, r.phi))
+
+    def test_a_model_whose_records_were_all_drawn_draws_the_stream_of_a_fresh_one(self):
+        for g in self.GRAPHS:
+            for seed in (None, 3):
+                drawn = precount(g, seed)
+                rng = random.Random(0)
+                for e in drawn.entries.values():
+                    for r in e.records:
+                        draw_perm(r, rng)
+                assert self.draws(g, drawn) == self.draws(g, precount(g, seed))
+
+    def test_draws_of_a_large_sparse_graph_list_only_what_they_read(self, monkeypatch):
+        g = gen_peo(2000, 1, 1)
+        model = precount(g)
+        listed, read = listed_spy(monkeypatch)
+        rng = random.Random(5)
+        for _ in range(200):
+            _draw_order(model, rng)
+        drawn = list({id(r): r for r in read}.values())
+        assert len(listed) == len(drawn)
+        assert_listings_of(model, drawn)
 
 
 class TestSampleAmo:

@@ -14,8 +14,9 @@ Core claims:
       the traversal once, on the first read, and keep its order, also when
       two readers race; every record is a plain record, a count and a
       precount order no components, a draw orders each record it reads once,
-      threads that share a fresh model draw the streams of an ordered one,
-      and a model holds no region
+      threads that share a fresh model draw the streams of an ordered one
+      and leave each record they listed with its whole listing, and a model
+      holds no region
     - an exploration, seeded or not, sweeps each subgraph that is not
       complete once; a count sweeps each component's root only in the
       split, and a second exploration of one graph object sweeps nothing
@@ -379,9 +380,10 @@ class TestComponents:
         assert calls == []
 
     def test_threads_that_share_a_fresh_model_draw_their_own_streams(self):
-        # the first draws order the records they read while other threads
-        # read the same records, switching as often as the interpreter lets
-        # them; each stream is the one drawn alone from a model of its own.
+        # the first draws order and list the records they read while other
+        # threads read the same records, switching as often as the
+        # interpreter lets them; each stream is the one drawn alone from a
+        # model of its own, and each record listed holds its whole listing.
         # A race shows in some rounds only, so there are a few, each on a
         # fresh model
         g = gen_peo(100, 2, 1)
@@ -405,6 +407,10 @@ class TestComponents:
                     t.join(timeout=10)
                 assert not any(t.is_alive() for t in threads)
                 assert got == alone
+                listed = [r for e in model.entries.values() for r in e.records
+                          if r.listing is not None]
+                assert any(r.chain for r in listed)
+                assert all(r.listing == sampling._listing(r) for r in listed)
         finally:
             sys.setswitchinterval(old)
 
