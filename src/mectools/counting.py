@@ -23,6 +23,7 @@ traversal for its subgraphs' order when a draw first reads it.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -40,13 +41,19 @@ Key = int
 
 
 _FACT = [1]
+_FACT_LOCK = threading.Lock()
 
 
 def factorial(k: int) -> int:
-    """Arbitrary-precision factorial, cached for the process lifetime."""
+    """Arbitrary-precision factorial, cached for the process lifetime.
+
+    The table only grows, one thread at a time under a lock, so a read of
+    an entry that exists needs no lock."""
     f = _FACT
-    while len(f) <= k:
-        f.append(f[-1] * len(f))
+    if len(f) <= k:
+        with _FACT_LOCK:
+            while len(f) <= k:
+                f.append(f[-1] * len(f))
     return f[k]
 
 
@@ -71,6 +78,52 @@ def _phi_sizes(total: int, sizes: Sequence[int]) -> int:
     for i, s in enumerate(sizes):
         result -= f[total - s] * sub[i]
     return result
+
+
+def _chain_weights(total: int, sizes: Sequence[int]) -> tuple[int, ...]:
+    """The weights ``W`` of :func:`_phi_suffixes`'s closed form for a
+    ``total``-set with the chain sizes ``sizes`` (strictly increasing, each
+    below ``total``).
+
+    ``W_j`` is ``Σ_{i≥j} f[total − s_i]·C_ij``, where ``C`` inverts the unit
+    lower-triangular ``M_ij = f[s_i − s_j]``, the matrix of
+    :func:`_phi_sizes`'s peel-off recurrence; it is found from the last set
+    back, as ``W_j = f[total − s_j] − Σ_{i>j} W_i·f[s_i − s_j]``.
+    """
+    factorial(total)
+    f = _FACT
+    w = [0] * len(sizes)
+    for j in range(len(sizes) - 1, -1, -1):
+        s = sizes[j]
+        w[j] = f[total - s] - sum(w[i] * f[sizes[i] - s] for i in range(j + 1, len(sizes)))
+    return tuple(w)
+
+
+def _phi_suffixes(total: int, left: Sequence[int], weights: Sequence[int], start: int) -> list[int]:
+    """``[_phi_sizes(total, left[b:]) for b in range(start, len(left) + 1)]``
+    for a chain shrunk as a draw shrinks it: ``left`` and ``total`` are the
+    sizes and the set size that ``weights`` (:func:`_chain_weights`) were
+    made for, all less the same number of placed vertices.
+
+    The difference of two sizes does not change when both shrink, so
+    neither does ``M`` of :func:`_chain_weights`, and ``_phi_sizes(total,
+    left[b:])`` is ``f[total] − Σ_{j≥b} W_j·f[left_j]``; one pass from the
+    last set back yields every suffix, one product per set.  A suffix whose
+    first size is 0 or less has none, as in :func:`_phi_sizes`.
+    """
+    f = _FACT
+    top = f[total]
+    out = [top]
+    acc = 0
+    for j in range(len(left) - 1, start - 1, -1):
+        s = left[j]
+        if s <= 0:
+            out += [0] * (j - start + 1)
+            break
+        acc += weights[j] * f[s]
+        out.append(top - acc)
+    out.reverse()
+    return out
 
 
 # strictly nested forbidden prefix sets X_1 < X_2 < ... < X_l, as vertex masks

@@ -105,15 +105,6 @@ class PartialGraph:
         return _is_acyclic(heads)
 
     @cached_property
-    def _gathers(self) -> tuple[itemgetter | None, ...]:
-        """Per vertex with two or more undirected neighbours, the
-        ``itemgetter`` of their entries: applied to a flag per vertex it
-        gives the row's flags, for :func:`itertools.compress`.  ``None`` for
-        a shorter row.  Built by :func:`orient_by_ordering` on its first
-        call and kept for the graph's later draws."""
-        return tuple(itemgetter(*row) if len(row) > 1 else None for row in self.undirected)
-
-    @cached_property
     def is_flag_free(self) -> bool:
         """True iff no induced ``a -> b - c`` (a flag) occurs: every
         undirected neighbor of a directed edge's head is adjacent to its
@@ -342,6 +333,19 @@ class Uccg:
         """Neighborhood of every local vertex as a bitmask (bit ``w`` for
         neighbor ``w``)."""
         return adjacency_masks(self.adj)
+
+    @cached_property
+    def _orient_rows(self) -> tuple[bytes | itemgetter | None, ...]:
+        """Per local vertex with two or more neighbours, what reads its
+        row's flags off a not-placed table (a flag per local vertex), for
+        :func:`orient_by_ordering`; ``None`` for a shorter row.  With at
+        most 256 vertices it is the ``bytes`` of the row, whose
+        ``translate`` reads a 256-byte table, and which the collector does
+        not track; a larger graph gets the ``itemgetter`` of the row's
+        entries.  Built by the first orientation and kept for later draws."""
+        if self.n <= 256:
+            return tuple(bytes(row) if len(row) > 1 else None for row in self.adj)
+        return tuple(itemgetter(*row) if len(row) > 1 else None for row in self.adj)
 
     @cached_property
     def _sweeps(self) -> dict[int, tuple[int, ...]]:
@@ -579,41 +583,62 @@ class Dag:
         return _serialize(self.n, ((),) * self.n, self.out_edges)
 
 
-def orient_by_ordering(g: PartialGraph, tau: Sequence[int]) -> Dag:
+def orient_by_ordering(
+    g: PartialGraph, comps: Sequence[Uccg], orders: Sequence[Sequence[int]]
+) -> Dag:
     """Keep ``g``'s directed edges and point every undirected edge from the
-    earlier to the later end of ``tau``.
+    earlier to the later end of its component's ordering.
 
-    ``tau`` must be a permutation of all of ``g``'s vertices; that is checked
-    in the one walk over it, which marks each vertex placed and gives it the
-    neighbours not placed yet.  A row of two or more neighbours is filtered
-    in C, by the row's gather of the free flags (:attr:`PartialGraph._gathers`,
-    built on the graph's first orientation and kept on it).  On a chain graph
-    every such orientation is acyclic, so its :class:`Dag` is built without
-    the acyclicity check; any other ``g`` goes through :class:`Dag`'s own
-    check.
+    ``comps`` are ``g``'s undirected components, as
+    :func:`undirected_components` gives them (in any order), and
+    ``orders[i]`` orders the local vertices of ``comps[i]``.  Each must be a
+    permutation of them, and the components must be all of ``g``'s, once
+    each.  Both are checked, each ordering in the one walk over it, which
+    marks each vertex placed in a table of its component's own, made for
+    this call, and keeps the neighbours not placed yet:
+    :attr:`Uccg._orient_rows` reads the flags of a row of two or more off
+    the table in C, and :func:`itertools.compress` picks those neighbours
+    from ``g``'s row.  On a chain graph every such orientation is acyclic,
+    so its :class:`Dag` is built without the acyclicity check; any other
+    ``g`` goes through :class:`Dag`'s own check.
     """
     n = g.n
-    if len(tau) != n:
-        raise ValueError("tau is not a permutation of the vertices")
+    # each is one of g's components, which share no vertex: distinct first
+    # vertices and n vertices in all make them every component, once each
+    if (
+        len(orders) != len(comps)
+        or sum(len(c.labels) for c in comps) != n
+        or len({c.labels[:1] for c in comps}) != len(comps)
+    ):
+        raise ValueError("the orderings are not a permutation of all the vertices")
     und = g.undirected
-    gathers = g._gathers
     heads = list(g.directed_out)
-    free = bytearray(b"\x01") * n
-    for v in tau:
-        if not 0 <= v < n or not free[v]:
-            raise ValueError("tau is not a permutation of the vertices")
-        free[v] = 0
-        gather = gathers[v]
-        if gather is not None:
-            later = tuple(compress(und[v], gather(free)))
-            if not later:
-                continue
-        else:
-            later = und[v]
-            if not (later and free[later[0]]):
-                continue
-        head = heads[v]
-        heads[v] = tuple(sorted(head + later)) if head else later
+    for comp, order in zip(comps, orders):
+        labels = comp.labels
+        k = len(labels)
+        if len(order) != k:
+            raise ValueError("an ordering is not a permutation of its component's vertices")
+        rows = comp._orient_rows
+        adj = comp.adj
+        small = k <= 256
+        # translate reads a table of 256 entries
+        free = bytearray(b"\x01") * (256 if small else k)
+        for v in order:
+            if not 0 <= v < k or not free[v]:
+                raise ValueError("an ordering is not a permutation of its component's vertices")
+            free[v] = 0
+            u = labels[v]
+            row = rows[v]
+            if row is not None:
+                later = tuple(compress(und[u], row.translate(free) if small else row(free)))
+                if not later:
+                    continue
+            else:
+                later = und[u]
+                if not (later and free[adj[v][0]]):
+                    continue
+            head = heads[u]
+            heads[u] = tuple(sorted(head + later)) if head else later
     if g.is_chain_graph:
         return Dag._trusted(n, tuple(heads))
     return Dag(n, tuple(heads))

@@ -12,9 +12,9 @@ binary search rather than a real-valued alias table, which would lose
 exactness to rounding.  Random
 numbers come from a caller-supplied ``random.Random`` (Mersenne Twister), so
 fixed seeds reproduce exact sample sequences.  Every draw is a topological
-ordering, one drawn per undirected component in its local vertices,
-relabelled and concatenated; :func:`~mectools.graphs.orient_by_ordering`
-turns it into the DAG.
+ordering per undirected component, in its local vertices;
+:func:`~mectools.graphs.orient_by_ordering` takes the components and their
+orderings as drawn and turns them into the DAG.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import groupby
 from typing import Sequence
 
 from ._partition import mask_bits
-from .counting import CliqueRecord, Key, SamplerModel, _phi_sizes, explore
+from .counting import CliqueRecord, Key, SamplerModel, _chain_weights, _phi_suffixes, explore
 from .graphs import Dag, PartialGraph, Uccg, _are_components_of, _require_cpdag, orient_by_ordering
 
 
@@ -51,7 +51,8 @@ def _listing(record: CliqueRecord) -> tuple:
     """What a draw of ``record`` reads of its clique: the vertices in
     increasing order and, for a chained record, the runs of their classes
     (a vertex's class is the smallest chain set that holds it, the chain's
-    length if none) as two tuples, each run's class and its length."""
+    length if none) as two tuples, each run's class and its length, and the
+    chain's :func:`~mectools.counting._chain_weights`."""
     vertices = tuple(mask_bits(record.clique))
     chain = record.chain
     if not chain:
@@ -60,7 +61,7 @@ def _listing(record: CliqueRecord) -> tuple:
     runs = [(c, len(list(same))) for c, same in
             groupby(ell - sum(x >> v & 1 for x in chain) for v in vertices)]
     classes, counts = zip(*runs)
-    return vertices, classes, counts
+    return vertices, classes, counts, _chain_weights(len(vertices), [x.bit_count() for x in chain])
 
 
 def draw_perm(record: CliqueRecord, rng: random.Random) -> tuple[int, ...]:
@@ -70,14 +71,16 @@ def draw_perm(record: CliqueRecord, rng: random.Random) -> tuple[int, ...]:
     clique (then at least one admissible permutation exists), as
     :func:`~mectools.counting.fp_chains` builds it, and ``phi`` must count
     those permutations, as :func:`~mectools.counting.explore` has it;
-    neither is checked again here.  The record's first draw keeps its :func:`_listing` in
-    ``record.listing``, which later draws copy.  A placed vertex leaves the
-    chain active from the smallest active set that holds it (a vertex in no
-    active set clears the chain), so each position is drawn with exact
-    integer weights, the numbers of completions, which depend only on that
-    suffix and the chain sizes.  A vertex's weight is its class's, so the
-    pick walks the runs of one class in vertex order, as a scan of every
-    remaining vertex would meet them.
+    neither is checked again here.  The record's first draw keeps its
+    :func:`_listing` in ``record.listing``, which later draws copy.  A
+    placed vertex leaves the chain active from the smallest active set that
+    holds it (a vertex in no active set clears the chain), so each position
+    is drawn with exact integer weights, the numbers of completions, which
+    depend only on that suffix and the chain sizes: each step reads them
+    off the closed form of :func:`~mectools.counting._phi_suffixes`, with
+    the weights the listing keeps.  A vertex's weight is its class's, so
+    the pick walks the runs of one class in vertex order, as a scan of
+    every remaining vertex would meet them.
     """
     listing = record.listing
     if listing is None:
@@ -87,7 +90,7 @@ def draw_perm(record: CliqueRecord, rng: random.Random) -> tuple[int, ...]:
         remaining = list(listing)
         rng.shuffle(remaining)
         return tuple(remaining)
-    vertices, classes, counts = listing
+    vertices, classes, counts, weights = listing
     remaining = list(vertices)
     counts = list(counts)
     ell = len(chain)
@@ -99,7 +102,7 @@ def draw_perm(record: CliqueRecord, rng: random.Random) -> tuple[int, ...]:
     phi = record.phi
     while suffix < ell:
         left = [s - len(out) - 1 for s in sizes]
-        by_suffix = [_phi_sizes(len(remaining) - 1, left[j:]) for j in range(suffix, ell + 1)]
+        by_suffix = _phi_suffixes(len(remaining) - 1, left, weights, suffix)
         # a vertex's weight, indexed by its class; a set before the active
         # suffix counts as its first
         weight = by_suffix[:1] * suffix + by_suffix
@@ -152,7 +155,7 @@ def sample_amo(g: Uccg, model: SamplerModel, rng: random.Random) -> Dag:
     local vertices."""
     if model.root is not g and model.root != g:
         raise ModelMismatchError("model was precomputed for a different graph")
-    return orient_by_ordering(g.as_partial_graph(), _draw_order(model, rng))
+    return orient_by_ordering(g.as_partial_graph(), [g], [_draw_order(model, rng)])
 
 
 def sample_cpdag(
@@ -164,9 +167,10 @@ def sample_cpdag(
     """Uniform member of the Markov equivalence class represented by ``g``.
 
     Keeps the directed edges and orients every undirected component with an
-    independently drawn AMO: the components' drawn orderings, concatenated
-    in model order, go to :func:`~mectools.graphs.orient_by_ordering`.  The
-    components are the models' roots, checked against ``g``.  A caller that
+    independently drawn AMO: the models' roots and their orderings, drawn in
+    model order in the roots' local vertices, go to
+    :func:`~mectools.graphs.orient_by_ordering`.  The components are the
+    models' roots, checked against ``g``.  A caller that
     passes ``_components``, the split it built the models from, has each
     model checked against its component only.  A ``g`` that is not a CPDAG
     raises :class:`~mectools.graphs.NotCpdagError` first.
@@ -181,7 +185,7 @@ def sample_cpdag(
         )
     if not ok:
         raise ModelMismatchError("models do not match the undirected components")
-    tau: list[int] = []
-    for model in models:
-        tau += map(model.root.labels.__getitem__, _draw_order(model, rng))
-    return orient_by_ordering(g, tau)
+    # as tuples of ints, which the collector stops tracking, not as lists
+    # that each collection during the walk would move to an older generation
+    orders = [tuple(_draw_order(model, rng)) for model in models]
+    return orient_by_ordering(g, [model.root for model in models], orders)

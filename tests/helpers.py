@@ -25,6 +25,7 @@ from mectools._partition import mask_bits
 from mectools.chordal import CliqueTree, clique_tree
 from mectools.counting import CliqueRecord, _phi_sizes, factorial, fp_chains
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
+from mectools.graphs import orient_by_ordering
 from mectools.oracle import TooLargeError
 from mectools.sampling import SamplerModel, _draw_order, precount
 from mectools.subproblems import components_by_traversal
@@ -474,6 +475,43 @@ def uccg_orient_by_ordering(g: Uccg, tau: Sequence[int]) -> Dag:
     for u in range(g.n):
         out.append(tuple(v for v in g.adj[u] if pos[u] < pos[v]))
     return Dag(g.n, tuple(out))
+
+
+def split_ordering(g: PartialGraph, tau: Sequence[int]) -> tuple[list[Uccg], list[list[int]]]:
+    """``g``'s undirected components in the order of their smallest vertex,
+    built without the chordality check, and ``tau``, a permutation of
+    ``range(g.n)``, split into each component's local ordering: its
+    vertices in the order ``tau`` places them, as local ids.  The arguments
+    of :func:`mectools.graphs.orient_by_ordering` that orient ``g`` as
+    ``tau`` does."""
+    if sorted(tau) != list(range(g.n)):
+        raise ValueError("tau is not a permutation of the vertices")
+    comp_of = [-1] * g.n
+    members: list[list[int]] = []
+    for s in range(g.n):
+        if comp_of[s] < 0:
+            comp_of[s] = len(members)
+            members.append([s])
+            for u in members[-1]:  # the list grows as it is read
+                for v in g.undirected[u]:
+                    if comp_of[v] < 0:
+                        comp_of[v] = comp_of[s]
+                        members[-1].append(v)
+    comps, local = [], {}
+    for vs in members:
+        labels = sorted(vs)
+        local.update((v, i) for i, v in enumerate(labels))
+        comps.append(Uccg._unchecked(labels, [[local[w] for w in g.undirected[v]] for v in labels]))
+    orders: list[list[int]] = [[] for _ in comps]
+    for v in tau:
+        orders[comp_of[v]].append(local[v])
+    return comps, orders
+
+
+def orient_globally(g: PartialGraph, tau: Sequence[int]) -> Dag:
+    """:func:`mectools.graphs.orient_by_ordering` of ``g`` by the global
+    ordering ``tau``, split with :func:`split_ordering`."""
+    return orient_by_ordering(g, *split_ordering(g, tau))
 
 
 def orientation_edges(g: PartialGraph, tau: Sequence[int]) -> frozenset[tuple[int, int]]:

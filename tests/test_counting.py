@@ -3,6 +3,10 @@
 Core claims:
     - phi_chain evaluates the nested-prefix permutation count and agrees with
       naive enumeration everywhere
+    - the closed form a draw reads its chained weights from gives the
+      peel-off recurrence's count for every suffix at every step, 0 where a
+      suffix's first set is already placed
+    - threads that extend the factorial table at once leave it exact
     - forbidden-prefix chains read off a clique tree are strictly nested
     - the precounted total equals exhaustive enumeration and root-picking on
       small graphs, the separator-sum formula cross-checks it, and the result
@@ -21,6 +25,8 @@ import itertools
 import math
 import random
 import re
+import sys
+import threading
 import time
 
 import pytest
@@ -118,6 +124,59 @@ class TestPhiNaive:
     def test_size_guard(self):
         with pytest.raises(helpers.SetTooLargeError):
             helpers.phi_naive(range(11), [])
+
+
+class TestChainClosedForm:
+    """The weights a draw reads at each chained position, from the closed
+    form against the peel-off recurrence."""
+
+    def test_every_suffix_and_step_matches_phi_sizes(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            k = rng.randrange(2, 40)
+            sizes = sorted(rng.sample(range(1, k), rng.randint(1, min(5, k - 1))))
+            weights = counting._chain_weights(k, sizes)
+            for placed in range(k):
+                left = [s - placed - 1 for s in sizes]
+                for start in range(len(sizes) + 1):
+                    got = counting._phi_suffixes(k - placed - 1, left, weights, start)
+                    want = [counting._phi_sizes(k - placed - 1, left[b:])
+                            for b in range(start, len(sizes) + 1)]
+                    assert got == want, (k, sizes, placed, start)
+
+    def test_a_suffix_whose_first_set_is_placed_has_none(self):
+        # a 6-clique with chain sizes 3 and 5, shrunk by 3 and by 4: the set
+        # of 3 is left with 0 and with -1, so a suffix from it counts 0, as
+        # _phi_sizes has it, and the later suffixes count as it does
+        weights = counting._chain_weights(6, [3, 5])
+        assert counting._phi_sizes(3, [0, 2]) == counting._phi_sizes(2, [-1, 1]) == 0
+        assert counting._phi_suffixes(3, [0, 2], weights, 0) == [0, 4, 6]
+        assert counting._phi_suffixes(3, [0, 2], weights, 1) == [4, 6]
+        assert counting._phi_suffixes(2, [-1, 1], weights, 0) == [0, 1, 2]
+        assert counting._phi_sizes(3, [2]) == 4 and counting._phi_sizes(2, [1]) == 1
+
+
+def test_factorial_table_is_extended_by_one_thread_at_a_time():
+    # eight threads extend the process-wide table from [1] at once, with a
+    # thread switch every microsecond; a read-modify-write that lost the
+    # race would leave a wrong entry or a table longer than asked
+    table = counting._FACT
+    saved = list(table)
+    interval = sys.getswitchinterval()
+    try:
+        table[:] = [1]
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=factorial, args=(2000,)) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(table) == 2001
+        assert all(table[i] == math.factorial(i) for i in range(len(table)))
+    finally:
+        sys.setswitchinterval(interval)
+        table[:] = saved
 
 
 class TestFpChains:

@@ -8,9 +8,13 @@ Core claims:
     - a Uccg is rejected unless its labels increase and its rows form one
       connected chordal graph; a non-chordal one names its own labels
     - induced subgraphs keep global labels
-    - orienting by an ordering keeps the directed edges, points every
-      undirected edge forward, and yields an acyclic DAG with the input's
-      skeleton; an ordering that is not a permutation is rejected
+    - orienting by one ordering per undirected component keeps the directed
+      edges, points every undirected edge forward, and yields an acyclic DAG
+      with the input's skeleton; an ordering that is not a permutation of
+      its component, or orderings that do not cover the graph, are rejected
+    - a component's rows are cached on it by its first orientation: the
+      bytes of its local neighbours, read by translate, up to 256 vertices,
+      an itemgetter per row past that; both orient as the reference does
     - a PartialGraph's rows are strictly increasing, it is a chain graph
       exactly when no partially directed cycle runs through it, it is
       flag-free exactly when no induced a -> b - c occurs in it, and it
@@ -26,6 +30,7 @@ Core claims:
 import functools
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -498,18 +503,18 @@ class TestInducedSubgraph:
 class TestOrientByOrdering:
     def test_path_oriented_outward(self):
         g = helpers.path_graph(3).as_partial_graph()
-        dag = orient_by_ordering(g, (1, 0, 2))
+        dag = helpers.orient_globally(g, (1, 0, 2))
         assert dag.edge_set() == {(1, 0), (1, 2)}
 
     def test_triangle_linear(self):
         g = helpers.complete_graph(3).as_partial_graph()
-        dag = orient_by_ordering(g, (0, 1, 2))
+        dag = helpers.orient_globally(g, (0, 1, 2))
         assert dag.edge_set() == {(0, 1), (0, 2), (1, 2)}
 
     def test_seven_vertex_clique_first_ordering(self):
         # fixing the big clique as 3,2,1,0 forces everything else outward
         g = helpers.clique_chain_7().as_partial_graph()
-        dag = orient_by_ordering(g, (3, 2, 1, 0, 4, 5, 6))
+        dag = helpers.orient_globally(g, (3, 2, 1, 0, 4, 5, 6))
         assert dag.edge_set() == {
             (3, 0), (3, 1), (3, 2), (3, 4), (3, 5),
             (2, 0), (2, 1), (2, 4), (2, 5),
@@ -518,22 +523,23 @@ class TestOrientByOrdering:
         assert v_structures(dag) == set()
 
     def test_directed_edges_are_kept(self):
-        # directed edges stay even where tau puts the head first: a draw
-        # concatenates per-component orderings, which ignore them
+        # directed edges stay even where the orderings put the head first: a
+        # draw orders each component on its own, ignoring them
         g = PartialGraph.from_edges(5, [(2, 3), (3, 4)], [(0, 2), (1, 2), (2, 4)])
-        dag = orient_by_ordering(g, (3, 4, 2, 1, 0))
+        dag = helpers.orient_globally(g, (3, 4, 2, 1, 0))
         assert dag.edge_set() == {(0, 2), (1, 2), (2, 4), (3, 2), (3, 4)}
         # a tail's undirected heads merge with its directed ones, sorted
         g = PartialGraph.from_edges(4, [(1, 0), (1, 3)], [(1, 2)])
-        assert orient_by_ordering(g, (1, 0, 2, 3)).out_edges[1] == (0, 2, 3)
+        assert helpers.orient_globally(g, (1, 0, 2, 3)).out_edges[1] == (0, 2, 3)
 
     def test_directed_cycle_is_rejected(self):
         g = PartialGraph.from_edges(3, [], [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(ValueError, match="cycle"):
-            orient_by_ordering(g, (0, 1, 2))
+            helpers.orient_globally(g, (0, 1, 2))
 
     def test_not_a_permutation(self):
         g = helpers.path_graph(3).as_partial_graph()
+        comps = undirected_components(g)  # one component, local ids = global
         cases = {
             "duplicate": (0, 0, 2),
             "out of range": (0, 1, 3),
@@ -544,13 +550,29 @@ class TestOrientByOrdering:
             "too long, in range": (0, 1, 2, 3),
         }
         accepted = []
-        for name, tau in cases.items():
+        for name, order in cases.items():
             try:
-                orient_by_ordering(g, tau)
+                orient_by_ordering(g, comps, [order])
                 accepted.append(name)
             except ValueError as exc:
                 assert "permutation" in str(exc), name
         assert accepted == []
+
+    def test_orderings_must_cover_the_graph(self):
+        g = PartialGraph.from_edges(4, [(0, 1), (2, 3)])
+        comps = undirected_components(g)
+        assert orient_by_ordering(g, comps, [[1, 0], [0, 1]]).edge_set() == {(1, 0), (2, 3)}
+        # too few, one ordering short, each twice, and the first component
+        # twice in place of the second, which adds up to four vertices but
+        # would orient 0 - 1 both ways
+        for cs, orders in [
+            (comps[:1], [[0, 1]]),
+            (comps, [[0, 1]]),
+            (comps * 2, [[0, 1]] * 4),
+            (comps[:1] * 2, [[0, 1], [1, 0]]),
+        ]:
+            with pytest.raises(ValueError, match="permutation"):
+                orient_by_ordering(g, cs, orders)
 
     def test_rows_of_every_length_with_directed_heads(self):
         # undirected rows of length 0 (vertices 0, 7), 1 (1, 2, 6) and 3 or
@@ -561,25 +583,75 @@ class TestOrientByOrdering:
             [(0, 2), (0, 5), (1, 6), (2, 7), (4, 7)],
         )
         assert g.is_chain_graph
-        assert "_gathers" not in vars(g)
+        comps = undirected_components(g)
+        assert not any("_orient_rows" in vars(c) for c in comps)
         rng = random.Random(5)
         taus = [tuple(range(8)), tuple(range(7, -1, -1))]
         taus += [tuple(rng.sample(range(8), 8)) for _ in range(30)]
-        orient_by_ordering(g, taus[0])
-        gathers = vars(g)["_gathers"]  # built by the first call
+        orient_by_ordering(g, comps, helpers.split_ordering(g, taus[0])[1])
+        rows = [vars(c)["_orient_rows"] for c in comps]  # built by the first call
         for tau in taus:
-            dag = orient_by_ordering(g, tau)
-            assert g._gathers is gathers  # and reused by every later one
+            dag = orient_by_ordering(g, comps, helpers.split_ordering(g, tau)[1])
+            # and reused by every later one
+            assert all(c._orient_rows is r for c, r in zip(comps, rows))
             assert dag.edge_set() == helpers.orientation_edges(g, tau)
             assert Dag(dag.n, dag.out_edges) == dag
-        assert [f is None for f in gathers] == [len(row) < 2 for row in g.undirected]
+        # no component has more than 256 vertices, so a row of two or more
+        # is kept as the bytes of its local neighbours
+        for comp, cached in zip(comps, rows):
+            assert [r is None for r in cached] == [len(row) < 2 for row in comp.adj]
+            assert all(
+                type(r) is bytes and r == bytes(row)
+                for r, row in zip(cached, comp.adj) if r is not None
+            )
+
+    @pytest.mark.parametrize("k", [256, 257, 300])
+    def test_components_on_both_sides_of_256(self, k):
+        # a k-vertex component: a strip of triangles, then a path to a leaf,
+        # so rows of length 1, 2 and more; a 20-vertex one like it, two
+        # isolated vertices (rows of length 0), and arrows from the small
+        # component and the isolated vertices into the large one
+        def strip(size):
+            return [(i, i + 1) for i in range(size - 1)] + [(i, i + 2) for i in range(0, size // 2, 2)]
+
+        n = k + 22
+        ids = random.Random(k).sample(range(n), n)  # interleave the labels
+        big, small, lone = ids[:k], ids[k:k + 20], ids[k + 20:]
+        undirected = [(big[a], big[b]) for a, b in strip(k)]
+        undirected += [(small[a], small[b]) for a, b in strip(20)]
+        directed = [(small[i], big[j]) for i, j in [(0, 0), (0, 5), (3, k - 1), (19, k // 2)]]
+        directed += [(lone[0], big[1]), (lone[0], small[2]), (lone[1], big[3])]
+        g = PartialGraph.from_edges(n, undirected, directed)
+        assert g.is_chain_graph
+        comps = undirected_components(g)
+        assert sorted(c.n for c in comps) == [1, 1, 20, k]
+        rng = random.Random(k + 1)
+        for _ in range(5):
+            tau = rng.sample(range(n), n)
+            _, orders = helpers.split_ordering(g, tau)
+            dag = orient_by_ordering(g, comps, orders)
+            assert dag.edge_set() == helpers.orientation_edges(g, tau)
+            assert Dag(dag.n, dag.out_edges) == dag
+            for comp, order in zip(comps, orders):
+                want = helpers.uccg_orient_by_ordering(comp, order)
+                assert {(comp.labels[u], comp.labels[v]) for u, v in want.edges()} == {
+                    (u, v) for u, v in dag.edges() if u in comp.labels and v in comp.labels
+                }
+        for comp in comps:
+            cached = comp._orient_rows
+            assert [r is None for r in cached] == [len(row) < 2 for row in comp.adj]
+            kinds = {type(r) for r in cached if r is not None}
+            assert kinds <= ({itemgetter} if comp.n > 256 else {bytes})
+        (large,) = [c for c in comps if c.n == k]
+        assert {len(row) for row in large.adj} >= {1, 2, 3}
+        assert {type(r) for r in large._orient_rows} == {type(None), itemgetter if k > 256 else bytes}
 
     def test_skeleton_and_acyclicity_random(self):
         rng = random.Random(3)
         for g in helpers.random_chordal_corpus(20, 2, 9, seed=21):
             tau = list(range(g.n))
             rng.shuffle(tau)
-            dag = orient_by_ordering(g.as_partial_graph(), tau)
+            dag = orient_by_ordering(g.as_partial_graph(), [g], [tau])
             assert dag == helpers.uccg_orient_by_ordering(g, tau)
             assert helpers.kahn_acyclic(dag.n, dag.edges())
             assert dag.skeleton() == frozenset(g.edges())
@@ -591,7 +663,7 @@ class TestTrustedOrientation:
     def test_chain_graph_draws_pass_the_public_check(self, case):
         g, tau = case
         assert g.is_chain_graph
-        dag = orient_by_ordering(g, tau)
+        dag = helpers.orient_globally(g, tau)
         assert dag.edge_set() == helpers.orientation_edges(g, tau)
         assert helpers.kahn_acyclic(dag.n, dag.edges())
         assert Dag(dag.n, dag.out_edges) == dag
@@ -602,13 +674,13 @@ class TestTrustedOrientation:
         g, tau = case
         edges = helpers.orientation_edges(g, tau)
         if helpers.kahn_acyclic(g.n, edges):
-            dag = orient_by_ordering(g, tau)
+            dag = helpers.orient_globally(g, tau)
             assert dag.edge_set() == edges
             assert Dag(dag.n, dag.out_edges) == dag
         else:
             assert not g.is_chain_graph
             with pytest.raises(ValueError, match="cycle"):
-                orient_by_ordering(g, tau)
+                helpers.orient_globally(g, tau)
 
 
 class TestDag:

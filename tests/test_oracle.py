@@ -29,7 +29,7 @@ def amos_by_definition(g):
     pg = g.as_partial_graph()
     out = set()
     for perm in itertools.permutations(range(g.n)):
-        dag = orient_by_ordering(pg, perm)
+        dag = orient_by_ordering(pg, [g], [perm])
         if not v_structures(dag):
             out.add(dag.edge_set())
     return out
@@ -134,12 +134,12 @@ class TestTopologicalOrderings:
 
     def test_fully_ordered_path(self):
         g = helpers.path_graph(4)
-        dag = orient_by_ordering(g.as_partial_graph(), (0, 1, 2, 3))
+        dag = orient_by_ordering(g.as_partial_graph(), [g], [(0, 1, 2, 3)])
         assert helpers.topological_orderings_of_amo(g, dag) == [(0, 1, 2, 3)]
 
     def test_oriented_triangle_single_ordering(self):
         g = helpers.complete_graph(3)
-        dag = orient_by_ordering(g.as_partial_graph(), (0, 1, 2))
+        dag = orient_by_ordering(g.as_partial_graph(), [g], [(0, 1, 2)])
         assert helpers.topological_orderings_of_amo(g, dag) == [(0, 1, 2)]
 
     def test_mismatched_skeleton_rejected(self):
@@ -152,7 +152,7 @@ class TestTopologicalOrderings:
         g = helpers.path_graph(11)
         with pytest.raises(TooLargeError):
             helpers.topological_orderings_of_amo(
-                g, orient_by_ordering(g.as_partial_graph(), tuple(range(11)))
+                g, orient_by_ordering(g.as_partial_graph(), [g], [tuple(range(11))])
             )
 
 

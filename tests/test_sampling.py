@@ -45,7 +45,7 @@ from mectools import (
     v_structures,
 )
 from mectools._partition import mask_bits
-from mectools.counting import CliqueRecord, explore
+from mectools.counting import CliqueRecord, _chain_weights, explore
 from mectools.sampling import ModelMismatchError, _draw_order, draw_clique, draw_perm, sample_amo
 from mectools.subproblems import Components
 
@@ -194,8 +194,8 @@ def listed_spy(monkeypatch) -> tuple[list[int], list]:
 
 def assert_listings_of(model, drawn) -> None:
     """The records of ``drawn`` hold their clique's vertices in increasing
-    order and, when chained, the runs of their classes; no other record of
-    the model holds a listing."""
+    order and, when chained, the runs of their classes and the chain's
+    closed-form weights; no other record of the model holds a listing."""
     drawn_ids = {id(r) for r in drawn}
     for r in (r for e in model.entries.values() for r in e.records):
         if id(r) not in drawn_ids:
@@ -203,8 +203,9 @@ def assert_listings_of(model, drawn) -> None:
         elif not r.chain:
             assert r.listing == tuple(mask_bits(r.clique))
         else:
-            vertices, classes, counts = r.listing
+            vertices, classes, counts, weights = r.listing
             assert vertices == tuple(mask_bits(r.clique))
+            assert weights == _chain_weights(len(vertices), [x.bit_count() for x in r.chain])
             ell = len(r.chain)
             want = [next((i for i, x in enumerate(r.chain) if x >> v & 1), ell) for v in vertices]
             assert [c for c, n in zip(classes, counts) for _ in range(n)] == want
