@@ -7,7 +7,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._partition import refine_traversal
+from ._partition import mask_bits, refine_traversal
 
 if TYPE_CHECKING:
     from .graphs import Uccg
@@ -19,17 +19,10 @@ def lbfs(g: "Uccg", rng: random.Random | None = None, sub: int | None = None) ->
 
     Its reverse is a perfect elimination ordering whenever that graph is
     chordal.  Ties are broken toward the lowest local index by default; pass
-    ``rng`` for randomized tie-breaking.  Without ``rng`` the order is kept
-    on ``g`` per vertex mask, swept on the first call and returned after; a
-    seeded sweep is never kept.
+    ``rng`` for randomized tie-breaking.
     """
     block = (1 << g.n) - 1 if sub is None else sub
-    if rng is None and block in g._sweeps:
-        return g._sweeps[block]
-    order = tuple(refine_traversal(g.adj, [block], rng=rng, masks=g.adj_masks)[0])
-    if rng is None:
-        g._sweeps[block] = order
-    return order
+    return tuple(refine_traversal(g.adj, [block], rng=rng, masks=g.adj_masks)[0])
 
 
 class NotChordalError(ValueError):
@@ -44,8 +37,9 @@ class NotChordalError(ValueError):
 
 
 def is_chordal(g: "Uccg") -> bool:
-    """True iff ``g`` is chordal: the clique sweep of one LBFS passes."""
-    return _cliques_of_sweep(g, lbfs(g)) is not None
+    """True iff ``g`` is chordal: the clique sweep of one LBFS passes.  The
+    cliques it finds are kept on ``g`` for its unseeded clique tree."""
+    return g._cliques is not None
 
 
 @dataclass(frozen=True)
@@ -81,11 +75,13 @@ def clique_tree(g: "Uccg", rng: random.Random | None = None, sub: int | None = N
     downstream is tree-invariant.
 
     A complete graph gets its one-clique tree without a sweep and draws
-    nothing from ``rng``.  Without ``rng`` the tree is built from the sweep
-    :func:`lbfs` keeps on ``g``.
+    nothing from ``rng``.  The unseeded tree of the whole of ``g`` is built
+    from the cliques its chordality check found, kept on ``g``; any other
+    tree sweeps its subgraph.
     """
+    whole = (1 << g.n) - 1
     if sub is None:
-        sub = (1 << g.n) - 1
+        sub = whole
     if not sub:
         raise ValueError("empty graph has no clique tree")
     masks = g.adj_masks
@@ -93,9 +89,40 @@ def clique_tree(g: "Uccg", rng: random.Random | None = None, sub: int | None = N
     while rest:
         low = rest & -rest
         if (masks[low.bit_length() - 1] | low) & sub != sub:
-            return _clique_tree_of_sweep(g, lbfs(g, rng, sub), rng)
+            break
         rest ^= low
-    return CliqueTree((sub,), (0,), (None,), (0,), ((),))
+    if not rest:  # every vertex is adjacent to all others
+        return CliqueTree((sub,), (0,), (None,), (0,), ((),))
+    found = g._cliques if rng is None and sub == whole else _cliques_of_sweep(g, lbfs(g, rng, sub))
+    if found is None:
+        raise NotChordalError(map(g.labels.__getitem__, mask_bits(sub)))
+    cliques, attach = found
+    if -1 in attach:
+        raise ValueError("graph not connected")
+
+    k = len(cliques)
+    root = 0 if rng is None else rng.randrange(k)
+
+    tree_adj: list[list[int]] = [[] for _ in range(k)]
+    for s, a in enumerate(attach, 1):
+        tree_adj[s].append(a)
+        tree_adj[a].append(s)
+
+    parent = [-1] * k
+    parent[root] = root
+    bfs = [root]
+    for x in bfs:
+        for y in tree_adj[x]:
+            if parent[y] == -1:
+                parent[y] = x
+                bfs.append(y)
+
+    separators = tuple(
+        None if x == root else c & cliques[parent[x]] for x, c in enumerate(cliques)
+    )
+    return CliqueTree(
+        tuple(cliques), tuple(parent), separators, tuple(bfs), tuple(map(tuple, tree_adj))
+    )
 
 
 def _cliques_of_sweep(
@@ -140,40 +167,3 @@ def _cliques_of_sweep(
         cliques[-1] = earlier | bit
         visited |= bit
     return cliques, attach
-
-
-def _clique_tree_of_sweep(
-    g: "Uccg", sweep: Sequence[int], rng: random.Random | None
-) -> CliqueTree:
-    """Clique tree from an LBFS visit order ``sweep`` in ``g``; ``rng`` picks
-    the root (default: clique 0, the first swept)."""
-    found = _cliques_of_sweep(g, sweep)
-    if found is None:
-        raise NotChordalError(map(g.labels.__getitem__, sorted(sweep)))
-    cliques, attach = found
-    if -1 in attach:
-        raise ValueError("graph not connected")
-
-    k = len(cliques)
-    root = 0 if rng is None else rng.randrange(k)
-
-    tree_adj: list[list[int]] = [[] for _ in range(k)]
-    for s, a in enumerate(attach, 1):
-        tree_adj[s].append(a)
-        tree_adj[a].append(s)
-
-    parent = [-1] * k
-    parent[root] = root
-    bfs = [root]
-    for x in bfs:
-        for y in tree_adj[x]:
-            if parent[y] == -1:
-                parent[y] = x
-                bfs.append(y)
-
-    separators = tuple(
-        None if x == root else c & cliques[parent[x]] for x, c in enumerate(cliques)
-    )
-    return CliqueTree(
-        tuple(cliques), tuple(parent), separators, tuple(bfs), tuple(map(tuple, tree_adj))
-    )

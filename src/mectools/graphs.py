@@ -18,7 +18,7 @@ from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 from ._partition import adjacency_masks
-from .chordal import NotChordalError, is_chordal
+from .chordal import NotChordalError, _cliques_of_sweep, is_chordal, lbfs
 
 
 class ParseError(ValueError):
@@ -294,10 +294,10 @@ class Uccg:
     Local vertices are ``0..n-1``; ``labels[i]`` is the global id of local
     vertex ``i``, and labels are strictly increasing.  Instances are
     immutable.  ``adj`` holds sorted neighbor tuples; ``adj_masks``, the
-    neighborhood bitmasks, are built on first use, as are unseeded LBFS
-    orders, one per vertex mask swept.  Induced subgraphs are
-    not built as graphs: they are vertex masks over ``0..n-1``, and
-    ``adj_masks[v] & sub`` are the neighbors of ``v`` in subgraph ``sub``.
+    neighborhood bitmasks, are built on first use, as are the cliques of the
+    chordality check's sweep.  Induced subgraphs are not built as graphs:
+    they are vertex masks over ``0..n-1``, and ``adj_masks[v] & sub`` are
+    the neighbors of ``v`` in subgraph ``sub``.
     """
 
     labels: tuple[int, ...]
@@ -306,8 +306,8 @@ class Uccg:
     def __post_init__(self):
         """Stores both fields as tuples, then checks the labels increase,
         the rows through :class:`PartialGraph`, then that the graph is
-        chordal, naming all its labels if not, and connected.  The
-        chordality check's sweep and ``adj_masks`` are kept."""
+        chordal, naming all its labels if not, and connected.  The cliques
+        the chordality check found and ``adj_masks`` are kept."""
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adj", tuple(map(tuple, self.adj)))
@@ -348,10 +348,13 @@ class Uccg:
         return tuple(itemgetter(*row) if len(row) > 1 else None for row in self.adj)
 
     @cached_property
-    def _sweeps(self) -> dict[int, tuple[int, ...]]:
-        """Unseeded LBFS orders by vertex mask, kept by
-        :func:`~mectools.chordal.lbfs`."""
-        return {}
+    def _cliques(self) -> tuple[list[int], list[int]] | None:
+        """The maximal cliques of the whole graph's unseeded LBFS sweep and
+        the clique each later one attaches to, as
+        :func:`~mectools.chordal._cliques_of_sweep` finds them; ``None`` if
+        the graph is not chordal.  Found by the chordality check and read by
+        the unseeded clique tree of the whole graph."""
+        return _cliques_of_sweep(self, lbfs(self))
 
     @classmethod
     def from_edges(

@@ -1033,7 +1033,7 @@ def list_clique_tree_of_sweep(
     g: Uccg, sweep: Sequence[int], rng: random.Random | None
 ) -> CliqueTree:
     """The clique tree of the LBFS visit order ``sweep`` built on adjacency
-    lists, the oracle for ``mectools.chordal._clique_tree_of_sweep``: run
+    lists, the oracle for ``mectools.chordal.clique_tree`` on that sweep: run
     flags and hit counts find where a clique closes, separators intersect
     sets, the tree's ``order`` is a BFS over per-clique child lists, and
     ``adj`` lists each clique's tree neighbors as the attachments add them."""

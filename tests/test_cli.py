@@ -524,7 +524,7 @@ class TestBench:
 
     def test_timeout_rows_not_fatal(self, capsys):
         code, out, _ = run(
-            capsys, "bench", "--model", "interval", "--sizes", "64",
+            capsys, "bench", "--model", "interval", "--sizes", "256",
             "--timeout", "0.001", "--seed", "2",
         )
         assert code == 0
@@ -548,7 +548,7 @@ class TestBench:
 
     @pytest.mark.parametrize("timeout, status", [("60", "ok"), ("0.001", "timeout")])
     def test_bench_runs_off_the_main_thread(self, capsys, timeout, status):
-        argv = ["bench", "--model", "interval", "--sizes", "64", "--timeout", timeout, "--seed", "2"]
+        argv = ["bench", "--model", "interval", "--sizes", "256", "--timeout", timeout, "--seed", "2"]
         codes = []
         thread = threading.Thread(target=lambda: codes.append(main(argv)))
         thread.start()
@@ -566,7 +566,7 @@ class TestBench:
         try:
             signal.setitimer(signal.ITIMER_REAL, 600.0, 300.0)
             code, out, _ = run(
-                capsys, "bench", "--model", "interval", "--sizes", "64",
+                capsys, "bench", "--model", "interval", "--sizes", "256",
                 "--timeout", "0.001", "--seed", "2",
             )
             remaining, interval = signal.getitimer(signal.ITIMER_REAL)

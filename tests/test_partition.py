@@ -5,8 +5,8 @@ Core claims:
     - LBFS visit orders are identical, with lowest-index ties and with
       seeded random ties
     - clique trees are identical in every field, their BFS order included,
-      with and without a seed; a seeded tree does not read or keep the
-      unseeded sweeps kept on its graph
+      with and without a seed; a seeded tree neither reads nor changes the
+      cliques of the chordality check kept on its graph
     - K-first traversals visit and record identically, so the subproblem
       step emits the same components in the same order
     - the counter's exploration plans, and so the sampler models, are
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import helpers
 import mectools
-from mectools import Uccg, chordal, counting, precount
+from mectools import Uccg, counting, precount
 from mectools.chordal import clique_tree, lbfs
 from mectools.counting import fp_chains
 from mectools.subproblems import components_by_traversal
@@ -213,15 +213,19 @@ def test_clique_trees_match_the_oracle():
             assert clique_tree(g, rng=fast) == want
             if seed is not None:
                 assert drew_like_the_sweep(fast, swept, seed, want)
-        # with the unseeded sweeps of every explored subgraph kept on g, a
-        # seeded tree neither reads them nor keeps its own sweep
+        # after an exploration, a seeded tree neither reads the cliques kept
+        # on g, which taken off g would be found again on a read, nor
+        # changes them
         precount(g)
-        kept = dict(g._sweeps)
+        kept = vars(g).pop("_cliques")
+        held = (list(kept[0]), list(kept[1]))
         fast, swept = random.Random(0), random.Random(0)
         want = helpers.list_clique_tree_of_sweep(g, helpers.list_lbfs_order(g, swept), swept)
         assert clique_tree(g, rng=fast) == want
         assert drew_like_the_sweep(fast, swept, 0, want)
-        assert g._sweeps == kept
+        assert "_cliques" not in vars(g)
+        vars(g)["_cliques"] = kept
+        assert kept == held
 
 
 def test_clique_tree_of_a_complete_graph_matches_its_sweep_and_draws_nothing():
@@ -230,7 +234,7 @@ def test_clique_tree_of_a_complete_graph_matches_its_sweep_and_draws_nothing():
         for seed in range(4):
             fast, swept = random.Random(seed), random.Random(seed)
             got = clique_tree(g, rng=fast)
-            want = chordal._clique_tree_of_sweep(
+            want = helpers.list_clique_tree_of_sweep(
                 g, helpers.list_lbfs_order(g, swept), swept
             )
             assert got == want

@@ -19,7 +19,10 @@ Core claims:
       holds no region
     - an exploration, seeded or not, sweeps each subgraph that is not
       complete once; a count sweeps each component's root only in the
-      split, and a second exploration of one graph object sweeps nothing
+      split, and a second exploration of one graph object sweeps no root
+    - a checked graph keeps the cliques of its chordality check, so its
+      whole-graph clique pass runs once, and an exploration keeps nothing
+      more on the graph
 """
 
 import gc
@@ -39,6 +42,7 @@ from mectools import (
     chordal,
     count_cpdag,
     counting,
+    graphs,
     gen_interval,
     gen_peo,
     gen_subtree,
@@ -50,6 +54,7 @@ from mectools import (
     undirected_components,
 )
 from mectools._partition import refine_traversal
+from mectools.cli import main
 from mectools.chordal import clique_tree, lbfs
 from mectools.subproblems import (
     _emit_components,
@@ -432,10 +437,11 @@ def swept_during(monkeypatch, run):
 
 
 def test_an_unseeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(monkeypatch):
-    # each graph was built checked, so its root sweep is kept from the check
+    # each graph was built checked, so its root's cliques are kept from the
+    # check
     for g in [gen_interval(40, 1), gen_subtree(60, 4, 2), *helpers.oracle_corpus()]:
         root = (1 << g.n) - 1
-        assert set(g._sweeps) == {root}
+        assert "_cliques" in vars(g)
         model, calls = swept_during(monkeypatch, lambda: precount(g))
         swept = [block for _, block in calls]
         assert sorted(swept) == sorted(
@@ -468,8 +474,8 @@ def test_an_unseeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(
 
 
 def test_a_seeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(monkeypatch):
-    # each tree is built from a seeded sweep, which is never kept, and no
-    # other sweep runs: the root's kept one goes unread
+    # each tree is built from a seeded sweep, and no other sweep runs: the
+    # root's kept cliques go unread
     g = gen_subtree(60, 4, 2)
     model, calls = swept_during(monkeypatch, lambda: counting.explore(g, 3))
     swept = [block for _, block in calls]
@@ -478,22 +484,81 @@ def test_a_seeded_exploration_sweeps_each_subgraph_that_is_not_complete_once(mon
 
 
 def test_a_checked_graph_keeps_the_sweep_of_its_chordality_check(monkeypatch):
+    # what it keeps of the sweep is its cliques, which build the root's tree
     g = gen_subtree(60, 4, 2)
     root = (1 << g.n) - 1
     for build in (lambda: Uccg(g.labels, g.adj), lambda: Uccg.from_edges(g.labels, g.edges())):
         h, calls = swept_during(monkeypatch, build)
         assert calls == [(h.adj, root)]
         assert h.adj_masks == g.adj_masks
-        assert h._sweeps == {root: lbfs(g)}
+        assert h._cliques == chordal._cliques_of_sweep(g, lbfs(g))
         model, calls = swept_during(monkeypatch, lambda: precount(h))
         assert len(calls) == 7  # the subgraphs below the root that are not complete
         assert root not in [block for _, block in calls]
         assert model.entries == precount(g).entries
 
 
-def test_a_second_exploration_of_one_graph_runs_no_traversal(monkeypatch):
+def test_a_second_exploration_of_one_graph_sweeps_no_root(monkeypatch):
+    # no subgraph's sweep is kept, so each that is not complete is swept
+    # again; the root's tree is built from the kept cliques
     g = gen_subtree(60, 4, 2)
     first = precount(g)
     second, calls = swept_during(monkeypatch, lambda: precount(g))
     assert second.entries == first.entries
-    assert calls == []
+    assert sorted(block for _, block in calls) == sorted(
+        k for k, e in first.entries.items() if len(e.records) > 1 and k != (1 << g.n) - 1
+    )
+    assert len(calls) == 7
+
+
+def test_a_checked_graph_runs_its_whole_clique_pass_once(monkeypatch, capsys):
+    passes = []
+    real = chordal._cliques_of_sweep
+
+    def spy(g, sweep):
+        passes.append((g, len(sweep) == g.n))
+        return real(g, sweep)
+
+    # the graph's kept cliques are found through the name graphs binds
+    monkeypatch.setattr(chordal, "_cliques_of_sweep", spy)
+    monkeypatch.setattr(graphs, "_cliques_of_sweep", spy)
+
+    def whole_passes() -> list:
+        out = [h for h, whole in passes if whole]
+        passes.clear()
+        return out
+
+    src = gen_subtree(60, 4, 2)
+    whole_passes()
+    g = Uccg(src.labels, src.adj)
+    t = clique_tree(g)
+    model = precount(g)
+    assert [h is g for h in whole_passes()] == [True]
+    assert len(t.cliques) > 1 and len(model.entries) > 1
+    assert main(["gen", "--model", "subtree", "--n", "60", "--k", "4", "--seed", "2"]) == 0
+    assert "cliques=" in capsys.readouterr().err
+    assert len(whole_passes()) == 1
+
+    # g's component, an edge, and a collider n + 2 -> n + 4 <- n + 3: the
+    # split runs each component's pass once, and the count's explorations
+    # run none
+    n = g.n
+    pg = PartialGraph(
+        n + 5,
+        [*g.adj, (n + 1,), (n,), (), (), ()],
+        [()] * (n + 2) + [(n + 4,), (n + 4,), ()],
+    )
+    comps = undirected_components(pg)
+    assert [h.labels for h in whole_passes()] == [c.labels for c in comps]
+    assert len(comps) == 5
+    assert count_cpdag(pg) == model.total * 2
+    assert [h.labels for h in whole_passes()] == [c.labels for c in comps]
+
+    # an exploration keeps nothing on its root that grows with the
+    # subgraphs it explores
+    big = gen_peo(2000, 1, 1)
+    kept = dict(vars(big))
+    model = precount(big)
+    assert len(model.entries) > 1000
+    assert vars(big).keys() == kept.keys() == {"labels", "adj", "adj_masks", "_cliques"}
+    assert all(vars(big)[k] is v for k, v in kept.items())
