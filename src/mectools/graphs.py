@@ -13,7 +13,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, islice
+from itertools import combinations, compress
 from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -191,10 +191,17 @@ def parse_graph(text: str | bytes) -> PartialGraph:
     Format: a header line ``n m_u m_d``, then ``m_u`` undirected edge lines
     ``u v`` and ``m_d`` directed edge lines ``u v``, all 1-indexed.  Lines
     whose first non-blank character is ``#`` and blank lines are ignored.
+    A vertex may be written in any form :func:`int` reads (``7``, ``07``,
+    ``+7``, ``٧``); all of them name one vertex, so an edge listed again in
+    another spelling is still a duplicate.
 
     The first fault raises a :class:`ParseError` with its line: a missing or
     malformed header, then a number of edge lines other than ``m_u + m_d``,
     then the first faulty edge line.
+
+    The edge lines are read once, first to last, and each is freed once
+    read.  :func:`int` runs once per distinct vertex name, and the rows are
+    gathered from the lines as they pass, sharing one int object per vertex.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -216,17 +223,35 @@ def parse_graph(text: str | bytes) -> PartialGraph:
     if n > sys.maxsize:  # no list can hold that many rows
         raise ParseError("malformed header, vertex count too large", head_no)
 
-    # one pass over the edge lines; the line count is checked before any
-    # edge line, so the first faulty edge line is kept and raised at the end.
-    # The pairs read are int keys (0-based): undirected as lo*n+hi, directed
-    # as tail*n+head.  Nothing of size n is built before the input passed.
+    # One pass over the edge lines, first to last: ``lines`` is reversed in
+    # place and popped, so each line is freed once read and no copy of the
+    # list is made.  The line count is checked before any edge line, so the
+    # first faulty edge line is kept and raised at the end.
+    #
+    # ``names`` maps each name seen to its vertex (0-based), so int() and
+    # the range check run once per distinct name.  It holds only names read,
+    # so nothing of size n is built before the input passed.
+    #
+    # The pairs are gathered as read, and the rows built from them.  The int
+    # keys (undirected lo*n+hi, directed tail*n+head) stay only to find a
+    # duplicate or a pair listed as both kinds in one probe per line, which
+    # the rows, unsorted until the end, cannot.
     total = mu + md
     und_keys: set[int] = set()
     dir_keys: set[int] = set()
+    names: dict[str, int] = {}
+    und_u: list[int] = []
+    und_v: list[int] = []
+    dir_u: list[int] = []
+    dir_v: list[int] = []
     found = 0
     fault: tuple[str, int] | None = None
-    for no, raw in enumerate(islice(lines, head_no, None), head_no + 1):
-        parts = raw.split()
+    end = len(lines)
+    lines.reverse()
+    del lines[end - head_no:]  # the header and the lines before it
+    pop = lines.pop
+    for no in range(head_no + 1, end + 1):
+        parts = pop().split()
         if not parts or parts[0][0] == "#":
             continue
         if found == total:
@@ -236,14 +261,21 @@ def parse_graph(text: str | bytes) -> PartialGraph:
             continue
         try:
             a, b = parts
-            u = int(a) - 1
-            v = int(b) - 1
-        except ValueError:
-            fault = ("malformed edge line, expected 'u v'", no)
-            continue
-        if not (0 <= u < n and 0 <= v < n):
-            fault = (f"vertex index out of range 1..{n}", no)
-            continue
+            u = names[a]
+            v = names[b]
+        except (KeyError, ValueError):  # a name not seen yet, or not two names
+            try:
+                a, b = parts
+                u = int(a) - 1
+                v = int(b) - 1
+            except ValueError:
+                fault = ("malformed edge line, expected 'u v'", no)
+                continue
+            if not (0 <= u < n and 0 <= v < n):
+                fault = (f"vertex index out of range 1..{n}", no)
+                continue
+            names[a] = u
+            names[b] = v
         if u == v:
             fault = ("self-loop", no)
             continue
@@ -253,6 +285,8 @@ def parse_graph(text: str | bytes) -> PartialGraph:
                 fault = ("duplicate undirected edge", no)
                 continue
             und_keys.add(key)
+            und_u.append(u)
+            und_v.append(v)
         else:
             key = u * n + v
             if key in dir_keys or v * n + u in dir_keys:
@@ -261,23 +295,28 @@ def parse_graph(text: str | bytes) -> PartialGraph:
                 fault = ("edge listed as both directed and undirected", no)
             else:
                 dir_keys.add(key)
+                dir_u.append(u)
+                dir_v.append(v)
     if found < total:
         raise ParseError(f"expected {total} edge lines, found {found}", head_no)
     if fault is not None:
         raise ParseError(*fault)
 
-    del lines
-    vertex = list(range(n))  # one int object per vertex, shared by all rows
+    # One int object per vertex, shared by all rows, whatever spellings
+    # named it.  Made while the key sets still hold their blocks, the n ints
+    # take fresh blocks side by side, not the gaps the freed keys would
+    # leave: each draw copies the rows' ints into its DAG, and scattered
+    # ints slowed the draws.
+    vertex = list(range(n))
+    del und_keys, dir_keys, names
     und: list[list[int]] = [[] for _ in vertex]
     out: list[list[int]] = [[] for _ in vertex]
-    for key in und_keys:
-        u, v = divmod(key, n)
+    for u, v in zip(und_u, und_v):
         und[u].append(vertex[v])
         und[v].append(vertex[u])
-    for key in dir_keys:
-        u, v = divmod(key, n)
+    for u, v in zip(dir_u, dir_v):
         out[u].append(vertex[v])
-    del und_keys, dir_keys  # freed before the rows are copied into tuples
+    del und_u, und_v, dir_u, dir_v
     for row in und:
         row.sort()
     for row in out:

@@ -1286,6 +1286,18 @@ def check_partial_graph(n: int, undirected, directed_out) -> None:
             seen.add(pair)
 
 
+# other spellings int() reads for a vertex name of plain decimal digits
+RESPELLINGS = [
+    lambda s: "0" + s,
+    lambda s: "00" + s,
+    lambda s: "+" + s,
+    lambda s: "+0" + s,
+    lambda s: s[0] + "_" + s[1:] if len(s) > 1 else s,
+    lambda s: s.translate({48 + d: 0x660 + d for d in range(10)}),  # Arabic-Indic
+    lambda s: s.translate({48 + d: 0xFF10 + d for d in range(10)}),  # fullwidth
+]
+
+
 def reference_parse_graph(text: str | bytes) -> PartialGraph:
     """The graph file parser written line list first, then counts, then
     edges: the reference for :func:`mectools.parse_graph`'s graphs, errors,

@@ -4,6 +4,10 @@ Core claims:
     - every text, valid or not, parses to the reference's graph, or fails
       with the reference's error, message and line; a parsed graph passes
       the PartialGraph constructor's check, which the parser skips
+    - a vertex named in several spellings (07, +7, non-ASCII digits) is one
+      vertex, and all rows share one int object per vertex, also past the
+      small ints Python caches
+    - parsing a file of 66k edge lines peaks below 115 traced bytes a line
     - the PartialGraph constructor accepts exactly what the pair-by-pair
       check accepts, and otherwise raises its message
     - undirected_components returns the reference's components, or raises
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 
 import helpers
 from mectools import NotChordalError, ParseError, PartialGraph, parse_graph, undirected_components
+from mectools.generators import gen_interval
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -46,11 +51,17 @@ def line_of(draw, tokens):
 
 
 @st.composite
-def graph_texts(draw):
+def graph_texts(draw, wide=False):
     """Graph files, mostly well formed, with comments, blank lines, mixed
-    line endings and one or two planted faults."""
-    n = draw(st.integers(0, 6))
-    vertex = st.integers(1, max(n, 1))
+    line endings and one or two planted faults.  ``wide`` files name a few
+    vertices past 256 in each of several spellings."""
+    if wide:
+        n = draw(st.integers(257, 400))
+        vertex = st.sampled_from(draw(st.lists(st.integers(1, n), min_size=2, max_size=7,
+                                               unique=True)))
+    else:
+        n = draw(st.integers(0, 6))
+        vertex = st.integers(1, max(n, 1))
     pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
                           max_size=9, unique_by=lambda p: (min(p), max(p))))
     lines = [[str(u), str(v)] for u, v in pairs]
@@ -85,6 +96,13 @@ def graph_texts(draw):
     elif shape == "junk":
         header[draw(st.integers(0, 2))] = draw(st.sampled_from(JUNK))
 
+    if wide:  # about a third of the names respelled, the header's too
+        respell = st.sampled_from(helpers.RESPELLINGS)
+        header, *lines = [
+            [draw(respell)(t) if t.isdigit() and draw(st.integers(0, 2)) == 0 else t
+             for t in toks]
+            for toks in [header, *lines]
+        ]
     body = [] if shape == "none" else [draw(line_of(header))]
     body += [draw(line_of(toks)) for toks in lines]
     out = []
@@ -112,6 +130,21 @@ def test_parse_matches_reference(text):
     if got[0] == "ok":  # the parser skips the constructor's check; it must pass
         g = got[1]
         assert g == PartialGraph(g.n, g.undirected, g.directed_out)
+
+
+@PROPERTY
+@given(graph_texts(wide=True))
+@example(text="300 2 0\n299 300\n0300 +299\n")  # one edge in two spellings
+def test_respelled_names_parse_to_one_int_per_vertex(text):
+    got = outcome(parse_graph, text)
+    assert got == outcome(helpers.reference_parse_graph, text)
+    if got[0] == "ok":
+        g = got[1]
+        assert g == PartialGraph(g.n, g.undirected, g.directed_out)
+        shared: dict[int, int] = {}
+        for row in g.undirected + g.directed_out:
+            for v in row:
+                assert shared.setdefault(v, v) is v
 
 
 @st.composite
@@ -211,6 +244,12 @@ def test_components_match_reference(fields):
         ("3 1 1\n1 2\n2 1\n", "edge listed as both directed and undirected", 3),
         ("3 0 2\n1 2\n2 1\n", "duplicate directed edge", 3),
         ("3 1 0 # three vertices\n1 2\n", "malformed header, expected 'n m_u m_d'", 1),
+        # a name seen before in another spelling is the same vertex, and a
+        # name seen first is still checked against the range
+        ("3 2 0\n1 2\n01 2\n", "duplicate undirected edge", 3),
+        ("3 1 1\n1 2\n+2 1\n", "edge listed as both directed and undirected", 3),
+        ("3 2 0\n1 2\n2 02\n", "self-loop", 3),
+        ("3 3 0\n1 2\n2 3\n3 4\n", "vertex index out of range 1..3", 4),
     ],
 )
 def test_error_precedence(text, message, line):
@@ -237,6 +276,25 @@ def test_faulty_input_builds_nothing_of_its_vertex_count(text, message):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_parse_peak_per_edge_line():
+    # eight interval graphs of 160 vertices, 66,111 edge lines; holding
+    # every line to the end of the loop beside the key sets peaks near 129
+    # bytes a line, freeing each line once read near 103
+    edges: list[tuple[int, int]] = []
+    for s in range(8):
+        part = gen_interval(160, s)
+        edges += [(160 * s + u, 160 * s + v) for u, v in part.edges()]
+    text = PartialGraph.from_edges(8 * 160, edges).serialize()
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_undirected == len(edges) > 50_000
+    assert peak / len(edges) < 115
 
 
 def test_not_chordal_component_after_unsorted_one_is_reported_first():
