@@ -79,12 +79,11 @@ def cmd_count(args) -> int:
 def cmd_sample(args) -> int:
     _check(args.samples >= 0, "--samples must be nonnegative")
     g = _read_graph(args.file)
-    comps = _split(g)
-    models = [sampling.precount(c) for c in comps]
+    models = [sampling.precount(c) for c in _split(g)]
     rng = random.Random(args.seed)
     # each draw is written as it is made, a blank line between two draws
     for i in range(args.samples):
-        dag = sampling.sample_cpdag(g, models, rng, _components=comps)
+        dag = sampling.sample_cpdag(g, models, rng)
         if i:
             sys.stdout.write("\n")
         sys.stdout.write(dag.serialize())

@@ -302,7 +302,8 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
 def count_cpdag(g: PartialGraph) -> int:
     """Size of the Markov equivalence class represented by a CPDAG.
 
-    Product over the undirected components.  Raises
+    Product over the undirected components ``g`` keeps, so a count after
+    :func:`~mectools.graphs.undirected_components` splits nothing.  Raises
     :class:`~mectools.chordal.NotChordalError` if a component is not
     chordal, then :class:`~mectools.graphs.NotCpdagError` if ``g`` is not a
     CPDAG.

@@ -95,7 +95,7 @@ class PartialGraph:
         out = self.directed_out
         if not any(out):
             return True
-        root = _component_roots(self.undirected)
+        root = self._roots
         # an arrow between components joins their smallest vertices; one
         # inside a component is a loop
         heads: list[list[int]] = [[] for _ in out]
@@ -103,6 +103,36 @@ class PartialGraph:
             if row:
                 heads[root[u]] += map(root.__getitem__, row)
         return _is_acyclic(heads)
+
+    @cached_property
+    def _roots(self) -> list[int]:
+        """The smallest vertex of every vertex's undirected component, found
+        once per graph for the split and :attr:`is_chain_graph`."""
+        return _component_roots(self.undirected)
+
+    @cached_property
+    def _components(self) -> tuple[Uccg, ...]:
+        """The undirected components, found once per graph (see
+        :func:`undirected_components`); a component that is not chordal
+        raises :class:`NotChordalError`, and none is kept."""
+        und = self.undirected
+        members: dict[int, list[int]] = {}  # smallest vertex -> the component
+        for v, s in enumerate(self._roots):
+            if s == v:
+                members[v] = [v]
+            else:
+                members[s].append(v)
+        local = [0] * self.n  # global -> local index within the current component
+        out: list[Uccg] = []
+        for comp in members.values():
+            for i, v in enumerate(comp):
+                local[v] = i
+            to_local = local.__getitem__
+            c = Uccg._unchecked(comp, tuple(tuple(map(to_local, und[v])) for v in comp))
+            if not is_chordal(c):
+                raise NotChordalError(comp)
+            out.append(c)
+        return tuple(out)
 
     @cached_property
     def is_flag_free(self) -> bool:
@@ -431,7 +461,10 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
 
     Each component is validated to be chordal; isolated vertices (in the
     undirected subgraph) yield singleton components.  Components are returned
-    in order of their smallest vertex.
+    in order of their smallest vertex.  ``g`` keeps them from its first
+    split, with their rows, masks and cliques, for as long as it lives, for
+    every later call, count and draw; each call returns a new list of them.
+    A graph whose split raises keeps no component.
 
     ``g``'s own invariant makes every component's rows sorted,
     duplicate-free, symmetric, in range and loop-free (the constructor
@@ -439,31 +472,15 @@ def undirected_components(g: PartialGraph) -> list[Uccg]:
     them so), and the search makes it connected; what is left to check, per
     component in order, is that it is chordal.
     """
-    und = g.undirected
-    members: dict[int, list[int]] = {}  # smallest vertex -> the component
-    for v, s in enumerate(_component_roots(und)):
-        if s == v:
-            members[v] = [v]
-        else:
-            members[s].append(v)
-    local = [0] * g.n  # global -> local index within the current component
-    out: list[Uccg] = []
-    for comp in members.values():
-        for i, v in enumerate(comp):
-            local[v] = i
-        to_local = local.__getitem__
-        c = Uccg._unchecked(comp, tuple(tuple(map(to_local, und[v])) for v in comp))
-        if not is_chordal(c):
-            raise NotChordalError(comp)
-        out.append(c)
-    return out
+    return list(g._components)
 
 
-def _split(g: PartialGraph) -> list[Uccg]:
-    """The undirected components of a CPDAG ``g``.  A component that is not
-    chordal raises first; then a ``g`` that is not a CPDAG raises
-    :class:`NotCpdagError` (see :func:`_require_cpdag`)."""
-    comps = undirected_components(g)
+def _split(g: PartialGraph) -> tuple[Uccg, ...]:
+    """The undirected components ``g`` keeps (see
+    :func:`undirected_components`).  A component that is not chordal raises
+    first; then a ``g`` that is not a CPDAG raises :class:`NotCpdagError`
+    (see :func:`_require_cpdag`)."""
+    comps = g._components
     _require_cpdag(g)
     return comps
 
@@ -550,25 +567,6 @@ def _rows(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool) -> tuple[tu
         if symmetric:
             rows[v].add(u)
     return tuple(tuple(sorted(row)) for row in rows)
-
-
-def _are_components_of(g: PartialGraph, comps: Sequence[Uccg]) -> bool:
-    """True iff ``comps`` are exactly the undirected components of ``g`` in
-    the order :func:`undirected_components` gives: every vertex covered once,
-    each component's rows equal to ``g``'s rows, first labels increasing."""
-    und = g.undirected
-    seen = bytearray(g.n)
-    last = -1
-    for comp in comps:
-        labels = comp.labels
-        if not labels or labels[0] <= last or labels[-1] >= g.n:
-            return False
-        last = labels[0]
-        for u, row in zip(labels, comp.adj):
-            if seen[u] or und[u] != tuple(map(labels.__getitem__, row)):
-                return False
-            seen[u] = 1
-    return all(seen)
 
 
 def _strictly_increasing(row: Sequence[int]) -> bool:

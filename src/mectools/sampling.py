@@ -26,7 +26,7 @@ from typing import Sequence
 
 from ._partition import mask_bits
 from .counting import CliqueRecord, Key, SamplerModel, _chain_weights, _phi_suffixes, explore
-from .graphs import Dag, PartialGraph, Uccg, _are_components_of, _require_cpdag, orient_by_ordering
+from .graphs import Dag, PartialGraph, Uccg, _require_cpdag, orient_by_ordering
 
 
 class ModelMismatchError(ValueError):
@@ -169,21 +169,19 @@ def sample_cpdag(
     Keeps the directed edges and orients every undirected component with an
     independently drawn AMO: the models' roots and their orderings, drawn in
     model order in the roots' local vertices, go to
-    :func:`~mectools.graphs.orient_by_ordering`.  The components are the
-    models' roots, checked against ``g``.  A caller that
-    passes ``_components``, the split it built the models from, has each
-    model checked against its component only.  A ``g`` that is not a CPDAG
-    raises :class:`~mectools.graphs.NotCpdagError` first.
+    :func:`~mectools.graphs.orient_by_ordering`.  A ``g`` that is not a
+    CPDAG raises :class:`~mectools.graphs.NotCpdagError` first.  Then each
+    model's root must be ``g``'s component in its place, in the split ``g``
+    keeps (see :func:`~mectools.graphs.undirected_components`), which costs
+    a draw nothing measurable after ``g``'s first split; a component that is
+    not chordal raises :class:`~mectools.chordal.NotChordalError`.  The
+    private ``_components``, which the benchmark passes, replaces that split.
     """
     _require_cpdag(g)
-    if _components is None:
-        ok = _are_components_of(g, [m.root for m in models])
-    else:
-        comps = list(_components)
-        ok = len(models) == len(comps) and all(
-            m.root is c or m.root == c for m, c in zip(models, comps)
-        )
-    if not ok:
+    comps = g._components if _components is None else _components
+    if len(models) != len(comps) or not all(
+        m.root is c or m.root == c for m, c in zip(models, comps)
+    ):
         raise ModelMismatchError("models do not match the undirected components")
     # as tuples of ints, which the collector stops tracking, not as lists
     # that each collection during the walk would move to an older generation

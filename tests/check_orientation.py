@@ -10,8 +10,11 @@ component has more than 256 vertices, and a 257-vertex ``gen_interval``.
 Each draw of ``sampling.sample_cpdag`` (20 per workload and seed, 5 per
 generated graph) is compared with ``helpers.orientation_edges`` of the
 graph by the global ordering the same draw makes: the components' orderings
-drawn from a generator seeded alike, relabelled and concatenated.  Prints
-one line per graph; exits 1 if any draw differs.
+drawn from a generator seeded alike, relabelled and concatenated.  Each
+graph is then drawn again, from a third generator seeded alike, through the
+public ``sample_cpdag(g, models, rng)`` with no ``_components``, which checks
+the models against the split ``g`` keeps; every DAG must equal the draw
+with the keyword.  Prints one line per graph; exits 1 if any draw differs.
 """
 
 from __future__ import annotations
@@ -30,17 +33,19 @@ from mectools.sampling import _draw_order  # noqa: E402
 from workloads import WORKLOADS, build_text  # noqa: E402
 
 
-def check(g, draws: int, seed: int) -> int:
-    """The draws of ``g`` whose DAG differs from the reference orientation."""
+def check(g, draws: int, seed: int) -> tuple[int, int]:
+    """The draws of ``g`` whose DAG differs from the reference orientation,
+    and those whose public draw without ``_components`` differs from it."""
     comps = undirected_components(g)
     models = [precount(c) for c in comps]
-    fast, slow = random.Random(seed), random.Random(seed)
-    differ = 0
+    fast, slow, public = random.Random(seed), random.Random(seed), random.Random(seed)
+    differ = unkeyed = 0
     for _ in range(draws):
         dag = sample_cpdag(g, models, fast, _components=comps)
         tau = [c.labels[v] for c, m in zip(comps, models) for v in _draw_order(m, slow)]
         differ += dag.edge_set() != helpers.orientation_edges(g, tau)
-    return differ
+        unkeyed += sample_cpdag(g, models, public) != dag
+    return differ, unkeyed
 
 
 def main(argv: list[str]) -> int:
@@ -56,9 +61,9 @@ def main(argv: list[str]) -> int:
     ]
     failed = False
     for label, g, draws, seed in runs:
-        differ = check(g, draws, seed)
-        print(f"{label}: {draws} draws, {differ} differ")
-        failed |= differ > 0
+        differ, unkeyed = check(g, draws, seed)
+        print(f"{label}: {draws} draws, {differ} differ, {unkeyed} differ without _components")
+        failed |= differ + unkeyed > 0
     return 1 if failed else 0
 
 

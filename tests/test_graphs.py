@@ -4,7 +4,10 @@ Core claims:
     - parse/serialize round-trips every graph
     - malformed input is rejected with a line-numbered error
     - the undirected components partition the undirected subgraph and are
-      validated chordal
+      validated chordal; a graph keeps them from its first split, and each
+      call returns a new list of the kept components; a graph that is not
+      chordal keeps none and raises on every call; threads that split and
+      count one graph at once read equal splits and counts
     - a Uccg is rejected unless its labels increase and its rows form one
       connected chordal graph; a non-chordal one names its own labels
     - induced subgraphs keep global labels
@@ -30,6 +33,8 @@ Core claims:
 import functools
 import itertools
 import random
+import sys
+import threading
 from operator import itemgetter
 
 import pytest
@@ -43,6 +48,8 @@ from mectools import (
     ParseError,
     PartialGraph,
     Uccg,
+    count_cpdag,
+    graphs,
     parse_graph,
     undirected_components,
     v_structures,
@@ -429,6 +436,70 @@ class TestUndirectedComponents:
             comps = undirected_components(g)
             seen = sorted(lab for c in comps for lab in c.labels)
             assert seen == list(range(n))
+
+
+class TestKeptSplit:
+    def test_each_call_returns_a_new_list_of_the_kept_components(self):
+        g = helpers.many_component_cpdag(2)
+        first = undirected_components(g)
+        second = undirected_components(g)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second)) and len(first) == len(second)
+        kept = list(second)
+        first.reverse()
+        first.append(first[0])
+        assert second == kept and undirected_components(g) == kept
+        # an equal graph splits again, into equal components of its own
+        fresh = PartialGraph(g.n, g.undirected, g.directed_out)
+        assert undirected_components(fresh) == kept
+        assert not any(a is b for a, b in zip(undirected_components(fresh), kept))
+
+    def test_a_non_chordal_graph_raises_each_time_and_keeps_no_split(self, monkeypatch):
+        # a 4-cycle on 1..4 beside the edge 0 - 5; the cycle's sweep fails
+        g = PartialGraph.from_edges(6, [(0, 5), (1, 2), (2, 3), (3, 4), (4, 1)])
+        sweeps = []
+        real = graphs._cliques_of_sweep
+
+        def spy(c, sweep):
+            sweeps.append(c.labels)
+            return real(c, sweep)
+
+        monkeypatch.setattr(graphs, "_cliques_of_sweep", spy)
+        for _ in range(2):
+            with pytest.raises(NotChordalError) as info:
+                undirected_components(g)
+            assert info.value.labels == (1, 2, 3, 4)
+            assert "_components" not in vars(g)
+        assert sweeps == [(0, 5), (1, 2, 3, 4)] * 2
+
+    def test_threads_splitting_and_counting_one_graph_agree(self):
+        want_split = undirected_components(helpers.many_component_cpdag(4))
+        want_count = count_cpdag(helpers.many_component_cpdag(4))
+        g = helpers.many_component_cpdag(4)
+        start = threading.Barrier(8, timeout=30)
+        splits, counts = [], []
+
+        def work(i):
+            start.wait()
+            for step in (0, 1) if i % 2 else (1, 0):
+                if step:
+                    splits.append(undirected_components(g))
+                else:
+                    counts.append(count_cpdag(g))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(start.parties)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert splits == [want_split] * 8
+        assert counts == [want_count] * 8
 
 
 class TestUccg:

@@ -18,11 +18,15 @@ Core claims:
     - a CPDAG draw built as one DAG equals the per-component assembly, draw
       for draw, with the same seed, with and without ``_components``
     - without ``_components``, models that are not exactly the CPDAG's
-      undirected components, in order, are rejected
+      undirected components, in order, are rejected, against the split the
+      graph keeps: a count, a split, a precount and 50 draws of one graph
+      walk its components once; a component that is not chordal raises
+      NotChordalError, after the CPDAG check
     - with ``_components``, a split that misses vertices is rejected
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,13 +35,17 @@ import pytest
 
 import helpers
 from mectools import (
+    NotChordalError,
     NotCpdagError,
     PartialGraph,
+    count_cpdag,
     count_root_picking,
     enumerate_amos,
     gen_interval,
     gen_peo,
     gen_subtree,
+    graphs,
+    parse_graph,
     precount,
     sample_cpdag,
     sampling,
@@ -437,6 +445,48 @@ def test_one_dag_draw_equals_the_per_component_assembly():
                 pg, models, comps, slow
             )
         assert fast.random() == slow.random()
+
+
+def test_the_readme_sequence_splits_its_graph_once(monkeypatch):
+    # count, split, precount and draws without _components, on one graph
+    # with directed edges, walk its undirected components once in all, and
+    # draw the stream the keyword draws
+    calls = []
+    real = graphs._component_roots
+
+    def spy(und):
+        calls.append(len(und))
+        return real(und)
+
+    text = helpers.many_component_cpdag(7).serialize()
+    monkeypatch.setattr(graphs, "_component_roots", spy)
+    g = parse_graph(text)
+    size = count_cpdag(g)
+    comps = undirected_components(g)
+    models = [precount(c) for c in comps]
+    rng = random.Random(35)
+    drawn = [sample_cpdag(g, models, rng) for _ in range(50)]
+    assert calls == [g.n] and g.num_directed
+    assert size == math.prod(m.total for m in models)
+    keyed = random.Random(35)
+    assert drawn == [sample_cpdag(g, models, keyed, _components=comps) for _ in range(50)]
+
+
+def test_a_non_chordal_component_raises_not_chordal_without_the_keyword():
+    # a 4-cycle on 0..3 beside the edge 4 - 5; the models are of the same
+    # skeleton with the chord 0 - 2
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]
+    pg = PartialGraph.from_edges(6, cycle)
+    models = models_of(PartialGraph.from_edges(6, cycle + [(0, 2)]))
+    for _ in range(2):
+        with pytest.raises(NotChordalError) as info:
+            sample_cpdag(pg, models, random.Random(0))
+        assert info.value.labels == (0, 1, 2, 3)
+    # the CPDAG check stays first: the lone arrow 4 -> 5 is not strongly
+    # protected
+    lone = PartialGraph.from_edges(6, cycle[:4], [(4, 5)])
+    with pytest.raises(NotCpdagError):
+        sample_cpdag(lone, models, random.Random(0))
 
 
 def test_default_path_rejects_models_of_other_components():

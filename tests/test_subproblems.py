@@ -540,8 +540,8 @@ def test_a_checked_graph_runs_its_whole_clique_pass_once(monkeypatch, capsys):
     assert len(whole_passes()) == 1
 
     # g's component, an edge, and a collider n + 2 -> n + 4 <- n + 3: the
-    # split runs each component's pass once, and the count's explorations
-    # run none
+    # split runs each component's pass once, and the count after it reads
+    # the split pg keeps, so neither it nor its explorations run one
     n = g.n
     pg = PartialGraph(
         n + 5,
@@ -552,6 +552,11 @@ def test_a_checked_graph_runs_its_whole_clique_pass_once(monkeypatch, capsys):
     assert [h.labels for h in whole_passes()] == [c.labels for c in comps]
     assert len(comps) == 5
     assert count_cpdag(pg) == model.total * 2
+    assert whole_passes() == []
+    # an equal graph keeps a split of its own: its count runs one pass per
+    # component
+    fresh = PartialGraph(pg.n, pg.undirected, pg.directed_out)
+    assert fresh == pg and count_cpdag(fresh) == model.total * 2
     assert [h.labels for h in whole_passes()] == [c.labels for c in comps]
 
     # an exploration keeps nothing on its root that grows with the
