@@ -71,12 +71,8 @@ def _subtree_intersection_edges(
             for w in tree_adj[v]:
                 if w not in nodes:
                     frontier.add(w)
-    edges = set()
-    for ids in holds:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                edges.add((ids[a], ids[b]))
-    return sorted(edges)
+    # each node's ids increase; a pair two nodes share is listed at each
+    return [(a, b) for ids in holds for j, a in enumerate(ids) for b in ids[j + 1 :]]
 
 
 def gen_subtree(n: int, k: int, seed: int) -> Uccg:
@@ -116,7 +112,7 @@ def gen_interval(n: int, seed: int) -> Uccg:
                 vj = order[j]
                 if intervals[vj][0] > hi:
                     break
-                edges.append((vi, vj) if vi < vj else (vj, vi))
+                edges.append((vi, vj))
         adj = _rows(n, edges, True)
         if not any(_component_roots(adj)):
             return Uccg(range(n), adj)
@@ -134,27 +130,16 @@ def gen_peo(n: int, k: int, seed: int) -> Uccg:
     rng = random.Random(seed)
     lo = max(1, k // 2)
     hi = max(lo, 2 * k)
-    later: list[set[int]] = [set() for _ in range(n)]
-    edges: set[tuple[int, int]] = set()
-
-    def add_edge(a: int, b: int) -> None:
-        edges.add((a, b) if a < b else (b, a))
-        if a < b:
-            later[a].add(b)
-        else:
-            later[b].add(a)
-
+    later: list[set[int]] = [set() for _ in range(n)]  # each edge once, at its lower end
     for i in range(n - 1):
         size = min(rng.randint(lo, hi), n - 1 - i)
-        bag = set(later[i])
+        bag = later[i]
         while len(bag) < size:
             bag.add(rng.randrange(i + 1, n))
         bag_list = sorted(bag)
         for j, a in enumerate(bag_list):
-            add_edge(i, a)
-            for b in bag_list[j + 1 :]:
-                add_edge(a, b)
-    return Uccg.from_edges(range(n), sorted(edges))
+            later[a].update(bag_list[j + 1 :])
+    return Uccg.from_edges(range(n), ((a, b) for a, bag in enumerate(later) for b in bag))
 
 
 def gen_thicken(n: int, k: int, seed: int) -> Uccg:

@@ -385,7 +385,7 @@ class Uccg:
         PartialGraph(len(labels), self.adj, ((),) * len(labels))
         if not is_chordal(self):
             raise NotChordalError(labels)
-        if any(_component_roots(self.adj)):  # a vertex outside vertex 0's component
+        if -1 in self._cliques[1]:  # a further component's first clique attaches to none
             raise ValueError("graph not connected")
 
     @classmethod

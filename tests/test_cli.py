@@ -10,7 +10,8 @@ Core claims:
     - oracle enforces its size guards with exit code 3
     - bench emits one well-formed CSV row per instance and survives timeouts,
       on any thread, leaving the caller's interval timer and SIGALRM handler
-      alone
+      alone; it counts the generated component as it is, with no split, and
+      reads its clique count off the sweep the graph's check kept
     - exit codes: 0 ok, 1 input error (an input too large to hold and a
       generator that gives up included), 2 not chordal, 3 oracle guard,
       4 not a CPDAG (not a chain graph, an induced a -> b - c, or a directed
@@ -37,7 +38,9 @@ import pytest
 
 import helpers
 from mectools import PartialGraph, parse_graph, precount, sample_cpdag, undirected_components
-from mectools import cli, oracle
+from mectools import cli, generators, graphs, oracle
+from mectools.chordal import clique_tree
+from mectools.counting import explore
 from mectools.cli import main
 
 
@@ -523,8 +526,9 @@ class TestBench:
         assert [int(r[1]) for r in rows[1:]] == [16, 32, 64]
 
     def test_timeout_rows_not_fatal(self, capsys):
+        # the root's clique tree and regions alone take several ms here
         code, out, _ = run(
-            capsys, "bench", "--model", "interval", "--sizes", "256",
+            capsys, "bench", "--model", "peo", "--sizes", "1000", "--k-policy", "1",
             "--timeout", "0.001", "--seed", "2",
         )
         assert code == 0
@@ -548,7 +552,10 @@ class TestBench:
 
     @pytest.mark.parametrize("timeout, status", [("60", "ok"), ("0.001", "timeout")])
     def test_bench_runs_off_the_main_thread(self, capsys, timeout, status):
-        argv = ["bench", "--model", "interval", "--sizes", "256", "--timeout", timeout, "--seed", "2"]
+        argv = [
+            "bench", "--model", "peo", "--sizes", "1000", "--k-policy", "1",
+            "--timeout", timeout, "--seed", "2",
+        ]
         codes = []
         thread = threading.Thread(target=lambda: codes.append(main(argv)))
         thread.start()
@@ -577,6 +584,53 @@ class TestBench:
         assert code == 0
         assert list(csv.reader(io.StringIO(out)))[1][10] == "timeout"
         assert 590.0 < remaining <= 600.0 and interval == 300.0
+
+    def test_counts_the_generated_component_as_it_is(self, capsys, monkeypatch):
+        # a generated graph is one checked component: bench neither views it
+        # as a PartialGraph nor splits it, and gen_peo walks no component
+        calls = []
+        view, walk = graphs.Uccg.as_partial_graph, graphs._component_roots
+        monkeypatch.setattr(graphs.Uccg, "as_partial_graph", lambda g: calls.append("view") or view(g))
+        for module in (graphs, generators):
+            monkeypatch.setattr(module, "_component_roots", lambda und: calls.append("walk") or walk(und))
+        code, out, _ = run(
+            capsys, "bench", "--model", "peo", "--sizes", "64,256", "--k-policy", "2",
+            "--reps", "2", "--seed", "3",
+        )
+        assert code == 0 and calls == []
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 4
+        for row in rows:
+            g = generators.gen_peo(int(row[1]), 2, int(row[4]))
+            assert row[10] == "ok"
+            assert int(row[8]) == len(str(explore(g).total))
+
+    @pytest.mark.parametrize("model", sorted(cli._GEN))
+    def test_cliques_column_reads_the_kept_sweep(self, capsys, monkeypatch, model):
+        # each instance is generated, and so checked, before bench sees it:
+        # bench sweeps no whole graph again, and its cliques column is the
+        # length of the graph's clique tree
+        made = {}
+        for n, seed in ((12, 7), (40, 8)):
+            made[n, 3, seed] = cli._GEN[model](n, 3, seed)
+        monkeypatch.setitem(cli._GEN, model, lambda n, k, seed: made[n, k, seed])
+        sweeps = []
+        sweep_of = graphs._cliques_of_sweep
+        monkeypatch.setattr(
+            graphs, "_cliques_of_sweep", lambda g, sweep: sweeps.append(g) or sweep_of(g, sweep)
+        )
+        code, out, _ = run(
+            capsys, "bench", "--model", model, "--sizes", "12,40", "--k-policy", "3",
+            "--seed", "7",
+        )
+        assert code == 0 and sweeps == []
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 2
+        for row in rows:
+            g = made[int(row[1]), 3, int(row[4])]
+            assert int(row[5]) == g.m
+            assert int(row[6]) == len(clique_tree(g).cliques)
+            assert row[10] == "ok"
 
     def test_generator_that_gives_up_exit_1(self, capsys):
         code, out, err = run(

@@ -515,6 +515,46 @@ class TestUccg:
         with pytest.raises(NotChordalError):
             Uccg.from_edges(range(4), helpers.cycle_edges(4))
 
+    def test_connectivity_is_read_off_the_chordality_sweep(self, monkeypatch):
+        # the check's one sweep tells connectivity too: no component walk
+        walks = []
+        walk = graphs._component_roots
+        monkeypatch.setattr(graphs, "_component_roots", lambda und: walks.append(und) or walk(und))
+        helpers.three_clique_chain()
+        Uccg([3, 5, 8], [[1], [0, 2], [1]])
+        Uccg.from_edges(range(1), [])
+        Uccg.from_edges(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        assert walks == []
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (2, []),
+            (4, [(1, 2), (2, 3), (1, 3)]),  # vertex 0 alone
+            (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        ],
+    )
+    def test_a_disconnected_chordal_graph_says_so(self, n, edges):
+        with pytest.raises(ValueError) as info:
+            Uccg.from_edges(range(n), edges)
+        assert type(info.value) is ValueError and str(info.value) == "graph not connected"
+
+    @given(helpers.chordal_graphs(), helpers.chordal_graphs(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_two_components_on_any_ids_say_so(self, a, b, data):
+        ids = data.draw(st.permutations(range(a.n + b.n)))
+        edges = [(ids[u], ids[v]) for u, v in a.edges()]
+        edges += [(ids[a.n + u], ids[a.n + v]) for u, v in b.edges()]
+        with pytest.raises(ValueError, match="^graph not connected$"):
+            Uccg.from_edges(range(a.n + b.n), edges)
+
+    def test_a_disconnected_non_chordal_graph_is_not_chordal(self):
+        # the sweep passes into a second component before it meets the
+        # chordless cycle there
+        with pytest.raises(NotChordalError) as info:
+            Uccg.from_edges(range(6), [(0, 1)] + [(u + 2, v + 2) for u, v in helpers.cycle_edges(4)])
+        assert info.value.labels == tuple(range(6))
+
     @pytest.mark.parametrize(
         "build, args",
         [

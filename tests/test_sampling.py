@@ -23,6 +23,8 @@ Core claims:
       walk its components once; a component that is not chordal raises
       NotChordalError, after the CPDAG check
     - with ``_components``, a split that misses vertices is rejected
+    - past brute-force sizes, the rooted counts sum to the class size and a
+      draw's first vertex (its one source) follows them, by a chi-square test
 """
 
 import itertools
@@ -30,6 +32,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 
@@ -516,3 +519,59 @@ def test_default_path_rejects_models_of_other_components():
     for wrong in [models, *cases.values()]:
         with pytest.raises(NotCpdagError):
             sample_cpdag(lone, wrong, random.Random(0))
+
+
+def chi_square_quantile(df: int, p: float) -> float:
+    """The ``p`` quantile of the chi-square law with ``df`` degrees of
+    freedom, in the Wilson-Hilferty form over the standard normal one."""
+    z = NormalDist().inv_cdf(p)
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def chi_square(observed: Counter, expected: list[float]) -> tuple[float, int]:
+    """Pearson's statistic of ``observed[v]`` against ``expected[v]``, and
+    its degrees of freedom, over bins pooled in increasing expectation
+    until each expects at least 5; a last bin that falls short joins the
+    one before it."""
+    bins: list[list[float]] = [[0.0, 0.0]]  # [observed, expected]
+    for v in sorted(range(len(expected)), key=expected.__getitem__):
+        if bins[-1][1] >= 5:
+            bins.append([0.0, 0.0])
+        bins[-1][0] += observed[v]
+        bins[-1][1] += expected[v]
+    if len(bins) > 1 and bins[-1][1] < 5:
+        o, e = bins.pop()
+        bins[-1][0] += o
+        bins[-1][1] += e
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
+class TestUniformPastBruteForce:
+    """Draws judged on graphs far past the oracles' 25 vertices: an AMO of
+    a connected chordal graph has one source, the first vertex of any of
+    its topological orders, so a uniform draw's first vertex is ``v`` with
+    probability rooted(v) / total."""
+
+    GRAPHS = {
+        "subtree-60": lambda: gen_subtree(60, 4, 2),
+        "interval-40": lambda: gen_interval(40, 3),
+        "peo-200": lambda: gen_peo(200, 2, 1),
+    }
+    DRAWS = 20_000
+
+    def test_chi_square_quantile_matches_the_table(self):
+        assert chi_square_quantile(53, 0.999) == pytest.approx(90.5734, rel=5e-3)
+        assert chi_square_quantile(20, 0.999) == pytest.approx(45.3147, rel=5e-3)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_first_vertex_follows_the_rooted_counts(self, name):
+        g = self.GRAPHS[name]()
+        assert g.n > 25
+        rooted = helpers.rooted_counts(g)
+        model = explore(g)
+        assert sum(rooted) == model.total and min(rooted) >= 1  # any vertex can be the source
+        rng = random.Random(0)
+        firsts = Counter(_draw_order(model, rng)[0] for _ in range(self.DRAWS))
+        stat, df = chi_square(firsts, [self.DRAWS * r / model.total for r in rooted])
+        assert df >= 20
+        assert stat < chi_square_quantile(df, 0.999)
