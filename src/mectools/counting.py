@@ -57,59 +57,56 @@ def factorial(k: int) -> int:
     return f[k]
 
 
-def _phi_sizes(total: int, sizes: Sequence[int]) -> int:
-    """Permutations of a ``total``-set avoiding a nested chain of prefix sets.
-
-    Only the chain sizes matter once strict nesting holds; no size exceeds
-    ``total``.  A size <= 0 means an empty forbidden prefix, which every
-    permutation has, so 0 is returned.
-    """
-    if sizes and sizes[0] <= 0:
-        return 0
-    factorial(total)
-    f = _FACT
-    sub: list[int] = []
-    for i, s in enumerate(sizes):
-        val = f[s]
-        for j in range(i):
-            val -= f[s - sizes[j]] * sub[j]
-        sub.append(val)
-    result = f[total]
-    for i, s in enumerate(sizes):
-        result -= f[total - s] * sub[i]
-    return result
-
-
 def _chain_weights(total: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    """The weights ``W`` of :func:`_phi_suffixes`'s closed form for a
-    ``total``-set with the chain sizes ``sizes`` (strictly increasing, each
+    """The weights ``W`` of :func:`_phi`'s closed form ``f[total] − Σ_j
+    W_j·f[s_j]`` for the chain sizes ``sizes`` (strictly increasing, each
     below ``total``).
 
-    ``W_j`` is ``Σ_{i≥j} f[total − s_i]·C_ij``, where ``C`` inverts the unit
-    lower-triangular ``M_ij = f[s_i − s_j]``, the matrix of
-    :func:`_phi_sizes`'s peel-off recurrence; it is found from the last set
-    back, as ``W_j = f[total − s_j] − Σ_{i>j} W_i·f[s_i − s_j]``.
+    A permutation with a forbidden prefix has a first one, ``X_i``: there
+    are ``f[total − s_i]·g_i``, ``g_i`` the orders of ``X_i`` with no
+    earlier set as a prefix, so ``Σ_{j≤i} M_ij·g_j = f[s_i]`` with the unit
+    lower-triangular ``M_ij = f[s_i − s_j]``.  Then ``W_j = Σ_{i≥j} f[total
+    − s_i]·C_ij``, ``C`` the inverse of ``M``, found from the last set back
+    as ``W_j = f[total − s_j] − Σ_{i>j} W_i·f[s_i − s_j]``.
     """
     factorial(total)
     f = _FACT
     w = [0] * len(sizes)
     for j in range(len(sizes) - 1, -1, -1):
         s = sizes[j]
-        w[j] = f[total - s] - sum(w[i] * f[sizes[i] - s] for i in range(j + 1, len(sizes)))
+        acc = f[total - s]
+        for i in range(j + 1, len(sizes)):
+            acc -= w[i] * f[sizes[i] - s]
+        w[j] = acc
     return tuple(w)
 
 
+def _phi(total: int, sizes: Sequence[int]) -> int:
+    """Permutations of a ``total``-set that avoid a nested chain of prefix
+    sets of the sizes ``sizes`` (strictly increasing, each in ``1..total −
+    1``): ``f[total] − Σ_j W_j·f[s_j]`` over :func:`_chain_weights`, which
+    is ``f[total]`` for no chain."""
+    if not sizes:
+        return factorial(total)
+    weights = _chain_weights(total, sizes)
+    f = _FACT
+    phi = f[total]
+    for w, s in zip(weights, sizes):
+        phi -= w * f[s]
+    return phi
+
+
 def _phi_suffixes(total: int, left: Sequence[int], weights: Sequence[int], start: int) -> list[int]:
-    """``[_phi_sizes(total, left[b:]) for b in range(start, len(left) + 1)]``
-    for a chain shrunk as a draw shrinks it: ``left`` and ``total`` are the
-    sizes and the set size that ``weights`` (:func:`_chain_weights`) were
-    made for, all less the same number of placed vertices.
+    """The permutation counts of a chain's suffixes ``left[b:]``, ``b`` from
+    ``start`` to ``len(left)``, as a draw shrinks the chain: ``left`` and
+    ``total`` are the sizes and set size ``weights`` (:func:`_chain_weights`)
+    were made for, all less the same number of placed vertices.
 
     The difference of two sizes does not change when both shrink, so
-    neither does ``M`` of :func:`_chain_weights`, and ``_phi_sizes(total,
-    left[b:])`` is ``f[total] − Σ_{j≥b} W_j·f[left_j]``; one pass from the
-    last set back yields every suffix, one product per set.  A suffix whose
-    first size is 0 or less has none, as in :func:`_phi_sizes`.
+    neither does ``M`` of :func:`_chain_weights`, and the suffix from ``b``
+    counts ``f[total] − Σ_{j≥b} W_j·f[left_j]``, as in :func:`_phi`; one pass
+    from the last set back yields every suffix, one product per set.  A
+    suffix whose first set is placed (size 0 or less) counts 0.
     """
     f = _FACT
     top = f[total]
@@ -279,7 +276,7 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
             records.append(CliqueRecord(
                 clique, chain,
                 () if regions is None else components_after_clique(g, clique, sub, regions[idx]),
-                _phi_sizes(clique.bit_count(), [s.bit_count() for s in chain]),
+                _phi(clique.bit_count(), [s.bit_count() for s in chain]),
             ))
         heads = None if regions is None else [regions[idx] for idx in t.order]
         records_of[sub] = (tuple(records), heads)

@@ -100,7 +100,6 @@ def enumerate_amos(g: Uccg) -> list[Dag]:
             if not (reach[b] >> a) & 1:
                 new_reach = list(reach)
                 rb = new_reach[b]
-                bit_a = 1 << a
                 for w in range(n):
                     if (new_reach[w] >> a) & 1 or w == a:
                         new_reach[w] |= rb

@@ -23,7 +23,7 @@ from mectools import (
 )
 from mectools._partition import mask_bits
 from mectools.chordal import CliqueTree, clique_tree
-from mectools.counting import CliqueRecord, _phi_sizes, explore, factorial, fp_chains
+from mectools.counting import CliqueRecord, explore, factorial, fp_chains
 from mectools.generators import gen_interval, gen_peo, gen_subtree, gen_thicken
 from mectools.graphs import orient_by_ordering
 from mectools.oracle import TooLargeError
@@ -374,15 +374,39 @@ def validate_chain(ground: frozenset, sets) -> list[frozenset]:
     return chain
 
 
+def phi_sizes(total: int, sizes: Sequence[int]) -> int:
+    """Permutations of a ``total``-set avoiding a nested chain of prefix
+    sets, by the peel-off recurrence on the chain sizes, quadratically many
+    big-integer operations; the reference for the library's closed form
+    over :func:`mectools.counting._chain_weights`.
+
+    Only the chain sizes matter once strict nesting holds; no size exceeds
+    ``total``.  A size <= 0 means an empty forbidden prefix, which every
+    permutation has, so 0 is returned.
+    """
+    if sizes and sizes[0] <= 0:
+        return 0
+    # sub[i]: the orders of the i-th set with no earlier set as a prefix
+    sub: list[int] = []
+    for i, s in enumerate(sizes):
+        val = factorial(s)
+        for j in range(i):
+            val -= factorial(s - sizes[j]) * sub[j]
+        sub.append(val)
+    result = factorial(total)
+    for i, s in enumerate(sizes):
+        result -= factorial(total - s) * sub[i]
+    return result
+
+
 def phi_chain(s, chain) -> int:
     """Number of permutations of ``s`` with no chain element as a prefix.
 
-    Requires the chain to be strictly nested; evaluated with quadratically
-    many big-integer operations via the peel-off recurrence on the chain.
+    Requires the chain to be strictly nested; evaluated by :func:`phi_sizes`.
     """
     ground = frozenset(s)
     validated = validate_chain(ground, chain)
-    return _phi_sizes(len(ground), [len(x) for x in validated])
+    return phi_sizes(len(ground), [len(x) for x in validated])
 
 
 def check_blocks(universe: int, blocks: Sequence[int]) -> None:
@@ -472,13 +496,19 @@ def rooted_counts(g: Uccg) -> list[int]:
         rooted = 1
         for comp in components_by_traversal(g, 1 << v):
             if comp not in totals:
-                verts = mask_bits(comp)
-                local = dict(zip(verts, range(len(verts))))
-                rows = [[local[w] for w in g.adj[u] if w in local] for u in verts]
-                totals[comp] = explore(Uccg([g.labels[u] for u in verts], rows)).total
+                totals[comp] = explore(component_uccg(g, comp)).total
             rooted *= totals[comp]
         out.append(rooted)
     return out
+
+
+def component_uccg(g: Uccg, comp: int) -> Uccg:
+    """The subgraph of ``g`` induced on the vertex mask ``comp``, built as
+    its own checked ``Uccg``; its local vertex ``i`` is the ``i``-th vertex
+    of ``comp`` in increasing order."""
+    verts = mask_bits(comp)
+    local = dict(zip(verts, range(len(verts))))
+    return Uccg([g.labels[u] for u in verts], [[local[w] for w in g.adj[u] if w in local] for u in verts])
 
 
 # --- orientation oracles ----------------------------------------------------
@@ -666,7 +696,7 @@ def perm_record(clique: int, chain) -> CliqueRecord:
     child keys and its ``phi``, as :func:`~mectools.sampling.draw_perm`
     reads it."""
     chain = tuple(chain)
-    return CliqueRecord(clique, chain, (), _phi_sizes(clique.bit_count(), [x.bit_count() for x in chain]))
+    return CliqueRecord(clique, chain, (), phi_sizes(clique.bit_count(), [x.bit_count() for x in chain]))
 
 
 def scan_draw_perm(clique: int, chain, rng: random.Random) -> tuple[int, ...]:
@@ -688,10 +718,10 @@ def scan_draw_perm(clique: int, chain, rng: random.Random) -> tuple[int, ...]:
     suffix = 0
     # φ of the remaining vertices under the active chain suffix: the whole
     # chain first, then the weight of each vertex drawn
-    phi = _phi_sizes(len(remaining), sizes)
+    phi = phi_sizes(len(remaining), sizes)
     while suffix < ell:
         left = [s - len(out) - 1 for s in sizes]
-        by_suffix = [_phi_sizes(len(remaining) - 1, left[j:]) for j in range(suffix, ell + 1)]
+        by_suffix = [phi_sizes(len(remaining) - 1, left[j:]) for j in range(suffix, ell + 1)]
         # a vertex's weight, indexed by the smallest set that holds it (ell
         # if none); a set before the active suffix counts as its first
         weight = by_suffix[:1] * suffix + by_suffix
@@ -730,7 +760,7 @@ class PermTable:
         self.ell = len(chain_sizes)
         self.rows = [
             [
-                _phi_sizes(clique_size - d, [s - d for s in chain_sizes[i:]])
+                phi_sizes(clique_size - d, [s - d for s in chain_sizes[i:]])
                 for d in range(clique_size + 1)
             ]
             for i in range(self.ell + 1)

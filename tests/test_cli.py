@@ -573,7 +573,7 @@ class TestBench:
         try:
             signal.setitimer(signal.ITIMER_REAL, 600.0, 300.0)
             code, out, _ = run(
-                capsys, "bench", "--model", "interval", "--sizes", "256",
+                capsys, "bench", "--model", "peo", "--sizes", "1000", "--k-policy", "1",
                 "--timeout", "0.001", "--seed", "2",
             )
             remaining, interval = signal.getitimer(signal.ITIMER_REAL)

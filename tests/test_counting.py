@@ -6,6 +6,9 @@ Core claims:
     - the closed form a draw reads its chained weights from gives the
       peel-off recurrence's count for every suffix at every step, 0 where a
       suffix's first set is already placed
+    - a record's phi is that closed form too: it equals the recurrence and
+      the enumeration, and explore reads the chain weights once per record
+      with a chain
     - threads that extend the factorial table at once leave it exact
     - forbidden-prefix chains read off a clique tree are strictly nested
     - the precounted total equals exhaustive enumeration and root-picking on
@@ -50,7 +53,7 @@ from mectools import counting, sample_cpdag, subproblems
 from mectools._partition import mask_bits
 from mectools.chordal import clique_tree
 from mectools.counting import count_with_stats, explore, factorial, fp_chains
-from mectools.generators import gen_peo
+from mectools.generators import gen_interval, gen_peo
 
 
 class TestPhiChain:
@@ -140,20 +143,53 @@ class TestChainClosedForm:
                 left = [s - placed - 1 for s in sizes]
                 for start in range(len(sizes) + 1):
                     got = counting._phi_suffixes(k - placed - 1, left, weights, start)
-                    want = [counting._phi_sizes(k - placed - 1, left[b:])
+                    want = [helpers.phi_sizes(k - placed - 1, left[b:])
                             for b in range(start, len(sizes) + 1)]
                     assert got == want, (k, sizes, placed, start)
 
     def test_a_suffix_whose_first_set_is_placed_has_none(self):
         # a 6-clique with chain sizes 3 and 5, shrunk by 3 and by 4: the set
         # of 3 is left with 0 and with -1, so a suffix from it counts 0, as
-        # _phi_sizes has it, and the later suffixes count as it does
+        # helpers.phi_sizes has it, and the later suffixes count as it does
         weights = counting._chain_weights(6, [3, 5])
-        assert counting._phi_sizes(3, [0, 2]) == counting._phi_sizes(2, [-1, 1]) == 0
+        assert helpers.phi_sizes(3, [0, 2]) == helpers.phi_sizes(2, [-1, 1]) == 0
         assert counting._phi_suffixes(3, [0, 2], weights, 0) == [0, 4, 6]
         assert counting._phi_suffixes(3, [0, 2], weights, 1) == [4, 6]
         assert counting._phi_suffixes(2, [-1, 1], weights, 0) == [0, 1, 2]
-        assert counting._phi_sizes(3, [2]) == 4 and counting._phi_sizes(2, [1]) == 1
+        assert helpers.phi_sizes(3, [2]) == 4 and helpers.phi_sizes(2, [1]) == 1
+
+
+class TestPhi:
+    """A record's phi, from the closed form its draws read, against the
+    peel-off recurrence and the enumeration."""
+
+    def test_every_chain_up_to_14_matches_the_recurrence(self):
+        for k in range(2, 15):
+            for ell in range(1, k):
+                for sizes in itertools.combinations(range(1, k), ell):
+                    assert counting._phi(k, sizes) == helpers.phi_sizes(k, sizes), (k, sizes)
+
+    def test_matches_the_enumeration_up_to_7(self):
+        for k in range(2, 8):
+            for ell in range(1, k):
+                for sizes in itertools.combinations(range(1, k), ell):
+                    chain = [set(range(s)) for s in sizes]
+                    assert counting._phi(k, sizes) == helpers.phi_naive(range(k), chain), (k, sizes)
+
+    def test_no_chain_is_factorial(self):
+        for k in range(20):
+            assert counting._phi(k, ()) == math.factorial(k)
+
+    @pytest.mark.parametrize("g", [gen_peo(120, 3, 4), gen_interval(60, 5)], ids=["peo", "interval"])
+    def test_explore_reads_the_chain_weights_once_per_chained_record(self, g, monkeypatch):
+        calls = []
+        weights = counting._chain_weights
+        monkeypatch.setattr(counting, "_chain_weights",
+                            lambda total, sizes: calls.append(total) or weights(total, sizes))
+        model = explore(g)
+        chained = [r for e in model.entries.values() for r in e.records if r.chain]
+        assert chained and len(calls) == len(chained)
+        assert sorted(calls) == sorted(r.clique.bit_count() for r in chained)
 
 
 def test_factorial_table_is_extended_by_one_thread_at_a_time():

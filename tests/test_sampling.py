@@ -24,7 +24,9 @@ Core claims:
       NotChordalError, after the CPDAG check
     - with ``_components``, a split that misses vertices is rejected
     - past brute-force sizes, the rooted counts sum to the class size and a
-      draw's first vertex (its one source) follows them, by a chi-square test
+      draw's first vertex (its one source) follows them, by a chi-square test;
+      one level below, the first vertex of the largest component the source
+      leaves follows that component's own rooted counts
 """
 
 import itertools
@@ -58,7 +60,7 @@ from mectools import (
 from mectools._partition import mask_bits
 from mectools.counting import CliqueRecord, _chain_weights, explore
 from mectools.sampling import ModelMismatchError, _draw_order, draw_clique, draw_perm, sample_amo
-from mectools.subproblems import Components
+from mectools.subproblems import Components, components_by_traversal
 
 
 def models_of(pg: PartialGraph) -> list:
@@ -550,7 +552,10 @@ class TestUniformPastBruteForce:
     """Draws judged on graphs far past the oracles' 25 vertices: an AMO of
     a connected chordal graph has one source, the first vertex of any of
     its topological orders, so a uniform draw's first vertex is ``v`` with
-    probability rooted(v) / total."""
+    probability rooted(v) / total.  Given that source, each component it
+    leaves undirected is oriented as a uniform AMO of its own, whose source
+    is the component's first vertex in the draw: it is ``w`` with
+    probability rooted_C(w) / total_C, the component's own rooted counts."""
 
     GRAPHS = {
         "subtree-60": lambda: gen_subtree(60, 4, 2),
@@ -570,8 +575,31 @@ class TestUniformPastBruteForce:
         rooted = helpers.rooted_counts(g)
         model = explore(g)
         assert sum(rooted) == model.total and min(rooted) >= 1  # any vertex can be the source
+        # per source v, the largest component of at least 2 vertices it
+        # leaves, C_v, and one bin per (v, w) for the first vertex w of C_v
+        below = {}
+        expected = []
+        for v, r in enumerate(rooted):
+            comp = max(components_by_traversal(g, 1 << v), key=int.bit_count, default=0)
+            if comp.bit_count() < 2:
+                continue
+            rooted_c = helpers.rooted_counts(helpers.component_uccg(g, comp))
+            total_c = sum(rooted_c)
+            below[v] = (comp, len(expected))
+            expected += [self.DRAWS * r / model.total * rc / total_c for rc in rooted_c]
+        # the bin of w is its rank in C_v, as component_uccg numbers it
         rng = random.Random(0)
-        firsts = Counter(_draw_order(model, rng)[0] for _ in range(self.DRAWS))
+        firsts, pairs = Counter(), Counter()
+        for _ in range(self.DRAWS):
+            tau = _draw_order(model, rng)
+            firsts[tau[0]] += 1
+            if tau[0] in below:
+                comp, start = below[tau[0]]
+                w = next(w for w in tau if comp >> w & 1)
+                pairs[start + (comp & ((1 << w) - 1)).bit_count()] += 1
         stat, df = chi_square(firsts, [self.DRAWS * r / model.total for r in rooted])
         assert df >= 20
         assert stat < chi_square_quantile(df, 0.999)
+        stat, df = chi_square(pairs, expected)
+        assert df >= 20
+        assert stat < chi_square_quantile(df, 0.999), (stat, df)
