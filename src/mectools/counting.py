@@ -15,9 +15,9 @@ tree edge is weighed once, so a count never lists a node's subgraphs,
 which grow as n^2 on sparse trees.
 
 :func:`explore` runs this once and keeps every node as one record, in the
-root's local vertices, in a :class:`SamplerModel`: the counters read its
-totals, and the sampler draws from its records, each of which runs the
-traversal for its subgraphs' order when a draw first reads it.
+root's local vertices, in the :class:`SamplerModel` the sampler draws from;
+a record runs the traversal for its subgraphs' order when a draw first
+reads it.  A count runs it too but keeps no record of a complete subgraph.
 """
 
 from __future__ import annotations
@@ -206,13 +206,11 @@ class SamplerModel:
         return self.entries[self.root_key].total
 
 
-def _region_weights(
-    heads: Sequence[Sequence[Region]], entries: Dict[Key, _KeyEntry]
-) -> Dict[Region, int]:
+def _region_weights(heads: Sequence[Sequence[Region]], totals: Dict[Key, int]) -> Dict[Region, int]:
     """The weight of every region of one clique tree, given per node as
     ``heads``: the product, over the region's pieces, of the piece's total
-    times the weights of the regions it opens, which is the product of the
-    totals of every component the region leads to.
+    in ``totals`` times the weights of the regions it opens, which is the
+    product of the totals of every component the region leads to.
 
     Each directed tree edge is one region and is weighed once.  A region
     leads to more keys than any region it opens, so key-count order is
@@ -222,7 +220,7 @@ def _region_weights(
     for region in sorted((r for near in heads for r in near), key=attrgetter("keys")):
         w = 1
         for x, opens in region.pieces:
-            w *= entries[x].total
+            w *= totals[x]
             for opened in opens:
                 w *= weights[opened]
         weights[region] = w
@@ -248,9 +246,19 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
     (never when None); once it has passed, :class:`TimeoutError` says how
     far the run got.
     """
+    return SamplerModel(g, _explore(g, seed, deadline, True)[0])
+
+
+def _explore(
+    g: Uccg, seed: int | None, deadline: float | None, complete_records: bool
+) -> tuple[Dict[Key, _KeyEntry], Dict[Key, int]]:
+    """The run of :func:`explore`: its entries, and every explored subgraph's
+    total.  Without ``complete_records`` a complete subgraph gets no record
+    or entry, only its total ``k!``, which is all a count reads of it."""
     # mask -> its records, one per clique-tree node in BFS order, and each
     # record's regions (None for a complete subgraph)
     records_of: Dict[Key, tuple[tuple[CliqueRecord, ...], list[list[Region]] | None]] = {}
+    totals: Dict[Key, int] = {}
     subs = [(1 << g.n) - 1]
     seen = set(subs)
     while subs:
@@ -259,6 +267,9 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
         t = clique_tree(g, None if seed is None else random.Random(f"{seed} {sub}"), sub)
         # a complete subgraph leaves nothing once its clique is fixed
         regions = tree_regions(t) if len(t.cliques) > 1 else None
+        if regions is None and not complete_records:
+            totals[sub] = factorial(sub.bit_count())
+            continue
         if regions is not None:
             for near in regions:
                 for region in near:
@@ -288,26 +299,29 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
         if heads is None:
             weights = [r.phi for r in records]
         else:
-            region_weight = _region_weights(heads, entries).__getitem__
+            region_weight = _region_weights(heads, totals).__getitem__
             weights = [prod(map(region_weight, near), start=r.phi)
                        for r, near in zip(records, heads)]
         cumulative = tuple(accumulate(weights))
+        totals[key] = cumulative[-1]
         entries[key] = _KeyEntry(records, cumulative, cumulative[-1])
-    return SamplerModel(g, entries)
+    return entries, totals
 
 
 def count_cpdag(g: PartialGraph) -> int:
     """Size of the Markov equivalence class represented by a CPDAG.
 
     Product over the undirected components ``g`` keeps, so a count after
-    :func:`~mectools.graphs.undirected_components` splits nothing.  Raises
-    :class:`~mectools.chordal.NotChordalError` if a component is not
+    :func:`~mectools.graphs.undirected_components` splits nothing.  Each is
+    explored as by :func:`explore`, but a complete subgraph, as most are,
+    builds no record for the count to drop or the cyclic collector to scan.
+    Raises :class:`~mectools.chordal.NotChordalError` if a component is not
     chordal, then :class:`~mectools.graphs.NotCpdagError` if ``g`` is not a
     CPDAG.
     """
     total = 1
     for comp in _split(g):
-        total *= explore(comp).total
+        total *= _explore(comp, None, None, False)[1][(1 << comp.n) - 1]
     return total
 
 

@@ -19,6 +19,8 @@ Core claims:
       at sizes out of the oracles' reach
     - explore reads the clock once before each clique record when given a
       deadline, and never without one; a far deadline changes no record
+    - a count reads explore's totals but builds no record of a complete
+      subgraph, and one record for every node of every other subgraph
     - a count takes one region product per directed tree edge and orders no
       child keys, so its work grows with the tree while the keys grow as n^2;
       a 5,000-vertex path is counted and drawn without deep recursion
@@ -369,6 +371,22 @@ class TestCountCpdag:
                 ]
                 pg = PartialGraph.from_edges(g1.n + g2.n, edges)
                 assert count_cpdag(pg) == precount(g1).total * precount(g2).total
+
+    @pytest.mark.parametrize("g", [gen_peo(120, 3, 4), gen_interval(60, 5), helpers.complete_graph(6)],
+                             ids=["peo", "interval", "complete"])
+    def test_a_count_builds_no_record_of_a_complete_subgraph(self, g, monkeypatch):
+        model = explore(g)
+        built = []
+        record = counting.CliqueRecord
+        monkeypatch.setattr(counting, "CliqueRecord", lambda *args: built.append(args) or record(*args))
+        entries, totals = counting._explore(g, None, None, False)
+        assert totals == {key: entry.total for key, entry in model.entries.items()}
+        assert entries == {key: entry for key, entry in model.entries.items()
+                           if isinstance(entry.records[0].child_keys, subproblems.Components)}
+        assert all(isinstance(args[2], subproblems.Components) for args in built)
+        built.clear()
+        assert count_cpdag(g.as_partial_graph()) == model.total
+        assert len(built) == sum(len(entry.records) for entry in entries.values())
 
 
 class TestCountWithStats:
