@@ -58,19 +58,11 @@ def _density(n: int, edges: int) -> float:
 
 def cmd_count(args) -> int:
     g = _read_graph(args.file)
-    total = 1
-    explored = 0
-    cliques = 0
-    for comp in _split(g):
-        model = counting.explore(comp)
-        total *= model.total
-        explored += len(model.entries)
-        cliques += len(model.entries[model.root_key].records)
-        del model  # one model alive at a time
-    print(_decimal(total))
+    stats = [counting.count_with_stats(comp) for comp in _split(g)]
+    print(_decimal(math.prod(s.count for s in stats)))
     if args.stats:
-        print(f"explored={explored}", file=sys.stderr)
-        print(f"cliques={cliques}", file=sys.stderr)
+        print(f"explored={sum(s.explored for s in stats)}", file=sys.stderr)
+        print(f"cliques={sum(s.max_cliques for s in stats)}", file=sys.stderr)
         dens = _density(g.n, g.num_undirected + g.num_directed)
         print(f"density={dens:.6f}", file=sys.stderr)
     return EXIT_OK

@@ -14,10 +14,11 @@ piece's count times the weights of the regions it opens.  Each directed
 tree edge is weighed once, so a count never lists a node's subgraphs,
 which grow as n^2 on sparse trees.
 
-:func:`explore` runs this once and keeps every node as one record, in the
-root's local vertices, in the :class:`SamplerModel` the sampler draws from;
-a record runs the traversal for its subgraphs' order when a draw first
-reads it.  A count runs it too but keeps no record of a complete subgraph.
+:func:`explore` runs this once, for the count and the sampler alike: a
+complete subgraph of k vertices, as most are, counts k! and has no record,
+and every node of any other is one record, in the :class:`SamplerModel` the
+sampler draws from; a record runs the traversal for its subgraphs' order
+when a draw first reads it.
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ class CliqueRecord:
     ``clique`` and ``chain`` (its forbidden prefix sets) are the tree node's
     clique and :func:`fp_chains` entry as built, masks over the root's local
     vertices; ``child_keys`` are the components left undirected once the
-    clique is fixed, as masks too, in recording order: ``()`` for a complete
-    subgraph, else the :class:`~mectools.subproblems.Components` that
-    :func:`explore` made, which run the traversal when first read, as a draw
-    reads those of the records it reaches.
+    clique is fixed, as masks too, in recording order: the
+    :class:`~mectools.subproblems.Components` that :func:`explore` made,
+    which run the traversal when first read, as a draw reads those of the
+    records it reaches.
     ``phi`` counts the clique's permutations that avoid the chain.  Records
     are equal when these four fields are, child keys in order.
     ``listing`` is the sampler's, kept by the record's first draw in one
@@ -168,7 +169,7 @@ class CliqueRecord:
 
     clique: int
     chain: Chain
-    child_keys: tuple[()] | Components
+    child_keys: Components
     phi: int
     listing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -187,15 +188,18 @@ class _KeyEntry:
 
 @dataclass(frozen=True, eq=False)
 class SamplerModel:
-    """The explored model of one graph: per explored subgraph, keyed by its
-    vertex mask over ``root``'s local vertices, its clique records with
-    their cumulative weights and total count.
-
-    Counting reads the root's total; sampling draws from the records.
-    """
+    """The explored model of one graph, keyed by vertex masks over
+    ``root``'s local vertices: every explored subgraph's count in
+    ``totals``, and the clique records with their cumulative weights of
+    every one that is not complete in ``entries``, which sampling draws.
+    ``listings`` are the sampler's: a complete subgraph's vertices in
+    increasing order, kept by its first draw (see
+    :func:`~mectools.sampling._draw_order`)."""
 
     root: Uccg
     entries: Dict[Key, _KeyEntry]
+    totals: Dict[Key, int]
+    listings: Dict[Key, tuple] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def root_key(self) -> Key:
@@ -203,7 +207,7 @@ class SamplerModel:
 
     @property
     def total(self) -> int:
-        return self.entries[self.root_key].total
+        return self.totals[self.root_key]
 
 
 def _region_weights(heads: Sequence[Sequence[Region]], totals: Dict[Key, int]) -> Dict[Region, int]:
@@ -232,32 +236,25 @@ def explore(g: Uccg, seed: int | None = None, deadline: float | None = None) -> 
 
     Each subgraph is the vertex mask of an induced subgraph of ``g``, and
     each distinct one is explored once: every piece of every region of its
-    clique tree is a subgraph to explore.  Subgraphs are then evaluated by
-    size, a record's weight being its ``phi`` times the weights of its
-    node's regions, so no record's child keys are ordered; each record keeps
-    its :class:`~mectools.subproblems.Components`, which know their length
-    and run the traversal when first read, and no region outlives the run.  A ``seed`` randomizes clique-tree construction: each
-    subgraph's tree is drawn from a generator of its own, seeded from the
-    seed and the subgraph's mask, so no tree depends on the order subgraphs
-    are explored in; the counts are tree-invariant.  Uses explicit work
-    stacks and loops: path-like graphs produce depths proportional to the
-    clique count, which would overrun the interpreter stack.  ``deadline``,
-    a :func:`time.monotonic` reading, is checked before each clique record
+    clique tree is a subgraph to explore.  A complete one, as most are, gets
+    its total ``k!`` and no record.  The others are then evaluated by size,
+    a record's weight being its ``phi`` times the weights of its node's
+    regions, so no record's child keys are ordered; each record keeps its
+    :class:`~mectools.subproblems.Components`, which know their length and
+    run the traversal when first read, and no region outlives the run.  A
+    ``seed`` randomizes clique-tree construction: each subgraph's tree is
+    drawn from a generator of its own, seeded from the seed and the
+    subgraph's mask, so no tree depends on the order subgraphs are explored
+    in; the counts are tree-invariant.  Uses explicit work stacks and loops:
+    path-like graphs produce depths proportional to the clique count, which
+    would overrun the interpreter stack.  ``deadline``, a
+    :func:`time.monotonic` reading, is checked before each clique record
     (never when None); once it has passed, :class:`TimeoutError` says how
-    far the run got.
+    many subgraphs the run explored, complete ones included.
     """
-    return SamplerModel(g, _explore(g, seed, deadline, True)[0])
-
-
-def _explore(
-    g: Uccg, seed: int | None, deadline: float | None, complete_records: bool
-) -> tuple[Dict[Key, _KeyEntry], Dict[Key, int]]:
-    """The run of :func:`explore`: its entries, and every explored subgraph's
-    total.  Without ``complete_records`` a complete subgraph gets no record
-    or entry, only its total ``k!``, which is all a count reads of it."""
     # mask -> its records, one per clique-tree node in BFS order, and each
-    # record's regions (None for a complete subgraph)
-    records_of: Dict[Key, tuple[tuple[CliqueRecord, ...], list[list[Region]] | None]] = {}
+    # record's regions, for every subgraph that is not complete
+    records_of: Dict[Key, tuple[tuple[CliqueRecord, ...], list[list[Region]]]] = {}
     totals: Dict[Key, int] = {}
     subs = [(1 << g.n) - 1]
     seen = set(subs)
@@ -265,63 +262,55 @@ def _explore(
         sub = subs.pop()
         # str seeds hash with sha512, the same in every process
         t = clique_tree(g, None if seed is None else random.Random(f"{seed} {sub}"), sub)
-        # a complete subgraph leaves nothing once its clique is fixed
-        regions = tree_regions(t) if len(t.cliques) > 1 else None
-        if regions is None and not complete_records:
+        if len(t.cliques) == 1:
+            # a complete subgraph leaves nothing once its clique is fixed
             totals[sub] = factorial(sub.bit_count())
             continue
-        if regions is not None:
-            for near in regions:
-                for region in near:
-                    for x, _ in region.pieces:
-                        if x not in seen:
-                            seen.add(x)
-                            subs.append(x)
+        regions = tree_regions(t)
+        for near in regions:
+            for region in near:
+                for x, _ in region.pieces:
+                    if x not in seen:
+                        seen.add(x)
+                        subs.append(x)
         chains = fp_chains(t)
         records = []
         for idx in t.order:
             if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(f"deadline passed with {len(records_of)} subgraphs explored "
-                                   f"and {len(records)} of {len(t.cliques)} records of the next done")
+                raise TimeoutError(f"deadline passed with {len(totals) + len(records_of)} subgraphs "
+                                   f"explored and {len(records)} of {len(t.cliques)} records of the "
+                                   "next done")
             clique, chain = t.cliques[idx], chains[idx]
             records.append(CliqueRecord(
-                clique, chain,
-                () if regions is None else components_after_clique(g, clique, sub, regions[idx]),
+                clique, chain, components_after_clique(g, clique, sub, regions[idx]),
                 _phi(clique.bit_count(), [s.bit_count() for s in chain]),
             ))
-        heads = None if regions is None else [regions[idx] for idx in t.order]
-        records_of[sub] = (tuple(records), heads)
+        records_of[sub] = (tuple(records), [regions[idx] for idx in t.order])
 
     entries: Dict[Key, _KeyEntry] = {}
     # pieces have strictly fewer vertices, so size order is dependency order
     for key in sorted(records_of, key=int.bit_count):
         records, heads = records_of.pop(key)
-        if heads is None:
-            weights = [r.phi for r in records]
-        else:
-            region_weight = _region_weights(heads, totals).__getitem__
-            weights = [prod(map(region_weight, near), start=r.phi)
-                       for r, near in zip(records, heads)]
-        cumulative = tuple(accumulate(weights))
+        region_weight = _region_weights(heads, totals).__getitem__
+        cumulative = tuple(accumulate(prod(map(region_weight, near), start=r.phi)
+                                      for r, near in zip(records, heads)))
         totals[key] = cumulative[-1]
         entries[key] = _KeyEntry(records, cumulative, cumulative[-1])
-    return entries, totals
+    return SamplerModel(g, entries, totals)
 
 
 def count_cpdag(g: PartialGraph) -> int:
     """Size of the Markov equivalence class represented by a CPDAG.
 
-    Product over the undirected components ``g`` keeps, so a count after
-    :func:`~mectools.graphs.undirected_components` splits nothing.  Each is
-    explored as by :func:`explore`, but a complete subgraph, as most are,
-    builds no record for the count to drop or the cyclic collector to scan.
-    Raises :class:`~mectools.chordal.NotChordalError` if a component is not
-    chordal, then :class:`~mectools.graphs.NotCpdagError` if ``g`` is not a
-    CPDAG.
+    Product of :func:`explore`'s totals over the undirected components ``g``
+    keeps, so a count after :func:`~mectools.graphs.undirected_components`
+    splits nothing.  Raises :class:`~mectools.chordal.NotChordalError` if a
+    component is not chordal, then :class:`~mectools.graphs.NotCpdagError`
+    if ``g`` is not a CPDAG.
     """
     total = 1
     for comp in _split(g):
-        total *= _explore(comp, None, None, False)[1][(1 << comp.n) - 1]
+        total *= explore(comp).total
     return total
 
 
@@ -340,8 +329,9 @@ def count_with_stats(g: Uccg, seed: int | None = None) -> CountStats:
     clique-tree nodes the input has.  ``seed`` randomizes clique-tree
     construction (the count is tree-invariant)."""
     model = explore(g, seed)
+    root = model.entries.get(model.root_key)
     return CountStats(
         count=model.total,
-        explored=len(model.entries),
-        max_cliques=len(model.entries[model.root_key].records),
+        explored=len(model.totals),
+        max_cliques=1 if root is None else len(root.records),
     )

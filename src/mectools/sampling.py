@@ -2,19 +2,19 @@
 
 The sampler reads the model that the counter builds
 (:func:`~mectools.counting.explore`, which :func:`precount` returns): per
-explored subgraph, the clique-tree nodes' records and running weight sums (a
-weight is a node's permutation count times the counts of its components).  A
-sample walks these records: draw a clique proportional to its weight, draw
-an admissible permutation of it, recurse on the components.  A record orders
-its components and lists its clique's vertices when a draw first reads it.
+explored subgraph that is not complete, the clique-tree nodes' records and
+running weight sums (a weight is a node's permutation count times the counts
+of its components).  A sample walks these records: draw a clique
+proportional to its weight, draw an admissible permutation of it, recurse on
+the components, of which a complete one is shuffled.  A record orders its
+components and lists its clique's vertices when a draw first reads it.
 All weights are exact big integers; clique draws use cumulative sums with
 binary search rather than a real-valued alias table, which would lose
-exactness to rounding.  Random
-numbers come from a caller-supplied ``random.Random`` (Mersenne Twister), so
-fixed seeds reproduce exact sample sequences.  Every draw is a topological
-ordering per undirected component, in its local vertices;
-:func:`~mectools.graphs.orient_by_ordering` takes the components and their
-orderings as drawn and turns them into the DAG.
+exactness to rounding.  Random numbers come from a caller-supplied
+``random.Random`` (Mersenne Twister), so fixed seeds reproduce exact sample
+sequences.  Every draw is a topological ordering per undirected component,
+in its local vertices; :func:`~mectools.graphs.orient_by_ordering` takes
+the components and their orderings as drawn and turns them into the DAG.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from itertools import groupby
 from typing import Sequence
 
 from ._partition import mask_bits
-from .counting import CliqueRecord, Key, SamplerModel, _chain_weights, _phi_suffixes, explore
+from .counting import (CliqueRecord, Key, SamplerModel, _chain_weights, _phi_suffixes, explore,
+                       factorial)
 from .graphs import Dag, PartialGraph, Uccg, _require_cpdag, orient_by_ordering
 
 
@@ -133,16 +134,29 @@ def _draw_order(model: SamplerModel, rng: random.Random) -> list[int]:
 
     Assembles it clique by clique; components are appended in their
     recorded order, which respects the edge directions forced between them.
+    A complete subgraph, which has no entry, draws as its one record of k!
+    would: ``randrange(k!)``, then a shuffle of its vertices, which its
+    first draw lists in the model's ``listings`` for later draws to copy.
     """
+    entries, listings = model.entries, model.listings
     tau: list[int] = []
     stack: list[Key] = [model.root_key]
     while stack:
         key = stack.pop()
         if not key & (key - 1):
-            # one vertex: draw_clique's draw from a one-record entry of total
-            # 1, kept for the stream; its one-item shuffle draws nothing
+            # one vertex: the draw of k! = 1, kept for the stream; its
+            # one-item shuffle draws nothing
             rng.randrange(1)
             tau.append(key.bit_length() - 1)
+            continue
+        if key not in entries:
+            listing = listings.get(key)
+            if listing is None:
+                listing = listings[key] = tuple(mask_bits(key))
+            vertices = list(listing)
+            rng.randrange(factorial(len(vertices)))
+            rng.shuffle(vertices)
+            tau.extend(vertices)
             continue
         record = draw_clique(model, key, rng)
         tau.extend(draw_perm(record, rng))

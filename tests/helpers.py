@@ -50,6 +50,12 @@ def complete_graph(n: int) -> Uccg:
     return Uccg.from_edges(range(n), itertools.combinations(range(n), 2))
 
 
+def is_complete(g: Uccg, key: int) -> bool:
+    """True iff every two vertices of the mask ``key`` over ``g``'s local
+    vertices are adjacent in ``g``."""
+    return all(key & ~g.adj_masks[v] == 1 << v for v in mask_bits(key))
+
+
 def undirected_pairs(g: PartialGraph) -> list[tuple[int, int]]:
     """The undirected edges ``(u, v)``, ``u < v``, of ``g`` in sorted order."""
     return [(u, v) for u, row in enumerate(g.undirected) for v in row if u < v]
@@ -459,7 +465,13 @@ def exact_sampler_distribution(g: Uccg, model: SamplerModel) -> dict[frozenset, 
     """
 
     def key_paths(key):
-        entry = model.entries[key]
+        entry = model.entries.get(key)
+        if entry is None:
+            # a complete subgraph has no record: every order of its
+            # vertices, each with probability 1/k!
+            assert model.totals[key] == math.factorial(key.bit_count())
+            yield from perm_paths(mask_bits(key), [])
+            return
         for record, weight in zip(entry.records, record_weights(entry)):
             if weight == 0:
                 continue
@@ -812,7 +824,14 @@ def table_draw_order(model: SamplerModel, rng: random.Random) -> list[int]:
     tau: list[int] = []
     stack = [model.root_key]
     while stack:
-        entry = model.entries[stack.pop()]
+        key = stack.pop()
+        entry = model.entries.get(key)
+        if entry is None:
+            # a complete subgraph: the draw of its one clique of weight k!,
+            # which has no chain
+            rng.randrange(math.factorial(key.bit_count()))
+            tau.extend(table_draw_perm(mask_bits(key), [], rng))
+            continue
         record = entry.records[bisect.bisect_right(entry.cumulative, rng.randrange(entry.total))]
         tau.extend(table_draw_perm(*record_vertices(record), rng))
         stack.extend(reversed(record.child_keys))
@@ -1261,8 +1280,8 @@ def record_weights(entry) -> list[int]:
 
 
 def key_of(model: SamplerModel, labels: Sequence[int]) -> int:
-    """The key of ``model``'s entry whose label view is ``labels``."""
-    (key,) = [k for k in model.entries if labels_of(model.root, k) == tuple(labels)]
+    """The key of ``model``'s explored subgraph whose label view is ``labels``."""
+    (key,) = [k for k in model.totals if labels_of(model.root, k) == tuple(labels)]
     return key
 
 

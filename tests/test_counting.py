@@ -19,8 +19,9 @@ Core claims:
       at sizes out of the oracles' reach
     - explore reads the clock once before each clique record when given a
       deadline, and never without one; a far deadline changes no record
-    - a count reads explore's totals but builds no record of a complete
-      subgraph, and one record for every node of every other subgraph
+    - explore, for the count and the sampler alike, gives a complete
+      subgraph its total k! and no record or entry, and builds one record
+      for every node of every other subgraph
     - a count takes one region product per directed tree edge and orders no
       child keys, so its work grows with the tree while the keys grow as n^2;
       a 5,000-vertex path is counted and drawn without deep recursion
@@ -375,18 +376,22 @@ class TestCountCpdag:
     @pytest.mark.parametrize("g", [gen_peo(120, 3, 4), gen_interval(60, 5), helpers.complete_graph(6)],
                              ids=["peo", "interval", "complete"])
     def test_a_count_builds_no_record_of_a_complete_subgraph(self, g, monkeypatch):
-        model = explore(g)
         built = []
         record = counting.CliqueRecord
         monkeypatch.setattr(counting, "CliqueRecord", lambda *args: built.append(args) or record(*args))
-        entries, totals = counting._explore(g, None, None, False)
-        assert totals == {key: entry.total for key, entry in model.entries.items()}
-        assert entries == {key: entry for key, entry in model.entries.items()
-                           if isinstance(entry.records[0].child_keys, subproblems.Components)}
+        model = explore(g)
+        records = sum(len(entry.records) for entry in model.entries.values())
+        # every explored subgraph has its total, and only those that are not
+        # complete have an entry; a complete one counts k!
+        complete = {key for key in model.totals if helpers.is_complete(g, key)}
+        assert complete and model.entries.keys() == model.totals.keys() - complete
+        assert all(model.totals[key] == factorial(key.bit_count()) for key in complete)
+        assert all(model.totals[key] == entry.total for key, entry in model.entries.items())
         assert all(isinstance(args[2], subproblems.Components) for args in built)
+        assert len(built) == records
         built.clear()
         assert count_cpdag(g.as_partial_graph()) == model.total
-        assert len(built) == sum(len(entry.records) for entry in entries.values())
+        assert len(built) == records
 
 
 class TestCountWithStats:
@@ -439,7 +444,11 @@ class TestDeadline:
         assert explore(g, deadline=records).entries == model.entries
         assert len(calls) == records
         calls.clear()
-        # one reading short: the last record of the last subgraph is not done
+        trees = []
+        real_tree = counting.clique_tree
+        monkeypatch.setattr(counting, "clique_tree", lambda *args: trees.append(args) or real_tree(*args))
+        # one reading short: the last record of the last subgraph that is
+        # not complete is not done
         with pytest.raises(TimeoutError) as exc:
             explore(g, deadline=records - 1)
         assert len(calls) == records
@@ -448,7 +457,10 @@ class TestDeadline:
             str(exc.value),
         )
         explored, done, of = map(int, found.groups())
-        assert (explored, done) == (len(model.entries) - 1, of - 1)
+        # every subgraph whose tree was built before the one in hand, the
+        # complete ones, which have no record, included
+        assert (explored, done) == (len(trees) - 1, of - 1)
+        assert explored > len(model.entries) - 1
 
     def test_without_a_deadline_the_clock_is_never_read(self, monkeypatch):
         calls = self.fake_clock(monkeypatch)
@@ -490,13 +502,16 @@ def test_model_totals_match_the_oracles_on_chordal_graphs(g, seeds):
     assert all(precount(g, seed).total == total for seed in seeds)
     # each record's weight, phi times its children's totals, is one step of
     # its entry's cumulative sums, which end at the entry's total
-    for entry in model.entries.values():
+    for key, entry in model.entries.items():
         steps = [
-            math.prod((model.entries[c].total for c in r.child_keys), start=r.phi)
+            math.prod((model.totals[c] for c in r.child_keys), start=r.phi)
             for r in entry.records
         ]
         assert helpers.record_weights(entry) == steps
-        assert entry.cumulative[-1] == entry.total
+        assert entry.cumulative[-1] == entry.total == model.totals[key]
+    # a subgraph with no entry is complete and counts k!
+    for key in model.totals.keys() - model.entries.keys():
+        assert helpers.is_complete(g, key) and model.totals[key] == factorial(key.bit_count())
     assert precount(helpers.complete_graph(g.n)).total == factorial(g.n)
     assert precount(Uccg.from_edges(range(g.n), spanning_tree(g))).total == g.n
 

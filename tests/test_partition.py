@@ -118,7 +118,8 @@ def test_components_match_the_oracle_in_order():
 
 def records_of(model) -> dict:
     """The model's records with every vertex, vertex set and key in its
-    label view."""
+    label view; a subgraph with no entry, a complete one, as the one record
+    of its clique, no chain and no child keys, weighed by its total."""
     label = model.root.labels.__getitem__
 
     def labels(key):
@@ -128,13 +129,16 @@ def records_of(model) -> dict:
         clique, chain = helpers.record_vertices(r)
         return tuple(map(label, clique)), tuple(tuple(map(label, x)) for x in chain)
 
-    return {
+    plans = {
         labels(key): tuple(
             (r.phi, *vertices(r), tuple(map(labels, r.child_keys)))
             for r in entry.records
         )
         for key, entry in model.entries.items()
     }
+    for key in model.totals.keys() - model.entries.keys():
+        plans[labels(key)] = ((model.totals[key], labels(key), (), ()),)
+    return plans
 
 
 def test_exploration_plans_match_the_oracle():
@@ -190,7 +194,8 @@ def test_a_seeded_model_is_the_same_in_every_process():
 
 def test_complete_graph_is_one_plan_node():
     g = helpers.complete_graph(7)
-    assert records_of(counting.explore(g))[g.labels] == ((5040, g.labels, (), ()),)
+    model = counting.explore(g)
+    assert model.entries == {} and records_of(model) == {g.labels: ((5040, g.labels, (), ()),)}
     assert precount(g).total == 5040
 
 
@@ -269,8 +274,8 @@ def test_memo_hits_never_build_adjacency(monkeypatch):
     monkeypatch.setattr(counting, "components_after_clique", step)
     model = counting.explore(g)
     assert filled == [] and model.root is g
-    assert len(emitted) > 2 * len(model.entries)
-    assert set(emitted) <= model.entries.keys()
+    assert len(emitted) > 2 * len(model.totals)
+    assert set(emitted) <= model.totals.keys()
     assert all(isinstance(h, int) for h in emitted)
 
 

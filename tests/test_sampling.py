@@ -5,9 +5,14 @@ Core claims:
     - draw_clique realizes exact weight/total probabilities
     - draw_perm is uniform over the admissible permutations
     - a record's first draw lists its clique once and keeps the listing,
-      which later draws read; no undrawn record is listed, a drawn record
+      which later draws read, as a complete subgraph's first draw keeps its
+      vertices in the model; no undrawn record is listed, a drawn record
       equals a fresh one, and a model whose records were all drawn draws
       the streams of a fresh model
+    - a model has a total for every subgraph it explored, one per clique
+      tree built, and an entry for exactly those that are not complete; a
+      complete one draws ``randrange(k!)`` and then a shuffle of its
+      vertices, as the one record of its one clique did
     - sample_amo yields valid orientations (skeleton preserved, acyclic by an
       independent Kahn check, no v-structures) with exactly uniform
       probabilities, verified symbolically on small graphs and statistically
@@ -32,9 +37,12 @@ Core claims:
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,6 +53,7 @@ from mectools import (
     PartialGraph,
     count_cpdag,
     count_root_picking,
+    counting,
     enumerate_amos,
     gen_interval,
     gen_peo,
@@ -88,12 +97,12 @@ class TestPrecount:
         assert model.total == 54
 
     def test_complete_graph_single_record(self):
+        # a complete graph is counted k! at once, with no record: the one
+        # record of its one clique would weigh 5! and leave no child keys
         g = helpers.complete_graph(5)
         model = precount(g)
-        entry = model.entries[helpers.key_of(model, g.labels)]
-        (record,) = entry.records
-        assert helpers.record_weights(entry) == [120]
-        assert record.child_keys == ()
+        assert model.totals == {helpers.key_of(model, g.labels): 120}
+        assert model.entries == {}
 
     def test_path3_weights(self):
         g = helpers.path_graph(3)
@@ -108,13 +117,16 @@ class TestPrecount:
 
 
 class TestDrawClique:
-    def test_single_record_always_chosen(self):
+    def test_single_record_always_chosen(self, monkeypatch):
+        # a complete graph's one clique is always placed whole, and no
+        # record is drawn for it
         g = helpers.complete_graph(4)
         model = precount(g)
-        key = helpers.key_of(model, g.labels)
+        assert helpers.key_of(model, g.labels) not in model.entries
+        monkeypatch.setattr(sampling, "draw_clique", None)
         rng = random.Random(0)
         for _ in range(20):
-            assert draw_clique(model, key, rng).clique == 0b1111
+            assert sorted(_draw_order(model, rng)) == [0, 1, 2, 3]
 
     def test_frequencies_match_weights(self):
         g = helpers.three_clique_chain()
@@ -185,15 +197,19 @@ class TestDrawPerm:
             helpers.validate_chain(frozenset((0, 1, 2, 3)), [(0, 1), (2, 3)])
 
 
-def listed_spy(monkeypatch) -> tuple[list[int], list]:
-    """The masks ``sampling`` lists from now on, and the records
-    ``draw_clique`` returns."""
+def listed_spy(monkeypatch) -> tuple[list[int], list, list[int]]:
+    """The masks ``sampling`` lists for a record from now on, the records
+    ``draw_clique`` returns, and the masks it lists for complete subgraphs,
+    which have no record."""
     listed: list[int] = []
     read: list = []
+    whole: list[int] = []
     list_mask, draw = sampling.mask_bits, sampling.draw_clique
 
     def spy_list(x):
-        listed.append(x)
+        caller = sys._getframe(1).f_code.co_name
+        assert caller in ("_listing", "_draw_order")
+        (listed if caller == "_listing" else whole).append(x)
         return list_mask(x)
 
     def spy_draw(model, key, rng):
@@ -202,7 +218,7 @@ def listed_spy(monkeypatch) -> tuple[list[int], list]:
 
     monkeypatch.setattr(sampling, "mask_bits", spy_list)
     monkeypatch.setattr(sampling, "draw_clique", spy_draw)
-    return listed, read
+    return listed, read, whole
 
 
 def assert_listings_of(model, drawn) -> None:
@@ -234,15 +250,21 @@ class TestKeptListing:
         return [sample_amo(g, model, rng) for _ in range(n)]
 
     def test_each_drawn_record_is_listed_once_and_no_other(self, monkeypatch):
-        listed, read = listed_spy(monkeypatch)
+        listed, read, whole = listed_spy(monkeypatch)
         for g in self.GRAPHS:
             model = precount(g)
             listed.clear()
             read.clear()
+            whole.clear()
             self.draws(g, model)
             drawn = list({id(r): r for r in read}.values())
             assert 0 < len(drawn) and sorted(listed) == sorted(r.clique for r in drawn)
             assert_listings_of(model, drawn)
+            # what else was listed is a complete subgraph, which has no
+            # record: listed by its first draw and kept in the model
+            assert all(k not in model.entries and helpers.is_complete(g, k) for k in whole)
+            assert sorted(whole) == sorted(model.listings)
+            assert all(v == tuple(mask_bits(k)) for k, v in model.listings.items())
 
     def test_a_drawn_record_equals_a_fresh_one(self):
         g = gen_interval(40, 1)
@@ -267,13 +289,96 @@ class TestKeptListing:
     def test_draws_of_a_large_sparse_graph_list_only_what_they_read(self, monkeypatch):
         g = gen_peo(2000, 1, 1)
         model = precount(g)
-        listed, read = listed_spy(monkeypatch)
+        listed, read, whole = listed_spy(monkeypatch)
         rng = random.Random(5)
         for _ in range(200):
             _draw_order(model, rng)
         drawn = list({id(r): r for r in read}.values())
         assert len(listed) == len(drawn)
         assert_listings_of(model, drawn)
+        assert all(k not in model.entries and helpers.is_complete(g, k) for k in whole)
+        assert sorted(whole) == sorted(model.listings)
+
+
+class TestCompleteSubgraphs:
+    GRAPHS = (gen_interval(30, 11), gen_peo(120, 3, 4), gen_subtree(60, 4, 2),
+              helpers.three_clique_chain(), helpers.complete_graph(6))
+
+    def test_a_model_has_an_entry_for_each_subgraph_that_is_not_complete(self, monkeypatch):
+        trees = []
+        real = counting.clique_tree
+        monkeypatch.setattr(counting, "clique_tree", lambda *args: trees.append(args[2]) or real(*args))
+        for g in self.GRAPHS:
+            for seed in (None, 3):
+                trees.clear()
+                model = precount(g, seed)
+                # one clique tree per explored subgraph, and a total for each
+                assert len(model.totals) == len(trees) and model.totals.keys() == set(trees)
+                assert model.entries.keys() == {
+                    k for k in model.totals if not helpers.is_complete(g, k)}
+
+    @staticmethod
+    def assert_draws_k_factorial_then_a_shuffle(model, key, seed) -> None:
+        """Two draws from ``key``, the first listing its vertices and the
+        second reading that listing, each leave the generator where
+        ``randrange(k!)`` and a shuffle of the key's k vertices in
+        increasing order leave it, and order the vertices as that shuffle
+        does."""
+        rng, want = random.Random(seed), random.Random(seed)
+        view = SimpleNamespace(entries=model.entries, listings=model.listings, root_key=key)
+        for _ in range(2):
+            order = _draw_order(view, rng)
+            want.randrange(math.factorial(key.bit_count()))
+            vertices = mask_bits(key)
+            want.shuffle(vertices)
+            assert order == vertices and rng.getstate() == want.getstate()
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_a_complete_root_draws_k_factorial_then_a_shuffle(self, k):
+        model = precount(helpers.complete_graph(k))
+        assert model.entries == {}
+        for seed in range(5):
+            self.assert_draws_k_factorial_then_a_shuffle(model, model.root_key, seed)
+
+    def test_threads_that_share_a_fresh_model_each_draw_their_own_stream(self):
+        # more threads than cores, switching as often as the interpreter
+        # lets them, fill one model's listings, records' and complete
+        # subgraphs' alike, at once: each draws the stream it draws alone
+        g = self.GRAPHS[2]
+        def draws(model, i, start=None):
+            rng = random.Random(i)
+            if start is not None:
+                start.wait()
+            return [_draw_order(model, rng) for _ in range(10)]
+
+        alone = [draws(precount(g), i) for i in range(8)]
+        model = precount(g)
+        got = {}
+        start = threading.Barrier(8, timeout=10)
+
+        def draw(i):
+            got[i] = draws(model, i, start)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(i,)) for i in range(start.parties)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert [got[i] for i in range(8)] == alone and model.listings
+
+    def test_every_complete_key_draws_k_factorial_then_a_shuffle(self):
+        for g in self.GRAPHS[:3]:
+            model = precount(g)
+            complete = sorted(model.totals.keys() - model.entries.keys())
+            assert any(key.bit_count() > 2 for key in complete)
+            for key in complete:
+                self.assert_draws_k_factorial_then_a_shuffle(model, key, key)
 
 
 class TestSampleAmo:

@@ -61,26 +61,31 @@ def check_explored(g: Uccg, seed) -> None:
         model = precount(g, seed)
     assert all(args[0] is g for args in explored)
     subs = [args[2] for args in explored]
-    assert len(subs) == len(set(subs)) and set(subs) == model.entries.keys()
+    assert len(subs) == len(set(subs)) and set(subs) == model.totals.keys()
 
     for adj, blocks, *_ in traversals:
         assert adj is g.adj
         universe = 0
         for blk in blocks:
             universe |= blk
-        assert universe in model.entries
+        assert universe in model.totals
         helpers.check_blocks(universe, blocks)
 
-    for key, entry in model.entries.items():
+    for key in model.totals:
         h = helpers.induced_subgraph(g, helpers.labels_of(g, key))
         assert_passes_constructor(h)
+        entry = model.entries.get(key)
+        if entry is None:
+            # a complete subgraph has no record: its one clique is all of h
+            helpers.check_clique(h, range(h.n))
+            continue
         # records are in the root's local vertices; h numbers the key's bits
         local = {v: i for i, v in enumerate(mask_bits(key))}
         for record in entry.records:
             clique, chain = helpers.record_vertices(record)
             helpers.check_clique(h, [local[v] for v in clique])
             helpers.validate_chain(frozenset(clique), chain)
-            assert all(child in model.entries for child in record.child_keys)
+            assert all(child in model.totals for child in record.child_keys)
 
 
 def test_explored_inputs_pass_their_checks_on_the_oracle_corpora():
